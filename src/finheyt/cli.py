@@ -20,6 +20,7 @@ from .algebra import (
 )
 from .catalog import MAX_LATTICE_SIZE, build_catalog
 from .errors import FinheytError, TheoremViolation
+from .fixtures import two_element
 
 
 def _emit(args, human: str, record: dict) -> None:
@@ -74,9 +75,10 @@ def _cmd_profile(args) -> int:
 
 def _cmd_homs(args) -> int:
     a, b = _load(args.fileA), _load(args.fileB)
+    onto = "_onto" if args.onto else ""
     if args.count or args.all:
-        res = morphism.homs(a, b, "all", cap=args.cap)
-        maps = [h for h in res.homs if h.onto] if args.onto else list(res.homs)
+        res = morphism.homs(a, b, "all" + onto, cap=args.cap)
+        maps = res.homs
         if args.count:
             record = {"command": "homs", "count": len(maps), "truncated": res.truncated}
             _emit(args, f"{len(maps)}{' (truncated)' if res.truncated else ''}", record)
@@ -91,7 +93,7 @@ def _cmd_homs(args) -> int:
                 lines.append("(truncated: enumeration capped)")
             _emit(args, "\n".join(lines) if lines else "none", record)
         return 0 if maps else 1
-    hom = morphism.homs(a, b, "any_onto" if args.onto else "any")
+    hom = morphism.homs(a, b, "any" + onto)
     record = {"command": "homs", "map": list(hom.map) if hom else None}
     _emit(args, str(list(hom.map)) if hom else "none", record)
     return 0 if hom else 1
@@ -169,8 +171,8 @@ def _cmd_rho(args) -> int:
 
 def _cmd_alpha(args) -> int:
     alg = _load(args.file)
-    formula = decision.diagram_alpha(decision.two_algebra(alg.cls))
-    value = decision.eval_alpha(alg, formula)
+    formula = decision.diagram_alpha(two_element(alg.cls))
+    value = decision.eval_formula(alg, formula)
     record = {"command": "alpha", "holds": value}
     _emit(args, f"alpha holds: {value}", record)
     return 0 if value else 1

@@ -2,9 +2,13 @@
 
 On a finite lattice every h-filter is principal (it is finite, meet-closed and
 upward closed, so it is the up-set of the meet of its members); congruence
-filters are exactly the up-sets of open elements.  Congruences are canonically
-represented by their filters; the partition form is kept for the relational
-factor-pair checks.
+filters are exactly the up-sets of open elements, and the open elements form a
+Boolean algebra whose dual is the congruence lattice.  Everything here is built
+from that: the congruence of the up-set of b has the fibres of a -> a & b as its
+blocks, the factor complement of the congruence of the up-set of b is the
+congruence of the up-set of !b, and the simple factors are the quotients by the
+up-sets of the atoms of the open elements.  Without a box table every element
+counts as open.  The partition form is kept for the relational factor-pair checks.
 """
 
 from __future__ import annotations
@@ -102,24 +106,35 @@ def _blocks_valid(alg: FiniteAlgebra, blocks) -> str | None:
     return None
 
 
+def _induced_tables(alg: FiniteAlgebra, theta: Congruence, error) -> dict:
+    """Tables induced on the blocks of theta, by field name, in one pass per table;
+    raises `error` as soon as a table maps related arguments to unrelated values."""
+    cls, k = theta.class_of, len(theta.blocks)
+    out = {}
+    for name, t in alg.unary_tables().items():
+        row = {}
+        for a in alg.elements:
+            if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
+                raise error(f"partition not compatible with {name}")
+        out[name] = tuple(row[c] for c in range(k))
+    for name, t in alg.binary_tables().items():
+        rows = [{} for _ in range(k)]
+        for a in alg.elements:
+            row, ta = rows[cls[a]], t[a]
+            for b in alg.elements:
+                if row.setdefault(cls[b], cls[ta[b]]) != cls[ta[b]]:
+                    raise error(f"partition not compatible with {name}")
+        out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
+    return out
+
+
 def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
     """Build a congruence, verifying the partition is compatible with every table."""
     problem = _blocks_valid(alg, blocks)
     if problem:
         raise ValueError(problem)
     theta = Congruence(tuple(tuple(b) for b in blocks), alg.size)
-    cls = theta.class_of
-    for name, t in alg.unary_tables().items():
-        for block in theta.blocks:
-            rep = t[block[0]]
-            if any(cls[t[a]] != cls[rep] for a in block[1:]):
-                raise ValueError(f"partition not compatible with {name}")
-    for name, t in alg.binary_tables().items():
-        for a in alg.elements:
-            for b in alg.elements:
-                for a2 in theta.blocks[cls[a]]:
-                    if cls[t[a][b]] != cls[t[a2][b]] or cls[t[b][a]] != cls[t[b][a2]]:
-                        raise ValueError(f"partition not compatible with {name}")
+    _induced_tables(alg, theta, ValueError)
     return theta
 
 
@@ -162,13 +177,14 @@ def generated_congfilter(alg: FiniteAlgebra, seed) -> frozenset:
     return frozenset(alg.upset[b])
 
 
+def _open_elements(alg: FiniteAlgebra):
+    """The b whose up-set is a congruence filter: the open elements, or all without a box."""
+    return alg.elements if alg.box is None else sorted(alg.open_set)
+
+
 def all_congruence_filters(alg: FiniteAlgebra) -> list[frozenset]:
     """Every congruence filter, ascending by size then carrier."""
-    out = []
-    for b in alg.elements:
-        f = frozenset(alg.upset[b])
-        if alg.box is None or all(alg.box[a] in f for a in f):
-            out.append(f)
+    out = [frozenset(alg.upset[b]) for b in _open_elements(alg)]
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
@@ -182,21 +198,16 @@ def principal_generator(alg: FiniteAlgebra, f) -> int:
 
 
 def to_congruence(alg: FiniteAlgebra, f) -> Congruence:
-    """Congruence of a filter: a ~ b iff (a -> b) & (b -> a) lies in f."""
+    """Congruence of a filter: a ~ c iff (a -> c) & (c -> a) lies in f.  With f the
+    up-set of b, that is b <= a <-> c, i.e. a & b = c & b: the blocks are the fibres
+    of a -> a & b."""
     if not is_congruence_filter(alg, f):
         raise ValueError(f"{sorted(f)} is not a congruence filter")
-    fset = frozenset(f)
-    reps: list[int] = []
-    blocks: list[list[int]] = []
+    b = reduce(lambda x, y: alg.meet[x][y], f)
+    fibres: dict[int, list[int]] = {}
     for a in alg.elements:
-        for i, r in enumerate(reps):
-            if alg.iff(a, r) in fset:
-                blocks[i].append(a)
-                break
-        else:
-            reps.append(a)
-            blocks.append([a])
-    return congruence_from_blocks(alg, blocks)
+        fibres.setdefault(alg.meet[a][b], []).append(a)
+    return congruence_from_blocks(alg, list(fibres.values()))
 
 
 def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
@@ -213,37 +224,13 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
 
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
     """Block algebra (re-canonicalized) with its projection."""
-    cls = theta.class_of
-    k = len(theta.blocks)
-    reps = [block[0] for block in theta.blocks]
-
-    def two(t):
-        if t is None:
-            return None
-        out = tuple(tuple(cls[t[ra][rb]] for rb in reps) for ra in reps)
-        for a in alg.elements:  # well-definedness: block images independent of reps
-            for b in alg.elements:
-                if out[cls[a]][cls[b]] != cls[t[a][b]]:
-                    raise TheoremViolation("induced table ill-defined; congruence check broken")
-        return out
-
-    def one(t):
-        if t is None:
-            return None
-        out = tuple(cls[t[r]] for r in reps)
-        for a in alg.elements:
-            if out[cls[a]] != cls[t[a]]:
-                raise TheoremViolation("induced table ill-defined; congruence check broken")
-        return out
-
     prelim = FiniteAlgebra(
-        k, alg.cls,
-        meet=two(alg.meet), join=two(alg.join), impl=two(alg.impl), dimpl=two(alg.dimpl),
-        box=one(alg.box), invol=one(alg.invol), dualneg=one(alg.dualneg),
+        len(theta.blocks), alg.cls,
         name=f"{alg.name}/theta" if alg.name else "",
+        **_induced_tables(alg, theta, TheoremViolation),
     )
     perm, canon = canonical_relabeling(prelim)
-    proj = Homomorphism(alg, canon, tuple(perm[cls[a]] for a in alg.elements))
+    proj = Homomorphism(alg, canon, tuple(perm[theta.class_of[a]] for a in alg.elements))
     return canon, proj
 
 
@@ -299,38 +286,38 @@ def make_factor_pair(alg: FiniteAlgebra, theta: Congruence, theta_prime: Congrue
 
 
 def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | None:
-    """First verified complement in filter order (ascending size, lexicographic carrier)."""
-    for f in all_congruence_filters(alg):
-        theta_prime = to_congruence(alg, f)
-        if not theta.meet(theta_prime).is_identity:
-            continue
-        if not theta.join(theta_prime).is_total:
-            continue
-        if not theta.permutes_with(theta_prime):
-            continue
-        return make_factor_pair(alg, theta, theta_prime)
-    return None
+    """The complement of a congruence theta of alg: with b the meet of theta's top
+    block, the congruence of the up-set of !b.  None when b | !b < 1, which only an
+    algebra without a box table allows; then theta has no complement at all."""
+    b = reduce(lambda x, y: alg.meet[x][y], to_filter(alg, theta))
+    nb = alg.neg[b]
+    if alg.join[b][nb] != alg.top:
+        return None
+    theta_prime = to_congruence(alg, alg.upset[nb])
+    if not theta.meet(theta_prime).is_identity:
+        raise TheoremViolation(f"congruences of {b} and its complement meet above the identity")
+    if not theta.join(theta_prime).is_total:
+        raise TheoremViolation(f"congruences of {b} and its complement join below the total")
+    if not theta.permutes_with(theta_prime):
+        raise TheoremViolation(f"congruences of {b} and its complement do not permute")
+    return make_factor_pair(alg, theta, theta_prime)
 
 
 def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
-    """Split along factor congruences until every factor is simple (or indecomposable);
-    verifies that the factors multiply back to the input up to isomorphism."""
+    """One factor A/Con(up-set of e) per atom e of the complemented open elements; each
+    is simple (or, without a box table, indecomposable).  A single atom returns the
+    input itself.  Verifies that the factors multiply back to the input up to isomorphism."""
     if not alg.nontrivial:
         raise ValueError("decompose_simples needs a nontrivial algebra")
-
-    def split(a: FiniteAlgebra) -> list[FiniteAlgebra]:
-        filters = all_congruence_filters(a)
-        for f in filters:
-            if len(f) in (1, a.size):
-                continue  # identity / total congruence: no proper split
-            pair = factor_complement(a, to_congruence(a, f))
-            if pair is not None and pair.quotient_a.nontrivial and pair.quotient_b.nontrivial:
-                return split(pair.quotient_a) + split(pair.quotient_b)
-        return [a]
-
-    factors = sorted(split(alg), key=serial_key)
-    prod = reduce(product, factors)
-    if isomorphic(prod, alg) is None:
+    centre = [e for e in _open_elements(alg) if alg.join[e][alg.neg[e]] == alg.top]
+    atoms = [e for e in centre if e != 0 and all(o in (0, e) or not alg.le(o, e) for o in centre)]
+    if len(atoms) == 1:
+        factors = [alg]
+    else:
+        factors = sorted(
+            (quotient(alg, to_congruence(alg, alg.upset[e]))[0] for e in atoms), key=serial_key
+        )
+    if isomorphic(reduce(product, factors), alg) is None:
         raise TheoremViolation(f"decomposition of {alg!r} does not multiply back")
     return factors
 

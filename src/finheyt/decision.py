@@ -1,5 +1,5 @@
-"""Decision procedures: mh-fullness, projectivity, the quasiidentity rho, and
-the first-order characterization of having the two-element algebra as image."""
+"""Decision procedures: projectivity, the quasiidentity rho, and the first-order
+characterization of having the two-element algebra as image."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from . import morphism, terms
 from .algebra import FiniteAlgebra, VarietyClass
 from .errors import TheoremViolation
 from .fixtures import two_element
-from .morphism import Homomorphism
 from .terms import (
     CONST0,
     CONST1,
@@ -30,11 +29,6 @@ from .terms import (
 )
 
 
-def two_algebra(cls: VarietyClass) -> FiniteAlgebra:
-    """The two-element algebra of a class (the single minimal algebra here)."""
-    return two_element(cls)
-
-
 def rho() -> Quasiidentity:
     """![]x & ![]!x = 1  =>  0 = 1; rejected exactly when some a has box a = box !a = 0."""
     x = Var("x")
@@ -50,20 +44,6 @@ def element_criterion(alg: FiniteAlgebra) -> int | None:
         if alg.box[a] == alg.box[alg.neg[a]]:
             return a
     return None
-
-
-@dataclass(frozen=True)
-class MhFullReport:
-    mh_full: bool
-    witness: Homomorphism | None
-
-
-def mh_full(alg: FiniteAlgebra) -> MhFullReport:
-    """Does alg map onto every minimal algebra of its class (here: the two-element one)?"""
-    if not alg.nontrivial:
-        raise ValueError("mh-fullness is defined for nontrivial algebras")
-    hom = morphism.homs(alg, two_element(alg.cls), "any_onto")
-    return MhFullReport(hom is not None, hom)
 
 
 @dataclass(frozen=True)
@@ -105,7 +85,7 @@ def decide_projective_finite(alg: FiniteAlgebra) -> ProjectivityVerdict:
         "hom_onto_two": hom is not None,
         "element_criterion": bad is None,
         "rho": terms.check_quasiidentity(alg, rho()).holds,
-        "alpha": eval_alpha(alg, diagram_alpha(two)),
+        "alpha": eval_formula(alg, diagram_alpha(two)),
     }
     values = set(criteria.values())
     if len(values) > 1:
@@ -307,10 +287,6 @@ def eval_formula(alg: FiniteAlgebra, formula: FirstOrderFormula) -> bool:
         return quant == "forall"
 
     return rec(0)
-
-
-def eval_alpha(alg: FiniteAlgebra, formula: FirstOrderFormula) -> bool:
-    return eval_formula(alg, formula)
 
 
 @dataclass(frozen=True)

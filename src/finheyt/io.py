@@ -1,4 +1,4 @@
-"""Flat-file formats for algebras, presentations, and quasiidentities (JSON)."""
+"""Flat-file formats for algebras and presentations (JSON)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .algebra import FiniteAlgebra, VarietyClass, require_valid
 from .errors import MalformedAlgebraError
-from .terms import DefiningPair, Quasiidentity, parse_term
+from .terms import DefiningPair, parse_term
 
 
 def algebra_to_dict(alg: FiniteAlgebra) -> dict:
@@ -105,19 +105,4 @@ def read_presentation(path) -> DefiningPair:
     return DefiningPair(
         tuple(str(v) for v in names),
         tuple(_equation_from_dict(a, f"{path}.atoms[{i}]") for i, a in enumerate(atoms)),
-    )
-
-
-def read_quasiidentity(path) -> Quasiidentity:
-    """{"premises": [{"lhs","rhs"}...], "conclusion": {"lhs","rhs"}}"""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedAlgebraError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
-    prem = _expect(data, "premises", list, str(path))
-    concl = _expect(data, "conclusion", dict, str(path))
-    return Quasiidentity(
-        tuple(_equation_from_dict(p, f"{path}.premises[{i}]") for i, p in enumerate(prem)),
-        _equation_from_dict(concl, f"{path}.conclusion"),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, relabel
+from .algebra import FiniteAlgebra
 from .errors import TheoremViolation
 from .fixtures import two_element
 
@@ -283,25 +283,27 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, injective: bool = False):
 def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | None = None):
     """Homomorphism search.
 
-    mode "any"/"any_onto": first witness in search order or None;
+    mode "any": first witness in search order or None;
     mode "all": HomsResult with lexicographically sorted maps;
     mode "count": HomsResult with the exact count (maps omitted).
-    cap bounds the enumeration for all/count and sets `truncated` when hit.
+    The suffix "_onto" (as in "any_onto") keeps only the maps onto cod.  cap bounds
+    the kept maps for all/count and sets `truncated` when more exist.
     """
-    if mode in ("any", "any_onto"):
-        for m in _search(dom, cod):
-            if mode == "any" or len(set(m)) == cod.size:
-                return Homomorphism(dom, cod, m)
-        return None
-    if mode not in ("all", "count"):
+    kind = mode.removesuffix("_onto")
+    if kind not in ("any", "all", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    onto = kind != mode
+    found = (m for m in _search(dom, cod) if not onto or len(set(m)) == cod.size)
+    if kind == "any":
+        m = next(found, None)
+        return None if m is None else Homomorphism(dom, cod, m)
     maps, truncated = [], False
-    for m in _search(dom, cod):
+    for m in found:
         if cap is not None and len(maps) == cap:
             truncated = True
             break
         maps.append(m)
-    if mode == "count":
+    if kind == "count":
         return HomsResult(None, len(maps), truncated)
     maps.sort()
     return HomsResult(tuple(Homomorphism(dom, cod, m) for m in maps), len(maps), truncated)

@@ -112,7 +112,8 @@ def test_criterion_04_retract_theorem(catalogs):
                 via_hom = mr.homs(b, c, "any") is not None
                 if (witness is not None) != via_hom:
                     failures.append((b.name, c.name, "retract search vs hom existence"))
-                if b.nontrivial and dc.mh_full(b).mh_full and c.nontrivial and witness is None:
+                mh_full = b.nontrivial and mr.homs(b, two_element(b.cls), "any_onto") is not None
+                if mh_full and c.nontrivial and witness is None:
                     failures.append((b.name, c.name, "mh-full algebra not a retract"))
     _report(4, f"retract theorem on {pairs} catalog pairs",
             failures, time.perf_counter() - t0, budget=120)
@@ -244,7 +245,7 @@ def test_criterion_09_presentation_decision_matches_bruteforce():
     suite = _presentation_suite()
     assert len(suite) >= 10
     for cls, pair in suite:
-        two = dc.two_algebra(cls)
+        two = two_element(cls)
         satisfiable = any(
             all(
                 eval_term(two, l, dict(zip(pair.variables, vals)))

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
+from functools import reduce
 
 import pytest
 
-from finheyt.algebra import canonical_form, element_profile, validate
+from finheyt.algebra import HEYTING, canonical_form, element_profile, serial_key, validate
+from finheyt.catalog import build_catalog
 from finheyt.congruence import (
     Congruence,
     all_congruence_filters,
@@ -100,6 +103,51 @@ def bruteforce_congruence_filters(alg):
             if is_congruence_filter(alg, f):
                 out.append(f)
     return sorted(out, key=lambda f: (len(f), sorted(f)))
+
+
+def iff_congruence(alg, f):
+    """Congruence of a filter by its definition: a ~ r iff a <-> r lies in f."""
+    reps, blocks = [], []
+    for a in alg.elements:
+        for i, r in enumerate(reps):
+            if alg.iff(a, r) in f:
+                blocks[i].append(a)
+                break
+        else:
+            reps.append(a)
+            blocks.append([a])
+    return congruence_from_blocks(alg, blocks)
+
+
+def scan_factor_complement(alg, theta):
+    """First congruence, in filter order, that meets theta in the identity, joins it
+    to the total congruence and permutes with it; None when there is none."""
+    for f in all_congruence_filters(alg):
+        theta_prime = iff_congruence(alg, f)
+        if (
+            theta.meet(theta_prime).is_identity
+            and theta.join(theta_prime).is_total
+            and theta.permutes_with(theta_prime)
+        ):
+            return theta_prime
+    return None
+
+
+def split_oracle(alg):
+    """Split along the first proper congruence that has a complement, recursively."""
+    for f in all_congruence_filters(alg):
+        if len(f) in (1, alg.size):
+            continue
+        theta = iff_congruence(alg, f)
+        theta_prime = scan_factor_complement(alg, theta)
+        if theta_prime is not None:
+            return split_oracle(quotient(alg, theta)[0]) + split_oracle(quotient(alg, theta_prime)[0])
+    return [alg]
+
+
+def heyting(alg):
+    """The plain Heyting algebra of a ws5 fixture: the same lattice without its box."""
+    return dataclasses.replace(alg, cls=HEYTING, box=None, name=f"{alg.name}-H")
 
 
 # -- filters -------------------------------------------------------------------
@@ -262,6 +310,33 @@ def test_decompose_examples():
     assert sizes == [2, 3]
     for f in decompose_simples(p6):
         assert element_profile(f).simple
+
+
+def test_heyting_congruences_without_box():
+    chain = heyting(c3_simple())
+    middle = to_congruence(chain, frozenset({1, 2}))
+    assert middle.blocks == ((0,), (1, 2))
+    assert factor_complement(chain, middle) is None  # 1 | !1 = 1 | 0 < 1
+    assert decompose_simples(chain) == [chain]
+    assert [f.size for f in decompose_simples(heyting(b4_prod()))] == [2, 2]
+
+
+def test_constructions_match_search_oracles(catalogs):
+    algebras = [a for cat in catalogs.values() for a in cat.algebras if a.size <= 6]
+    algebras += build_catalog(HEYTING, 6).algebras
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
+            if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:
+                algebras.append(reduce(product, combo))
+    for alg in algebras:
+        assert all_congruence_filters(alg) == bruteforce_congruence_filters(alg), alg
+        for f in all_congruence_filters(alg):
+            theta = to_congruence(alg, f)
+            assert theta == iff_congruence(alg, f), (alg, f)
+            pair = factor_complement(alg, theta)
+            assert (pair and pair.theta_prime) == scan_factor_complement(alg, theta), (alg, f)
+        if alg.nontrivial:
+            assert decompose_simples(alg) == sorted(split_oracle(alg), key=serial_key), alg
 
 
 def test_decompose_requires_nontrivial():

@@ -14,12 +14,9 @@ from finheyt.decision import (
     diagram_alpha,
     diagram_beta,
     element_criterion,
-    eval_alpha,
     eval_formula,
-    mh_full,
     primitive_report,
     rho,
-    two_algebra,
 )
 from finheyt.fixtures import (
     b4_disc,
@@ -29,9 +26,10 @@ from finheyt.fixtures import (
     c3_hri,
     c3_simple,
     catalog_fixtures,
+    two_element,
     two_ws5,
 )
-from finheyt.morphism import isomorphic
+from finheyt.morphism import homs, isomorphic
 from finheyt.terms import (
     CONST0,
     CONST1,
@@ -71,11 +69,11 @@ def naive_eval(alg, formula):
 
 
 def test_two_algebra_examples():
-    two = two_algebra(VarietyClass("ws5"))
+    two = two_element(VarietyClass("ws5"))
     assert two.box == (0, 1)
-    hri = two_algebra(VarietyClass("hri"))
+    hri = two_element(VarietyClass("hri"))
     assert hri.invol == (1, 0)
-    dht = two_algebra(VarietyClass("dht", 1))
+    dht = two_element(VarietyClass("dht", 1))
     assert dht.dimpl == ((0, 0), (1, 0))
     assert dht.dualneg == (1, 0)
     for a in dht.elements:  # a -< b = a & !b on the two-element algebra
@@ -99,11 +97,12 @@ def test_element_criterion_witness_forces_both_boxes_to_zero():
 
 
 def test_mh_full_examples():
-    rep = mh_full(b4_prod())
-    assert rep.mh_full and rep.witness.onto
-    assert not mh_full(c3_simple()).mh_full
-    rep = mh_full(two_ws5())
-    assert rep.mh_full and rep.witness.map == (0, 1)
+    # mh-full: some homomorphism maps onto the two-element algebra of the class
+    hom = homs(b4_prod(), two_element(b4_prod().cls), "any_onto")
+    assert hom is not None and hom.onto
+    assert homs(c3_simple(), two_element(c3_simple().cls), "any_onto") is None
+    hom = homs(two_ws5(), two_element(two_ws5().cls), "any_onto")
+    assert hom is not None and hom.map == (0, 1)
 
 
 def test_decide_projective_fp_examples():
@@ -121,7 +120,7 @@ def test_decide_projective_fp_examples():
 
 def test_decide_projective_fp_matches_bruteforce():
     ws5 = VarietyClass("ws5")
-    two = two_algebra(ws5)
+    two = two_element(ws5)
     suite = [
         DefiningPair(("x",), ((parse_term("[]x"), Var("x")),)),
         DefiningPair(("x",), ((parse_term("![]x & ![]!x"), CONST1),)),
@@ -157,7 +156,7 @@ def test_diagram_beta_holds_exactly_on_two():
     two = two_ws5()
     beta = diagram_beta(two)
     for alg in catalog_fixtures():
-        expect = isomorphic(alg, two_algebra(alg.cls)) is not None
+        expect = isomorphic(alg, two_element(alg.cls)) is not None
         if alg.cls != two.cls:
             continue
         assert eval_formula(alg, beta) == expect
@@ -190,14 +189,14 @@ def test_diagram_alpha_structure_for_two():
 
 
 def test_eval_alpha_examples():
-    assert eval_alpha(b4_prod(), diagram_alpha(two_ws5()))
-    assert not eval_alpha(b4_disc(), diagram_alpha(two_ws5()))
-    assert eval_alpha(two_ws5(), diagram_alpha(two_ws5()))
+    assert eval_formula(b4_prod(), diagram_alpha(two_ws5()))
+    assert not eval_formula(b4_disc(), diagram_alpha(two_ws5()))
+    assert eval_formula(two_ws5(), diagram_alpha(two_ws5()))
 
 
 def test_eval_formula_matches_naive_evaluator():
     for alg in catalog_fixtures():
-        two = two_algebra(alg.cls)
+        two = two_element(alg.cls)
         alpha = diagram_alpha(two)
         beta = diagram_beta(two)
         assert eval_formula(alg, alpha) == naive_eval(alg, alpha)
@@ -208,7 +207,7 @@ def test_eval_alpha_agrees_with_principal_quotient_check(catalog_algebras):
     # alpha holds iff some principal congruence collapses the algebra onto 2
     alphas = {}
     for alg in (a for a in catalog_algebras if 1 < a.size <= 6):
-        two = two_algebra(alg.cls)
+        two = two_element(alg.cls)
         if alg.cls not in alphas:
             alphas[alg.cls] = diagram_alpha(two)
         expect = any(
@@ -216,22 +215,22 @@ def test_eval_alpha_agrees_with_principal_quotient_check(catalog_algebras):
             for a in alg.elements
             for b in alg.elements
         )
-        assert eval_alpha(alg, alphas[alg.cls]) == expect, alg.name
+        assert eval_formula(alg, alphas[alg.cls]) == expect, alg.name
 
 
 def test_eval_alpha_invariant_under_relabeling():
     alg = b4_prod()
     swapped = relabel(alg, (0, 2, 1, 3))
     alpha = diagram_alpha(two_ws5())
-    assert eval_alpha(alg, alpha) == eval_alpha(swapped, alpha)
+    assert eval_formula(alg, alpha) == eval_formula(swapped, alpha)
     alg = b4_disc()
     swapped = relabel(alg, (0, 2, 1, 3))
-    assert eval_alpha(alg, alpha) == eval_alpha(swapped, alpha)
+    assert eval_formula(alg, alpha) == eval_formula(swapped, alpha)
 
 
 def test_diagram_alpha_requires_box():
     with pytest.raises(ValueError):
-        diagram_alpha(two_algebra(VarietyClass("heyting")))
+        diagram_alpha(two_element(VarietyClass("heyting")))
 
 
 def test_primitive_report_examples():

@@ -5,6 +5,7 @@ import pytest
 from finheyt import cli, io
 from finheyt.algebra import VarietyClass, validate
 from finheyt.catalog import build_catalog
+from finheyt.congruence import product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
 from finheyt.fixtures import (
     b4_disc,
@@ -91,15 +92,6 @@ def test_read_presentation_and_quasiidentity(tmp_path):
     assert pair.variables == ("x", "y")
     assert print_term(pair.atoms[0][0]) == "x & y"
 
-    q = tmp_path / "quasi.json"
-    q.write_text(json.dumps({
-        "premises": [{"lhs": "![]x & ![]!x", "rhs": "1"}],
-        "conclusion": {"lhs": "0", "rhs": "1"},
-    }))
-    quasi = io.read_quasiidentity(q)
-    assert len(quasi.premises) == 1
-    assert print_term(quasi.conclusion[0]) == "0"
-
 
 # -- CLI ----------------------------------------------------------------------
 
@@ -143,6 +135,21 @@ def test_cli_homs(files, capsys):
     code, out, _ = run_cli(capsys, "homs", files["B4prod"], files["B4prod"],
                            "--all", "--cap", "1")
     assert code == 0 and "truncated" in out
+
+
+def test_cli_homs_onto_cap_counts_onto_maps(files, tmp_path, capsys):
+    # the cap bounds the onto maps kept, not the maps searched before the onto filter
+    prod = tmp_path / "prod.json"
+    io.write_algebra(prod, product(b4_prod(), two_ws5()))
+    code, out, _ = run_cli(capsys, "homs", prod, files["B4prod"], "--onto", "--count", "--json")
+    assert code == 0 and json.loads(out) == {"command": "homs", "count": 6, "truncated": False}
+    code, out, _ = run_cli(capsys, "homs", prod, files["B4prod"], "--onto", "--count",
+                           "--cap", "1", "--json")
+    assert code == 0 and json.loads(out) == {"command": "homs", "count": 1, "truncated": True}
+    code, out, _ = run_cli(capsys, "homs", prod, files["B4prod"], "--onto", "--all",
+                           "--cap", "1", "--json")
+    record = json.loads(out)
+    assert code == 0 and len(record["maps"]) == 1 and record["truncated"]
 
 
 def test_cli_quotient(files, capsys):

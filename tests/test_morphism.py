@@ -18,6 +18,7 @@ from finheyt.fixtures import (
 )
 from finheyt.morphism import (
     Homomorphism,
+    HomsResult,
     RetractWitness,
     generating_set,
     homs,
@@ -105,6 +106,12 @@ def test_homs_cap_sets_truncation_flag():
     assert res.truncated and res.count == 1
     full = homs(b4_prod(), b4_prod(), "all")
     assert not full.truncated and full.count > 1
+    # the cap applies to the onto maps, after the onto filter
+    dom = product(b4_prod(), two_ws5())
+    assert homs(dom, b4_prod(), "count_onto") == HomsResult(None, 6, False)
+    assert homs(dom, b4_prod(), "count_onto", cap=1) == HomsResult(None, 1, True)
+    with pytest.raises(ValueError):
+        homs(dom, b4_prod(), "some_onto")
 
 
 def test_homs_to_and_from_trivial():
