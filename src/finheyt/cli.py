@@ -172,10 +172,13 @@ def _cmd_rho(args) -> int:
 def _cmd_alpha(args) -> int:
     alg = _load(args.file)
     formula = decision.diagram_alpha(two_element(alg.cls))
-    value = decision.eval_formula(alg, formula)
-    record = {"command": "alpha", "holds": value}
-    _emit(args, f"alpha holds: {value}", record)
-    return 0 if value else 1
+    found = decision.satisfying_assignment(alg, formula)
+    witness = None if found is None else [found["x"], found["y"]]
+    record = {"command": "alpha", "holds": found is not None, "witness": witness}
+    human = f"alpha holds: {found is not None}" + (f" witness (x, y) = {tuple(witness)}"
+                                                     if witness else "")
+    _emit(args, human, record)
+    return 0 if witness else 1
 
 
 def _cmd_retract(args) -> int:

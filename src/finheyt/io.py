@@ -35,38 +35,56 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
 
 
 def _expect(data: dict, key: str, kind, where: str):
+    """data[key], which must have the given type; a JSON true or false is no int."""
+    if not isinstance(data, dict):
+        raise MalformedAlgebraError(f"{where}: expected an object")
     if key not in data:
         raise MalformedAlgebraError(f"{where}: missing key {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise MalformedAlgebraError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
     return value
 
 
+def _table(data: dict, key: str, binary: bool, where: str, required: bool = False):
+    """A list of integers (unary) or of such lists (binary); None when optional and
+    absent or null."""
+    if not required and data.get(key) is None:
+        return None
+    value = _expect(data, key, list, where)
+    rows = value if binary else [value]
+    if not all(isinstance(row, list) for row in rows):
+        raise MalformedAlgebraError(f"{where}: table {key!r} must be a list of lists")
+    for row in rows:
+        for cell in row:
+            if not isinstance(cell, int) or isinstance(cell, bool):
+                raise MalformedAlgebraError(f"{where}: table {key!r} holds {cell!r}, "
+                                            "not an integer")
+    return value
+
+
 def algebra_from_dict(data: dict, where: str = "algebra") -> FiniteAlgebra:
-    if not isinstance(data, dict):
-        raise MalformedAlgebraError(f"{where}: expected an object")
     cls_obj = _expect(data, "class", dict, where)
     kind = _expect(cls_obj, "kind", str, f"{where}.class")
-    level = cls_obj.get("level")
+    level = None
+    if cls_obj.get("level") is not None:
+        level = _expect(cls_obj, "level", int, f"{where}.class")
     try:
         cls = VarietyClass(kind, level)
     except ValueError as e:
         raise MalformedAlgebraError(f"{where}.class: {e}") from None
-    size = _expect(data, "size", int, where)
-    alg = FiniteAlgebra(
-        size=size,
+    return FiniteAlgebra(
+        size=_expect(data, "size", int, where),
         cls=cls,
-        meet=_expect(data, "meet", list, where),
-        join=_expect(data, "join", list, where),
-        impl=_expect(data, "impl", list, where),
-        box=data.get("box"),
-        invol=data.get("invol"),
-        dualneg=data.get("dualneg"),
-        dimpl=data.get("dimpl"),
+        meet=_table(data, "meet", True, where, required=True),
+        join=_table(data, "join", True, where, required=True),
+        impl=_table(data, "impl", True, where, required=True),
+        box=_table(data, "box", False, where),
+        invol=_table(data, "invol", False, where),
+        dualneg=_table(data, "dualneg", False, where),
+        dimpl=_table(data, "dimpl", True, where),
         name=str(data.get("name", "")),
     )
-    return alg
 
 
 def read_algebra(path, check: bool = True) -> FiniteAlgebra:

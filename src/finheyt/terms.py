@@ -107,12 +107,41 @@ def _tokenize(src: str):
     return out
 
 
+MAX_TERM_DEPTH = 100
+"""parse_term accepts at most this many nested prefix operators, parentheses
+and right operands of implications, and a term tree at most this high; deeper
+input raises TermParseError instead of exhausting the interpreter's stack here
+or in the recursive functions that later walk the term."""
+
+
+def _height(t: Term) -> int:
+    best, stack = 0, [(t, 0)]
+    while stack:
+        t, h = stack.pop()
+        best = max(best, h)
+        if type(t) in _PREFIX:
+            stack.append((t.arg, h + 1))
+        elif type(t) in _BINARY:
+            stack += [(t.left, h + 1), (t.right, h + 1)]
+    return best
+
+
 def parse_term(src: str) -> Term:
     """Parse a term string; raises TermParseError with the offending position."""
     if not src.strip():
         raise TermParseError("empty term", 0)
     tokens = _tokenize(src)
     idx = 0
+    depth = 0
+
+    def nested(parse, pos):
+        nonlocal depth
+        depth += 1
+        if depth > MAX_TERM_DEPTH:
+            raise TermParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", pos)
+        t = parse()
+        depth -= 1
+        return t
 
     def peek():
         return tokens[idx][0]
@@ -126,8 +155,8 @@ def parse_term(src: str) -> Term:
     def parse_impl():
         left = parse_join()
         if peek() in ("->", "-<"):
-            op, _ = take()
-            right = parse_impl()
+            op, pos = take()
+            right = nested(parse_impl, pos)
             return Impl(left, right) if op == "->" else Dimpl(left, right)
         return left
 
@@ -150,7 +179,7 @@ def parse_term(src: str) -> Term:
         for cls, sym in _PREFIX.items():
             if tok == sym:
                 take()
-                return cls(parse_prefix())
+                return cls(nested(parse_prefix, pos))
         return parse_atom()
 
     def parse_atom():
@@ -160,7 +189,7 @@ def parse_term(src: str) -> Term:
         if tok == "1":
             return CONST1
         if tok == "(":
-            inner = parse_impl()
+            inner = nested(parse_impl, pos)
             close, cpos = take()
             if close != ")":
                 raise TermParseError("expected ')'", cpos)
@@ -173,6 +202,8 @@ def parse_term(src: str) -> Term:
     tok, pos = tokens[idx]
     if tok is not None:
         raise TermParseError(f"trailing input {tok!r}", pos)
+    if _height(term) > MAX_TERM_DEPTH:
+        raise TermParseError(f"term tree higher than {MAX_TERM_DEPTH} levels", 0)
     return term
 
 

@@ -1,10 +1,14 @@
 import itertools
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finheyt.algebra import VarietyClass, relabel
-from finheyt.congruence import principal_congruence, quotient
+from finheyt.congruence import principal_congruence, product, quotient
 from finheyt.decision import (
+    FirstOrderFormula,
     FoAnd,
     FoAtom,
     FoNot,
@@ -17,6 +21,7 @@ from finheyt.decision import (
     eval_formula,
     primitive_report,
     rho,
+    satisfying_assignment,
 )
 from finheyt.fixtures import (
     b4_disc,
@@ -35,6 +40,12 @@ from finheyt.terms import (
     CONST1,
     Box,
     DefiningPair,
+    Diamond,
+    Dimpl,
+    Dualneg,
+    Impl,
+    Invol,
+    Join,
     Meet,
     Neg,
     Var,
@@ -44,8 +55,12 @@ from finheyt.terms import (
 )
 
 
-def naive_eval(alg, formula):
-    """Reference evaluator: plain nested quantifier loops over term-lang evaluation."""
+def naive_eval(alg, formula, start=0, env=None):
+    """Reference evaluator: plain nested quantifier loops over term-lang evaluation.
+
+    With ``start`` and ``env`` it evaluates the quantifiers from depth ``start``
+    on under the values ``env`` already gives the outer variables.
+    """
 
     def matrix_val(f, env):
         if isinstance(f, FoAtom):
@@ -65,7 +80,19 @@ def naive_eval(alg, formula):
         results = (rec(d + 1, {**env, name: v}) for v in alg.elements)
         return any(results) if quant == "exists" else all(results)
 
-    return rec(0, {})
+    return rec(start, env or {})
+
+
+def naive_witness(alg, formula):
+    """Lex-first values of the leading existential variables under which the rest holds."""
+    quants = [q for q, _ in formula.prefix]
+    lead = quants.index("forall") if "forall" in quants else len(quants)
+    names = [v for _, v in formula.prefix[:lead]]
+    for values in itertools.product(alg.elements, repeat=lead):
+        env = dict(zip(names, values))
+        if naive_eval(alg, formula, lead, env):
+            return env
+    return None
 
 
 def test_two_algebra_examples():
@@ -251,3 +278,85 @@ def test_rho_shape():
     assert len(q.premises) == 1
     assert q.conclusion == (CONST0, CONST1)
     assert q.variables() == ("x",)
+
+
+def _operations(alg):
+    """Term constructors over every operation alg carries, Diamond included."""
+    unary, binary = [Neg], [Meet, Join, Impl]
+    if alg.box is not None:
+        unary += [Box, Diamond]
+    if alg.invol is not None:
+        unary.append(Invol)
+    if alg.dualneg is not None:
+        unary.append(Dualneg)
+    if alg.dimpl is not None:
+        binary.append(Dimpl)
+    return unary, binary
+
+
+@st.composite
+def _prenex_formulas(draw, alg):
+    """Closed prenex formulas over 1-4 variables with mixed quantifiers."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    quants = draw(st.lists(st.sampled_from(["exists", "forall"]),
+                           min_size=len(names), max_size=len(names)))
+    unary, binary = _operations(alg)
+    terms_ = st.recursive(
+        st.sampled_from([CONST0, CONST1, *map(Var, names)]),
+        lambda kids: st.one_of(
+            st.builds(lambda op, a: op(a), st.sampled_from(unary), kids),
+            st.builds(lambda op, a, b: op(a, b), st.sampled_from(binary), kids, kids),
+        ),
+        max_leaves=6,
+    )
+    matrix = st.recursive(
+        st.builds(FoAtom, terms_, terms_),
+        lambda kids: st.one_of(
+            st.builds(FoNot, kids),
+            st.lists(kids, max_size=3).map(FoAnd),
+            st.lists(kids, max_size=3).map(FoOr),
+        ),
+        max_leaves=5,
+    )
+    return FirstOrderFormula(tuple(zip(quants, names)), draw(matrix))
+
+
+@pytest.fixture(scope="module")
+def small_algebras(catalog_algebras):
+    return [*catalog_fixtures(), *(a for a in catalog_algebras if a.size <= 5)]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_staged_evaluator_matches_naive_on_random_formulas(small_algebras, data):
+    alg = data.draw(st.sampled_from(small_algebras), label="algebra")
+    formula = data.draw(_prenex_formulas(alg), label="formula")
+    want = naive_witness(alg, formula)
+    assert satisfying_assignment(alg, formula) == want
+    assert eval_formula(alg, formula) == naive_eval(alg, formula) == (want is not None)
+
+
+def test_alpha_witness_is_the_lex_first_pair():
+    alg = b4_prod()
+    alpha = diagram_alpha(two_ws5())
+    assert satisfying_assignment(alg, alpha) == naive_witness(alg, alpha)
+    assert satisfying_assignment(b4_disc(), alpha) is None
+
+
+@pytest.mark.parametrize("factors", [
+    (c3_simple, c3_simple, c3_simple),
+    (b4_disc, b4_disc, c3_simple),
+    (b4_prod, b4_disc, c3_simple),
+    (b4_disc, c3_simple, b4_prod),
+], ids=lambda fs: "x".join(f.__name__ for f in fs))
+def test_alpha_on_fixture_products_matches_onto_hom_search(factors):
+    alg = reduce(product, [f() for f in factors])
+    two = two_element(alg.cls)
+    found = satisfying_assignment(alg, diagram_alpha(two))
+    assert (found is not None) == (homs(alg, two, "any_onto") is not None)
+    if found is not None:
+        # alpha's (x, y) is the lex-first pair whose principal congruence has
+        # two blocks, i.e. whose quotient is 2
+        first = next(p for p in itertools.product(alg.elements, repeat=2)
+                     if len(principal_congruence(alg, *p).blocks) == 2)
+        assert (found["x"], found["y"]) == first

@@ -192,6 +192,64 @@ def test_cli_rho_alpha(files, capsys):
     assert run_cli(capsys, "alpha", files["B4disc"])[0] == 1
 
 
+def test_cli_alpha_witness(files, capsys):
+    code, out, _ = run_cli(capsys, "alpha", files["B4prod"], "--json")
+    assert code == 0 and json.loads(out) == {"command": "alpha", "holds": True, "witness": [0, 1]}
+    code, out, _ = run_cli(capsys, "alpha", files["B4disc"], "--json")
+    assert code == 1 and json.loads(out) == {"command": "alpha", "holds": False, "witness": None}
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for k in keys:
+            data = data[k]
+        data[last] = value
+    return edit
+
+
+def _trivial():
+    return {"class": {"kind": "ws5"}, "size": 1, "meet": [[0]], "join": [[0]], "impl": [[0]],
+            "box": [0]}
+
+
+@pytest.mark.parametrize("base, edit", [
+    (two_ws5, _set(["meet"], [1, 2])),
+    (two_ws5, _set(["box"], 5)),
+    (_trivial, _set(["size"], True)),
+    (two_ws5, _set(["meet", 0, 0], False)),
+    (_trivial, _set(["box", 0], False)),
+    (c3_hdp, _set(["class", "level"], "1")),
+], ids=["row-not-a-list", "table-not-a-list", "boolean-size", "boolean-cell",
+        "boolean-unary-cell", "string-level"])
+@pytest.mark.parametrize("command", ["validate", "profile"])
+def test_cli_malformed_algebra_exits_2(tmp_path, capsys, base, edit, command):
+    data = base() if base is _trivial else io.algebra_to_dict(base())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedAlgebraError):
+        io.read_algebra(path)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_projective_malformed_presentation_exits_2(tmp_path, capsys):
+    for data in (5, {"vars": ["x"], "atoms": [3]}):
+        pres = tmp_path / "bad.json"
+        pres.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
+        assert code == 2 and "expected an object" in err
+
+
+def test_cli_projective_deeply_nested_presentation_exits_2(tmp_path, capsys):
+    for lhs in ("!" * 5000 + "x", "(" * 5000 + "x" + ")" * 5000, "x" + " & x" * 5000):
+        pres = tmp_path / "deep.json"
+        pres.write_text(json.dumps({"vars": ["x"], "atoms": [{"lhs": lhs, "rhs": "x"}]}))
+        code, _, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
+        assert code == 2 and ("nests deeper" in err or "higher than" in err)
+
+
 def test_cli_retract(files, capsys):
     code, out, _ = run_cli(capsys, "retract", files["B4prod"], files["TwoWS5"], "--json")
     assert code == 0

@@ -10,6 +10,7 @@ from finheyt.fixtures import b4_prod, c3_hdp, c3_hri, c3_simple, catalog_fixture
 from finheyt.morphism import subalgebra_closure
 from finheyt.terms import (
     CONST0,
+    MAX_TERM_DEPTH,
     CONST1,
     Box,
     DefiningPair,
@@ -61,6 +62,19 @@ def test_parse_errors_carry_positions():
         parse_term("x y")
     with pytest.raises(TermParseError):
         parse_term("2")
+
+
+def test_parse_bounds_nesting_depth():
+    deepest = parse_term("!" * MAX_TERM_DEPTH + "x")
+    assert deepest == Neg(parse_term("!" * (MAX_TERM_DEPTH - 1) + "x"))
+    assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == Var("x")
+    for src in ("!" * (MAX_TERM_DEPTH + 1) + "x",
+                "(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1),
+                "x" + " -> x" * (MAX_TERM_DEPTH + 1),
+                "x" + " | x" * (MAX_TERM_DEPTH + 1),
+                "!" * 5000 + "x"):
+        with pytest.raises(TermParseError):
+            parse_term(src)
 
 
 _LEAVES = st.one_of(
