@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import pathlib
 
 import pytest
 
@@ -143,3 +145,13 @@ def test_catalog_names_are_stable_and_unique(catalogs):
         for alg in cat.algebras:
             assert alg.name.endswith(tuple("0123456789"))
             assert f"n{alg.size}" in alg.name
+
+
+def test_catalogs_match_golden_file():
+    """Names, order and serial keys of every catalog up to size 10, as recorded
+    in tests/data/catalog_golden.json by scripts/catalog_golden.py."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("catalog_golden", root / "scripts" / "catalog_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.golden_text() == (root / "tests" / "data" / "catalog_golden.json").read_text()
