@@ -3,6 +3,12 @@
 Conventions: index 0 is the bottom element and index size-1 the top; catalog
 algebras additionally keep indices compatible with a linear extension of the
 lattice order (see canonical_form).
+
+The canonical form of an algebra is its relabeling with the least serial_key
+over all relabelings by linear extensions of the lattice order.
+canonical_relabeling finds it by branch and bound on the relabeled meet table
+rather than by enumerating the extensions, of which the 16-element Boolean
+lattice alone has 1,680,384.
 """
 
 from __future__ import annotations
@@ -429,28 +435,6 @@ def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
 
 # -- canonical form ----------------------------------------------------------
 
-def linear_extensions(alg: FiniteAlgebra):
-    """Yield all orderings e0..e(n-1) of elements compatible with the lattice order."""
-    n = alg.size
-    below = [frozenset(b for b in range(n) if b != a and alg.le(b, a)) for a in range(n)]
-    placed: set = set()
-    order: list = []
-
-    def rec():
-        if len(order) == n:
-            yield tuple(order)
-            return
-        for a in range(n):
-            if a not in placed and below[a] <= placed:
-                placed.add(a)
-                order.append(a)
-                yield from rec()
-                order.pop()
-                placed.remove(a)
-
-    yield from rec()
-
-
 def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
     """Apply old->new index permutation to every table."""
     n = alg.size
@@ -493,19 +477,108 @@ def serial_key(alg: FiniteAlgebra):
     )
 
 
-@lru_cache(maxsize=None)
+# The largest catalog build (ws5 to size 12) makes about 700 distinct calls.
+@lru_cache(maxsize=1024)
 def canonical_relabeling(alg: FiniteAlgebra):
-    """(perm, algebra) with the lexicographically least tables over linear-extension relabelings."""
-    best_key, best_perm, best_alg = None, None, None
-    for ext in linear_extensions(alg):
-        perm = [0] * alg.size
-        for new, old in enumerate(ext):
-            perm[old] = new
-        cand = relabel(alg, perm)
-        key = serial_key(cand)
-        if best_key is None or key < best_key:
-            best_key, best_perm, best_alg = key, tuple(perm), cand
-    return best_perm, best_alg
+    """(perm, algebra) with the least serial_key over linear-extension relabelings.
+
+    perm maps old indices to new ones; among the linear extensions reaching the
+    least key, it comes from the first in lexicographic order of the extension
+    (the tuple of old elements in new order).  Branch and bound: the extension
+    grows one element at a time, and the remaining elements stay sorted by the
+    labels of their meets with the placed ones, because any other order makes a
+    placed row of the relabeled meet table larger.  So the placed rows are fixed
+    at each node, the next element is a minimal element of the first block of
+    that order whose new row is least, and a node whose rows exceed the best
+    meet table found is cut.  Full keys are compared only among extensions that
+    tie on the least meet table; two that tie on the full key give an
+    automorphism of alg, and a candidate that an automorphism fixing the prefix
+    maps onto an earlier sibling is skipped, since its subtree repeats the
+    sibling's keys on later extensions.  alg.meet must be the meet of a
+    lattice, as in every valid algebra.
+    """
+    n, meet = alg.size, alg.meet
+    below = [sum(1 << b for b in range(n) if b != a and meet[a][b] == b) for a in range(n)]
+    label = [0] * n
+    ext: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    best: list = []  # [meet rows, perm, extension, relabeled algebra or None]
+    autos: list[list[int]] = []
+
+    def split(cells, x):
+        """Place x next: the new row beyond x, and the blocks sorted by it."""
+        k, mx = len(ext), meet[x]
+        label[x] = k
+        row, out = [], []
+        for cell in cells:
+            groups: dict = {}
+            for y in cell:
+                if y != x:
+                    groups.setdefault(label[mx[y]], []).append(y)
+            for v in sorted(groups):
+                row += [v] * len(groups[v])
+                out.append(groups[v])
+        return tuple(row), out
+
+    def in_orbit(x, done):
+        """True when the automorphisms found so far that fix the prefix map x into done."""
+        gens = [g for g in autos if all(g[e] == e for e in ext)]
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for g in gens:
+                if g[y] not in orbit:
+                    orbit.add(g[y])
+                    todo.append(g[y])
+        return not orbit.isdisjoint(done)
+
+    def search(cells, less: bool) -> bool:
+        """Visit the extensions below the current prefix; True when best changed."""
+        k = len(ext)
+        if k == n:
+            perm = tuple(label)
+            if less:
+                best[:] = [tuple(rows), perm, tuple(ext), None]
+                return True
+            if best[3] is None:
+                best[3] = relabel(alg, best[1])
+            cand = relabel(alg, perm)
+            if serial_key(cand) < serial_key(best[3]):
+                best[:] = [tuple(rows), perm, tuple(ext), cand]
+                return True
+            if cand == best[3]:
+                auto = list(range(n))
+                for a, b in zip(best[2], ext):
+                    auto[a] = b
+                autos.append(auto)
+            return False
+        first = cells[0]
+        mask = sum(1 << x for x in first)
+        options = {x: split(cells, x) for x in first if not below[x] & mask}
+        least = min(tail for tail, _ in options.values())
+        x0 = next(x for x in options if options[x][0] == least)
+        row = (*(label[meet[x0][e]] for e in ext), k, *least)
+        if not less:
+            if row > best[0][k]:
+                return False
+            less = row < best[0][k]
+        changed = False
+        done: list[int] = []
+        rows.append(row)
+        for x, (tail, refined) in options.items():
+            if tail != least or (done and autos and in_orbit(x, done)):
+                continue
+            done.append(x)
+            label[x] = k
+            ext.append(x)
+            if search(refined, less):
+                changed, less = True, False
+            ext.pop()
+        rows.pop()
+        return changed
+
+    search([list(range(n))], True)
+    return best[1], best[3] or relabel(alg, best[1])
 
 
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:

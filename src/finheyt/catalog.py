@@ -133,28 +133,35 @@ def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
 
 # -- decorations --------------------------------------------------------------
 
-def _boolean_sublattices(lat: FiniteAlgebra):
-    """0-1-sublattices in which every member has a complement, smallest first."""
-    n, top = lat.size, lat.top
-    middle = [a for a in lat.elements if a not in (0, top)]
-    for k in range(len(middle) + 1):
-        for extra in itertools.combinations(middle, k):
-            g = (0, *extra, top) if top != 0 else (0,)
-            gs = set(g)
-            if not all(lat.meet[a][b] in gs and lat.join[a][b] in gs for a in g for b in g):
-                continue
-            if not all(
-                any(lat.meet[a][b] == 0 and lat.join[a][b] == top for b in g) for a in g
-            ):
-                continue
-            yield g
+def _boolean_atom_sets(lat: FiniteAlgebra):
+    """Sets of pairwise disjoint nonzero elements that join to the top.
+
+    In a distributive lattice the joins of the subsets of such a set form a 0-1
+    Boolean sublattice with that set as its atoms, and every 0-1 Boolean
+    sublattice arises so from its atoms.
+    """
+    n, top, meet, join = lat.size, lat.top, lat.meet, lat.join
+    chosen: list[int] = []
+
+    def rec(start, acc):
+        if acc == top:
+            yield tuple(chosen)
+            return
+        for x in range(start, n):
+            if meet[acc][x] == 0 and x != 0:
+                chosen.append(x)
+                yield from rec(x + 1, join[acc][x])
+                chosen.pop()
+
+    yield from rec(1, 0)
 
 
 def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
     found = {}
-    for g in _boolean_sublattices(lat):
+    for atoms in _boolean_atom_sets(lat):
+        # box a = the largest member of the Boolean sublattice below a
         box = tuple(
-            reduce(lambda x, y: lat.join[x][y], (e for e in g if lat.le(e, a)), 0)
+            reduce(lambda x, y: lat.join[x][y], (e for e in atoms if lat.le(e, a)), 0)
             for a in lat.elements
         )
         cand = FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl, box=box)

@@ -177,7 +177,8 @@ def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     return [sub]
 
 
-@lru_cache(maxsize=None)
+# The census of 254 algebras up to size 10 makes one call per algebra.
+@lru_cache(maxsize=256)
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     """Greedy generators: repeatedly add the element whose closure grows most."""
     closed = subalgebra_closure(alg, ())
@@ -286,12 +287,14 @@ def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | N
     mode "any": first witness in search order or None;
     mode "all": HomsResult with lexicographically sorted maps;
     mode "count": HomsResult with the exact count (maps omitted).
-    The suffix "_onto" (as in "any_onto") keeps only the maps onto cod.  cap bounds
-    the kept maps for all/count and sets `truncated` when more exist.
+    The suffix "_onto" (as in "any_onto") keeps only the maps onto cod.  cap (at
+    least 1) bounds the kept maps for all/count and sets `truncated` when more exist.
     """
     kind = mode.removesuffix("_onto")
     if kind not in ("any", "all", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     onto = kind != mode
     found = (m for m in _search(dom, cod) if not onto or len(set(m)) == cod.size)
     if kind == "any":

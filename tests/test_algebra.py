@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -15,10 +17,12 @@ from finheyt.algebra import (
     discriminator_eval,
     element_profile,
     inferred_level,
-    linear_extensions,
     relabel,
+    serial_key,
     validate,
 )
+from finheyt.catalog import build_catalog
+from finheyt.congruence import product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
 from finheyt.fixtures import (
     b4_disc,
@@ -32,6 +36,49 @@ from finheyt.fixtures import (
     two_element,
     two_ws5,
 )
+
+
+# -- canonical-form oracle -----------------------------------------------------
+
+def linear_extensions(alg: FiniteAlgebra):
+    """Yield all orderings e0..e(n-1) of elements compatible with the lattice order."""
+    n = alg.size
+    below = [frozenset(b for b in range(n) if b != a and alg.le(b, a)) for a in range(n)]
+    placed: set = set()
+    order: list = []
+
+    def rec():
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for a in range(n):
+            if a not in placed and below[a] <= placed:
+                placed.add(a)
+                order.append(a)
+                yield from rec()
+                order.pop()
+                placed.remove(a)
+
+    yield from rec()
+
+
+def extension_perm(ext):
+    perm = [0] * len(ext)
+    for new, old in enumerate(ext):
+        perm[old] = new
+    return tuple(perm)
+
+
+def brute_canonical_relabeling(alg: FiniteAlgebra):
+    """The definition: relabel by every linear extension, keep the first least key."""
+    best_key, best_perm, best_alg = None, None, None
+    for ext in linear_extensions(alg):
+        perm = extension_perm(ext)
+        cand = relabel(alg, perm)
+        key = serial_key(cand)
+        if best_key is None or key < best_key:
+            best_key, best_perm, best_alg = key, perm, cand
+    return best_perm, best_alg
 
 
 def test_variety_class_parsing():
@@ -234,3 +281,53 @@ def test_canonical_relabeling_returns_matching_permutation():
     alg = b4_disc()
     perm, canon = canonical_relabeling(alg)
     assert relabel(alg, perm) == canon
+
+
+def random_relabeling(alg, rng):
+    """Relabel by a random permutation that keeps 0 at the bottom and size-1 at the top."""
+    middle = list(range(1, alg.size - 1))
+    rng.shuffle(middle)
+    return relabel(alg, tuple([0, *middle, alg.size - 1][: alg.size]))
+
+
+def small_fixture_products():
+    out = []
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
+            if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:
+                out.append(reduce(product, combo))
+    return out
+
+
+def test_canonical_relabeling_matches_brute_force(catalog_algebras):
+    rng = random.Random(20140101)
+    algebras = list(catalog_algebras) + list(build_catalog(VarietyClass("heyting"), 8).algebras)
+    inputs = [random_relabeling(alg, rng) for alg in algebras for _ in range(3)]
+    inputs += small_fixture_products()
+    for alg in inputs:
+        assert canonical_relabeling(alg) == brute_canonical_relabeling(alg), alg
+
+
+def test_canonical_form_of_64_element_product_is_relabeling_invariant():
+    # Beyond the oracle's reach; the lattice has 6! automorphisms and the
+    # algebra 16 of them, so the automorphism pruning is exercised.
+    alg = reduce(product, (b4_disc(), b4_disc(), b4_prod()))
+    rng = random.Random(5)
+    results = []
+    for _ in range(3):
+        x = random_relabeling(alg, rng)
+        perm, canon = canonical_relabeling(x)
+        assert relabel(x, perm) == canon
+        results.append(canon)
+    assert results[0] == results[1] == results[2] == canonical_form(alg)
+
+
+def test_canonical_relabeling_breaks_ties_by_the_first_extension():
+    # B4prod x TwoWS5 is the eight-element Boolean algebra with the identity box:
+    # its six automorphisms permute the atoms, so six extensions reach the least
+    # key, and the perm must come from the first of them.
+    alg = relabel(product(b4_prod(), two_ws5()), (0, 3, 2, 5, 1, 6, 4, 7))
+    perm, canon = canonical_relabeling(alg)
+    tied = [ext for ext in linear_extensions(alg) if relabel(alg, extension_perm(ext)) == canon]
+    assert len(tied) == 6
+    assert perm == extension_perm(tied[0]) == (0, 1, 2, 3, 6, 4, 5, 7)

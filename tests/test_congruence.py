@@ -4,7 +4,14 @@ from functools import reduce
 
 import pytest
 
-from finheyt.algebra import HEYTING, canonical_form, element_profile, serial_key, validate
+from finheyt.algebra import (
+    HEYTING,
+    canonical_form,
+    canonical_relabeling,
+    element_profile,
+    serial_key,
+    validate,
+)
 from finheyt.catalog import build_catalog
 from finheyt.congruence import (
     Congruence,
@@ -34,7 +41,7 @@ from finheyt.fixtures import (
     catalog_fixtures,
     two_ws5,
 )
-from finheyt.morphism import homs, isomorphic
+from finheyt.morphism import Homomorphism, homs, isomorphic
 
 # -- independent oracles -------------------------------------------------------
 
@@ -255,6 +262,23 @@ def test_quotient_examples():
     total = to_congruence(c3_simple(), frozenset({0, 1, 2}))
     q, _ = quotient(c3_simple(), total)
     assert q.size == 1
+
+
+def test_quotient_of_48_element_product_by_principal_congruence():
+    pair = product(b4_disc(), b4_disc())
+    alg = product(pair, c3_simple())  # (p, z) sits at index 3p + z
+    q, proj = quotient(alg, principal_congruence(alg, 0, 1))
+    assert q == canonical_form(pair)
+    onto_pair = Homomorphism(pair, q, tuple(proj.map[3 * p] for p in pair.elements))
+    assert onto_pair.injective and onto_pair.onto
+    assert proj.map == tuple(onto_pair.map[a // 3] for a in alg.elements)
+
+
+def test_quotient_of_16_element_product_by_the_identity():
+    alg = product(b4_prod(), b4_prod())
+    q, proj = quotient(alg, to_congruence(alg, frozenset({alg.top})))
+    assert (proj.map, q) == canonical_relabeling(alg)
+    assert proj.injective and proj.onto
 
 
 def test_product_examples():

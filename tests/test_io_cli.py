@@ -152,6 +152,14 @@ def test_cli_homs_onto_cap_counts_onto_maps(files, tmp_path, capsys):
     assert code == 0 and len(record["maps"]) == 1 and record["truncated"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cli_homs_cap_below_one_exits_2(files, capsys, cap):
+    code, out, err = run_cli(capsys, "homs", files["B4prod"], files["B4prod"],
+                             "--count", "--cap", cap)
+    assert code == 2 and out == ""
+    assert "cap must be at least 1" in err and "Traceback" not in err
+
+
 def test_cli_quotient(files, capsys):
     code, out, _ = run_cli(capsys, "quotient", files["B4prod"], "--filter", "1,3", "--json")
     assert code == 0
