@@ -443,12 +443,10 @@ def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
         inv[new] = old
 
     def two(t):
-        return None if t is None else tuple(
-            tuple(perm[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
-        )
+        return None if t is None else tuple(one(t[i]) for i in inv)
 
     def one(t):
-        return None if t is None else tuple(perm[t[inv[i]]] for i in range(n))
+        return None if t is None else tuple([perm[t[i]] for i in inv])
 
     return replace(
         alg,
