@@ -1,15 +1,14 @@
 """Exhaustive catalogs of small algebras per class.
 
-Finite distributive lattices are enumerated through Birkhoff duality: grow
-posets of join-irreducibles (up to isomorphism) by repeatedly attaching a new
-maximal element above a downset, pruning once the downset count exceeds the
-requested lattice size, then take downset lattices.  Distinct posets give
-non-isomorphic lattices, so no lattice-level deduplication is needed.
+Finite distributive lattices are enumerated through Birkhoff duality: every
+poset of join-irreducibles with n downsets is a poset with fewer downsets plus
+one new maximal element above one of its downsets.  Two posets are isomorphic
+exactly when their downset lattices are, so the posets are deduplicated on the
+serial key of the canonical form of their downset lattice.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -38,68 +37,6 @@ def _downset_masks(below: tuple[int, ...], cap: int | None = None):
             return None
     return sets
 
-def _poset_key(below: tuple[int, ...]):
-    """Canonical key up to isomorphism: minimal relabeling within invariant classes."""
-    k = len(below)
-    if k == 0:
-        return ()
-    above = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if below[i] >> j & 1:
-                above[j] |= 1 << i
-    degree = [(bin(below[i]).count("1"), bin(above[i]).count("1")) for i in range(k)]
-    invariant = [
-        (
-            degree[i],
-            tuple(sorted(degree[j] for j in range(k) if below[i] >> j & 1)),
-            tuple(sorted(degree[j] for j in range(k) if above[i] >> j & 1)),
-        )
-        for i in range(k)
-    ]
-    groups: dict = {}
-    for i in range(k):
-        groups.setdefault(invariant[i], []).append(i)
-    ordered_groups = [groups[key] for key in sorted(groups)]
-    best = None
-    for arrangement in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        order = [x for group in arrangement for x in group]
-        pos = {old: new for new, old in enumerate(order)}
-        key = tuple(
-            tuple(sorted(pos[j] for j in range(k) if below[old] >> j & 1))
-            for old in order
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
-@lru_cache(maxsize=None)
-def _posets_by_downset_count(max_count: int) -> dict:
-    """All posets (up to iso) with at most max_count downsets, grouped by count."""
-    out: dict = {}
-    seen = set()
-    frontier = [()]
-    seen.add(_poset_key(()))
-    out.setdefault(1, []).append(())
-    while frontier:
-        nxt = []
-        for below in frontier:
-            masks = _downset_masks(below)
-            for d in masks:
-                grown = below + (d,)
-                gmasks = _downset_masks(grown, cap=max_count)
-                if gmasks is None:
-                    continue
-                key = _poset_key(grown)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.setdefault(len(gmasks), []).append(grown)
-                nxt.append(grown)
-        frontier = nxt
-    return out
-
 
 def _lattice_of_downsets(below: tuple[int, ...]) -> FiniteAlgebra:
     masks = sorted(_downset_masks(below), key=lambda m: (bin(m).count("1"), m))
@@ -122,12 +59,32 @@ def _lattice_of_downsets(below: tuple[int, ...]) -> FiniteAlgebra:
     )
 
 
+@lru_cache(maxsize=None)
+def _posets_with_downsets(n: int) -> tuple:
+    """(poset, canonical downset lattice) for every poset with n downsets, up to iso.
+
+    Removing a maximal element leaves fewer downsets, so every such poset grows
+    from one with fewer by a maximal element above one of its downsets.
+    """
+    if n == 1:
+        return (((), _lattice_of_downsets(())),)
+    found = {}
+    for m in range(1, n):
+        for below, _ in _posets_with_downsets(m):
+            for d in _downset_masks(below):
+                grown = below + (d,)
+                masks = _downset_masks(grown, cap=n)
+                if masks is not None and len(masks) == n:
+                    lat = _lattice_of_downsets(grown)
+                    found.setdefault(serial_key(lat), (grown, lat))
+    return tuple(found.values())
+
+
 def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
     """All Heyting algebras of size n up to isomorphism, canonical and sorted."""
     if not 1 <= n <= MAX_LATTICE_SIZE:
         raise ValueError(f"size must be within 1..{MAX_LATTICE_SIZE}, got {n}")
-    posets = _posets_by_downset_count(n).get(n, [])
-    lattices = sorted((_lattice_of_downsets(p) for p in posets), key=serial_key)
+    lattices = sorted((lat for _, lat in _posets_with_downsets(n)), key=serial_key)
     return [alg.rename(f"heyting_n{n}_{i:02d}") for i, alg in enumerate(lattices)]
 
 
@@ -174,14 +131,17 @@ def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
 def _antitone_involutions(lat: FiniteAlgebra):
     """All unary tables that are involutive order anti-automorphisms."""
     n = lat.size
+    le = [[lat.meet[a][c] == a for c in range(n)] for a in range(n)]
     inv = [-1] * n
 
     def ok(a):
         b = inv[a]
+        le_a, le_b = le[a], le[b]
         for c in range(n):
-            if inv[c] == -1:
+            ic = inv[c]
+            if ic == -1:
                 continue
-            if lat.le(a, c) != lat.le(inv[c], b) or lat.le(c, a) != lat.le(b, inv[c]):
+            if le_a[c] != le[ic][b] or le[c][a] != le_b[ic]:
                 return False
         return True
 
@@ -299,6 +259,8 @@ class Catalog:
 @lru_cache(maxsize=None)
 def build_catalog(cls: VarietyClass, max_size: int) -> Catalog:
     """Every algebra of the class up to max_size, canonical, deduplicated, named."""
+    if not 1 <= max_size <= MAX_LATTICE_SIZE:
+        raise ValueError(f"max size must be within 1..{MAX_LATTICE_SIZE}, got {max_size}")
     algebras = []
     for n in range(1, max_size + 1):
         found = []

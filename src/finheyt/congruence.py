@@ -7,8 +7,9 @@ Boolean algebra whose dual is the congruence lattice.  Everything here is built
 from that: the congruence of the up-set of b has the fibres of a -> a & b as its
 blocks, the factor complement of the congruence of the up-set of b is the
 congruence of the up-set of !b, and the simple factors are the quotients by the
-up-sets of the atoms of the open elements.  Without a box table every element
-counts as open.  The partition form is kept for the relational factor-pair checks.
+up-sets of the atoms of the open elements, checked through their projections.
+Without a box table every element counts as open.  The partition form is kept
+for the relational factor-pair checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property, reduce
 
 from .algebra import FiniteAlgebra, canonical_relabeling, serial_key
 from .errors import TheoremViolation
-from .morphism import Homomorphism, isomorphic
+from .morphism import Homomorphism
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,11 @@ def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
 # -- filters -----------------------------------------------------------------
 
 def is_hfilter(alg: FiniteAlgebra, carrier) -> bool:
+    """Whether carrier is an h-filter; ValueError if it leaves the universe."""
     f = frozenset(carrier)
+    outside = sorted(a for a in f if not 0 <= a < alg.size)
+    if outside:
+        raise ValueError(f"elements {outside} outside 0..{alg.size - 1}")
     if alg.top not in f:
         return False
     up = all(b in f for a in f for b in alg.upset[a])
@@ -306,18 +311,24 @@ def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | Non
 def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     """One factor A/Con(up-set of e) per atom e of the complemented open elements; each
     is simple (or, without a box table, indecomposable).  A single atom returns the
-    input itself.  Verifies that the factors multiply back to the input up to isomorphism."""
+    input itself.  Verifies through the projections that x -> (proj_e(x))_e is a
+    bijection onto the product of the factors."""
     if not alg.nontrivial:
         raise ValueError("decompose_simples needs a nontrivial algebra")
     centre = [e for e in _open_elements(alg) if alg.join[e][alg.neg[e]] == alg.top]
     atoms = [e for e in centre if e != 0 and all(o in (0, e) or not alg.le(o, e) for o in centre)]
     if len(atoms) == 1:
-        factors = [alg]
-    else:
-        factors = sorted(
-            (quotient(alg, to_congruence(alg, alg.upset[e]))[0] for e in atoms), key=serial_key
-        )
-    if isomorphic(reduce(product, factors), alg) is None:
+        return [alg]
+    parts = sorted(
+        (quotient(alg, to_congruence(alg, alg.upset[e])) for e in atoms),
+        key=lambda part: serial_key(part[0]),
+    )
+    factors = [f for f, _ in parts]
+    index = [0] * alg.size
+    for f, proj in parts:
+        index = [i * f.size + proj.map[x] for x, i in enumerate(index)]
+    h = Homomorphism(alg, reduce(product, factors), index)
+    if not (h.onto and h.injective):
         raise TheoremViolation(f"decomposition of {alg!r} does not multiply back")
     return factors
 

@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from finheyt import congruence as cg
 from finheyt.algebra import (
     HEYTING,
     canonical_form,
@@ -31,6 +32,7 @@ from finheyt.congruence import (
     to_congruence,
     to_filter,
 )
+from finheyt.errors import TheoremViolation
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -334,6 +336,27 @@ def test_decompose_examples():
     assert sizes == [2, 3]
     for f in decompose_simples(p6):
         assert element_profile(f).simple
+
+
+def test_decompose_fourth_power_of_b4disc():
+    alg = reduce(product, [b4_disc()] * 4)
+    assert decompose_simples(alg) == [canonical_form(b4_disc())] * 4
+
+
+def test_decompose_144_element_product():
+    alg = reduce(product, [c3_simple(), c3_simple(), b4_disc(), b4_disc()])
+    assert alg.size == 144
+    factors = [canonical_form(f) for f in (c3_simple(), c3_simple(), b4_disc(), b4_disc())]
+    assert decompose_simples(alg) == sorted(factors, key=serial_key)
+
+
+def test_decompose_raises_when_the_projections_are_not_a_bijection(monkeypatch):
+    # Every atom gets the factor of the first atom, so x -> (p(x), p(x)) is not onto.
+    alg = b4_prod()
+    real = cg.to_congruence
+    monkeypatch.setattr(cg, "to_congruence", lambda a, f: real(a, a.upset[1]))
+    with pytest.raises(TheoremViolation):
+        decompose_simples(alg)
 
 
 def test_heyting_congruences_without_box():

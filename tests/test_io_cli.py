@@ -170,6 +170,13 @@ def test_cli_quotient(files, capsys):
     assert code == 2 and "not a congruence filter" in err
 
 
+@pytest.mark.parametrize("carrier", ["3,99", "3,-1"])
+def test_cli_quotient_rejects_elements_outside_the_universe(files, capsys, carrier):
+    code, out, err = run_cli(capsys, "quotient", files["B4prod"], "--filter", carrier)
+    assert code == 2 and out == ""
+    assert "outside 0..3" in err and "Traceback" not in err
+
+
 def test_cli_decompose(files, capsys):
     code, out, _ = run_cli(capsys, "decompose", files["B4prod"], "--json")
     assert code == 0 and json.loads(out)["sizes"] == [2, 2]
@@ -288,6 +295,15 @@ def test_cli_catalog(tmp_path, capsys):
     assert len(written) == 6
     for p in (tmp_path / "cat").glob("*.json"):
         assert validate(io.read_algebra(p)).valid
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "13"])
+def test_cli_catalog_max_size_out_of_range_exits_2(tmp_path, capsys, size):
+    code, out, err = run_cli(capsys, "catalog", "--class", "ws5", "--max-size", size,
+                             "--out", tmp_path / "cat")
+    assert code == 2 and out == ""
+    assert "max size must be within 1..12" in err
+    assert not (tmp_path / "cat").exists()
 
 
 def test_cli_hri_file_without_box_gets_derived(tmp_path, capsys):

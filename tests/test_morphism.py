@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from finheyt.algebra import VarietyClass, relabel
+from finheyt.catalog import build_catalog
 from finheyt.congruence import factor_complement, principal_congruence, product
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import (
@@ -142,6 +144,44 @@ def test_isomorphic_detects_relabelings():
     swapped = relabel(alg, (0, 2, 1, 3))
     h = isomorphic(alg, swapped)
     assert h is not None and h.onto and h.injective
+
+
+def engine_algebras():
+    """Catalog algebras of ws5, hri and dht:2 up to size 6."""
+    classes = (VarietyClass("ws5"), VarietyClass("hri"), VarietyClass("dht", 2))
+    return [a for cls in classes for a in build_catalog(cls, 6).algebras]
+
+
+def bijective_homs(a, b):
+    """The oracle: every bijective map among all homomorphisms a -> b."""
+    return {h.map for h in homs(a, b, "all").homs if h.onto and h.injective}
+
+
+def test_isomorphic_matches_bijective_hom_oracle():
+    algebras = engine_algebras()
+    for a in algebras:
+        for b in algebras:
+            if a.size != b.size:
+                continue
+            h = isomorphic(a, b)
+            if a.cls != b.cls:
+                assert h is None, (a.name, b.name)
+                continue
+            oracle = bijective_homs(a, b)
+            assert (h is not None) == bool(oracle), (a.name, b.name)
+            assert h is None or h.map in oracle, (a.name, b.name)
+
+
+def test_isomorphic_finds_seeded_relabelings():
+    rng = random.Random(2017)
+    for a in engine_algebras():
+        middle = list(range(1, a.top))
+        rng.shuffle(middle)
+        perm = [0, *middle, a.top] if a.nontrivial else [0]
+        b = relabel(a, perm)
+        h = isomorphic(a, b)
+        assert isinstance(h, Homomorphism) and h.onto and h.injective, a.name
+        assert h.map in bijective_homs(a, b), a.name
 
 
 def test_hom_count_invariant_under_relabeling():
