@@ -129,9 +129,16 @@ def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 
 def _antitone_involutions(lat: FiniteAlgebra):
-    """All unary tables that are involutive order anti-automorphisms."""
+    """All unary tables that are involutive order anti-automorphisms.
+
+    Such a map sends the downset of a onto the upset of its image, so inv[a] = b
+    is tried only when |down a| = |up b|.  The condition is only necessary: it
+    skips branches that yield nothing, and ok still checks every survivor.
+    """
     n = lat.size
     le = [[lat.meet[a][c] == a for c in range(n)] for a in range(n)]
+    down = [sum(le[x][a] for x in range(n)) for a in range(n)]
+    up = [sum(le[b]) for b in range(n)]
     inv = [-1] * n
 
     def ok(a):
@@ -153,7 +160,7 @@ def _antitone_involutions(lat: FiniteAlgebra):
             yield from rec(a + 1)
             return
         for b in range(n):
-            if b in inv:
+            if down[a] != up[b] or b in inv:
                 continue
             if inv[b] != -1 and inv[b] != a:
                 continue
@@ -199,11 +206,13 @@ def _forced_dimpl(lat: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     """Least b with c <= a | b, as a c-by-a table."""
     rows = []
     for c in lat.elements:
+        up = [lat.meet[c][x] == c for x in lat.elements]  # up[x]: c <= x
         row = []
         for a in lat.elements:
-            candidates = [b for b in lat.elements if lat.le(c, lat.join[a][b])]
+            join_a = lat.join[a]
+            candidates = [b for b in lat.elements if up[join_a[b]]]
             val = reduce(lambda x, y: lat.meet[x][y], candidates)
-            if not lat.le(c, lat.join[a][val]):
+            if not up[join_a[val]]:
                 raise TheoremViolation(f"dual residual missing at ({c},{a}) in {lat!r}")
             row.append(val)
         rows.append(tuple(row))

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_boolproj)
 
     p = sub.add_parser("primitive", parents=[common])
-    p.add_argument("files", nargs="*")
+    p.add_argument("files", nargs="+")
     p.set_defaults(fn=_cmd_primitive)
 
     p = sub.add_parser("catalog", parents=[common])

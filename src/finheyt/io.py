@@ -87,14 +87,22 @@ def algebra_from_dict(data: dict, where: str = "algebra") -> FiniteAlgebra:
     )
 
 
+def _load_json(path: Path):
+    """The JSON value in a file; bad syntax and over-deep nesting raise
+    MalformedAlgebraError."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise MalformedAlgebraError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise MalformedAlgebraError(f"{path}: JSON nests too deeply") from None
+
+
 def read_algebra(path, check: bool = True) -> FiniteAlgebra:
     """Load an algebra file; structural defects raise MalformedAlgebraError,
     axiom violations raise InvalidAlgebraError (suppressed with check=False)."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedAlgebraError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    data = _load_json(path)
     alg = algebra_from_dict(data, where=str(path))
     if check:
         require_valid(alg)
@@ -114,10 +122,7 @@ def _equation_from_dict(data: dict, where: str) -> tuple:
 def read_presentation(path) -> DefiningPair:
     """{"vars": [names], "atoms": [{"lhs": term, "rhs": term}, ...]}"""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedAlgebraError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    data = _load_json(path)
     names = _expect(data, "vars", list, str(path))
     atoms = _expect(data, "atoms", list, str(path))
     return DefiningPair(

@@ -145,26 +145,6 @@ def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tupl
     return out, tuple(sub)
 
 
-def subuniverses(alg: FiniteAlgebra):
-    """All subuniverses, ascending by size then carrier (desk-scale: 2^(n-2) candidates)."""
-    import itertools
-
-    base = sorted(subalgebra_closure(alg, ()))
-    rest = [a for a in alg.elements if a not in base]
-    found = set()
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            cand = frozenset(base) | frozenset(extra)
-            if cand in found:
-                continue
-            closed = all(
-                t[a][b] in cand for t in alg.binary_tables().values() for a in cand for b in cand
-            ) and all(t[a] in cand for t in alg.unary_tables().values() for a in cand)
-            if closed:
-                found.add(cand)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
 def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     """The constant-generated subalgebra, verified minimal and two-element."""
     if not alg.nontrivial:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -9,11 +10,18 @@ from hypothesis import strategies as st
 from finheyt.terms import Var, discriminator_term, eval_term
 
 from finheyt.algebra import (
+    LEVELED,
     FiniteAlgebra,
+    ValidationReport,
     VarietyClass,
+    _boxdot,
+    _iterate,
     canonical_form,
     canonical_relabeling,
+    check_structure,
     derive_operations,
+    derived_box_hdp,
+    derived_dualneg_dht,
     discriminator_eval,
     element_profile,
     inferred_level,
@@ -79,6 +87,146 @@ def brute_canonical_relabeling(alg: FiniteAlgebra):
         if best_key is None or key < best_key:
             best_key, best_perm, best_alg = key, perm, cand
     return best_perm, best_alg
+
+
+# -- validation oracle -----------------------------------------------------------
+
+def validate_oracle(alg: FiniteAlgebra) -> ValidationReport:
+    """validate as a plain triple loop over every (a, b, c)."""
+    check_structure(alg)
+    n, top = alg.size, alg.top
+    meet, join, impl = alg.meet, alg.join, alg.impl
+    bad = []
+
+    def le(a, b):
+        return meet[a][b] == a
+
+    for a in range(n):
+        if meet[a][a] != a:
+            bad.append(("meet-idempotent", (a,)))
+        if join[a][a] != a:
+            bad.append(("join-idempotent", (a,)))
+        if meet[0][a] != 0:
+            bad.append(("bottom-least", (a,)))
+        if join[a][top] != top:
+            bad.append(("top-greatest", (a,)))
+        for b in range(n):
+            if meet[a][b] != meet[b][a]:
+                bad.append(("meet-commutative", (a, b)))
+            if join[a][b] != join[b][a]:
+                bad.append(("join-commutative", (a, b)))
+            if meet[a][join[a][b]] != a:
+                bad.append(("absorption-meet-join", (a, b)))
+            if join[a][meet[a][b]] != a:
+                bad.append(("absorption-join-meet", (a, b)))
+            for c in range(n):
+                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
+                    bad.append(("meet-associative", (a, b, c)))
+                if join[join[a][b]][c] != join[a][join[b][c]]:
+                    bad.append(("join-associative", (a, b, c)))
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    bad.append(("distributive", (a, b, c)))
+                if le(meet[a][b], c) != le(a, impl[b][c]):
+                    bad.append(("residuation", (a, b, c)))
+
+    kind, level = alg.cls.kind, alg.cls.level
+
+    if alg.invol is not None:
+        inv, neg = alg.invol, alg.neg
+        for a in range(n):
+            if inv[inv[a]] != a:
+                bad.append(("invol-involutive", (a,)))
+            if inv[neg[a]] != neg[neg[a]]:
+                bad.append(("invol-regular", (a,)))
+            for b in range(n):
+                if inv[join[a][b]] != meet[inv[a]][inv[b]]:
+                    bad.append(("invol-de-morgan", (a, b)))
+        if alg.box is not None:
+            for a in range(n):
+                if alg.box[a] != neg[inv[a]]:
+                    bad.append(("box-consistent", (a,)))
+
+    dualneg = alg.dualneg
+    if kind == "dht":
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if le(c, join[a][b]) != le(alg.dimpl[c][a], b):
+                        bad.append(("dual-residuation", (a, b, c)))
+        derived_dn = derived_dualneg_dht(alg)
+        if dualneg is not None:
+            for a in range(n):
+                if dualneg[a] != derived_dn[a]:
+                    bad.append(("dualneg-consistent", (a,)))
+        dualneg = derived_dn
+
+    if dualneg is not None:
+        for a in range(n):
+            for b in range(n):
+                if (join[a][b] == top) != le(dualneg[a], b):
+                    bad.append(("dual-pseudocomplement", (a, b)))
+        if kind in LEVELED:
+            bd = _boxdot(alg, dualneg)
+            lo, hi = _iterate(bd, level, n), _iterate(bd, level + 1, n)
+            for a in range(n):
+                if lo[a] != hi[a]:
+                    bad.append(("boxdot-level", (a,)))
+            if alg.box is not None:
+                want = derived_box_hdp(alg, dualneg, level)
+                for a in range(n):
+                    if alg.box[a] != want[a]:
+                        bad.append(("box-consistent", (a,)))
+
+    if alg.box is not None:
+        box = alg.box
+        if box[top] != top:
+            bad.append(("box-top", (top,)))
+        opens = [a for a in range(n) if box[a] == a]
+        for a in range(n):
+            if not le(box[a], a):
+                bad.append(("box-decreasing", (a,)))
+            if box[box[a]] != box[a]:
+                bad.append(("box-idempotent", (a,)))
+            for b in range(n):
+                if box[meet[a][b]] != meet[box[a]][box[b]]:
+                    bad.append(("box-meet", (a, b)))
+                if box[join[a][box[b]]] != join[box[a]][box[b]]:
+                    bad.append(("box-join-open", (a, b)))
+        for a in opens:
+            if not any(meet[a][g] == 0 and join[a][g] == top for g in opens):
+                bad.append(("open-elements-boolean", (a,)))
+
+    return ValidationReport(tuple(bad))
+
+
+def single_cell_mutants(alg: FiniteAlgebra, rng: random.Random, per_table: int):
+    """Copies of alg with one cell of one table changed to another label."""
+    if alg.size < 2:
+        return
+    for name, table in {**alg.binary_tables(), **alg.unary_tables()}.items():
+        binary = isinstance(table[0], tuple)
+        for _ in range(per_table):
+            rows = [list(r) for r in table] if binary else [list(table)]
+            row = rng.choice(rows)
+            i = rng.randrange(alg.size)
+            row[i] = rng.choice([v for v in alg.elements if v != row[i]])
+            yield replace(alg, **{name: rows if binary else rows[0]})
+
+
+def test_validate_matches_triple_loop_oracle(catalog_algebras):
+    rng = random.Random(20170601)
+    heyting = build_catalog(VarietyClass("heyting"), 8).algebras
+    inputs = [*catalog_algebras, *heyting, *catalog_fixtures(), c3_identity_box()]
+    products = small_fixture_products(36)
+    assert max(p.size for p in products) == 36
+    mutants = [m for alg in (*inputs, *products) for m in single_cell_mutants(alg, rng, 1)]
+    seen = set()
+    for alg in (*inputs, *products, *mutants):
+        report = validate(alg)
+        assert report == validate_oracle(alg), alg
+        seen.update(axiom for axiom, _ in report.violations)
+    assert {"meet-associative", "join-associative", "distributive", "residuation",
+            "dual-residuation"} <= seen
 
 
 def test_variety_class_parsing():
@@ -290,11 +438,11 @@ def random_relabeling(alg, rng):
     return relabel(alg, tuple([0, *middle, alg.size - 1][: alg.size]))
 
 
-def small_fixture_products():
+def small_fixture_products(max_size=12):
     out = []
     for k in (2, 3):
         for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
-            if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:
+            if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= max_size:
                 out.append(reduce(product, combo))
     return out
 

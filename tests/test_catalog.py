@@ -14,6 +14,7 @@ from finheyt.algebra import (
 from finheyt.catalog import (
     MAX_LATTICE_SIZE,
     Catalog,
+    _antitone_involutions,
     build_catalog,
     decorate,
     enum_distributive_lattices,
@@ -155,3 +156,53 @@ def test_catalogs_match_golden_file():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.golden_text() == (root / "tests" / "data" / "catalog_golden.json").read_text()
+
+
+def antitone_involutions_oracle(lat):
+    """Every involutive order anti-automorphism, by a search with no size pruning."""
+    n = lat.size
+    le = [[lat.meet[a][c] == a for c in range(n)] for a in range(n)]
+    inv = [-1] * n
+
+    def ok(a):
+        b = inv[a]
+        le_a, le_b = le[a], le[b]
+        for c in range(n):
+            ic = inv[c]
+            if ic == -1:
+                continue
+            if le_a[c] != le[ic][b] or le[c][a] != le_b[ic]:
+                return False
+        return True
+
+    def rec(a):
+        if a == n:
+            yield tuple(inv)
+            return
+        if inv[a] != -1:
+            yield from rec(a + 1)
+            return
+        for b in range(n):
+            if b in inv:
+                continue
+            if inv[b] != -1 and inv[b] != a:
+                continue
+            prev_b = inv[b]
+            inv[a] = b
+            inv[b] = a
+            if ok(a) and ok(b):
+                yield from rec(a + 1)
+            inv[a] = -1
+            inv[b] = prev_b if b != a else -1
+
+    yield from rec(0)
+
+
+def test_antitone_involutions_match_unpruned_search():
+    total = 0
+    for n in range(1, MAX_LATTICE_SIZE + 1):
+        for lat in enum_distributive_lattices(n):
+            found = list(_antitone_involutions(lat))
+            assert found == list(antitone_involutions_oracle(lat)), lat.name
+            total += len(found)
+    assert total == 102

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from finheyt import cli, io
+from finheyt import cli, decision, io
 from finheyt.algebra import VarietyClass, validate
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
@@ -265,6 +265,16 @@ def test_cli_projective_deeply_nested_presentation_exits_2(tmp_path, capsys):
         assert code == 2 and ("nests deeper" in err or "higher than" in err)
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["profile"], ["decompose"], ["projective", "--class", "ws5", "--presentation"],
+])
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *command, path)
+    assert code == 2 and out == "" and "nests too deeply" in err and "Traceback" not in err
+
+
 def test_cli_retract(files, capsys):
     code, out, _ = run_cli(capsys, "retract", files["B4prod"], files["TwoWS5"], "--json")
     assert code == 0
@@ -283,6 +293,14 @@ def test_cli_primitive(files, capsys):
     assert run_cli(capsys, "primitive", files["TwoWS5"], files["B4prod"])[0] == 0
     code, out, _ = run_cli(capsys, "primitive", files["B4disc"])
     assert code == 1 and "rho fails" in out
+
+
+def test_cli_primitive_without_files_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["primitive"])
+    assert e.value.code == 2
+    assert "required: files" in capsys.readouterr().err
+    assert decision.primitive_report([]).primitive  # vacuous over no algebras
 
 
 def test_cli_catalog(tmp_path, capsys):

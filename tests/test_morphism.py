@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from finheyt.algebra import VarietyClass, relabel
+from finheyt.algebra import FiniteAlgebra, VarietyClass, relabel
 from finheyt.catalog import build_catalog
 from finheyt.congruence import factor_complement, principal_congruence, product
 from finheyt.errors import TheoremViolation
@@ -29,7 +29,6 @@ from finheyt.morphism import (
     isomorphic,
     minimal_subalgebras,
     subalgebra_closure,
-    subuniverses,
 )
 
 
@@ -233,6 +232,24 @@ def test_prod_retract_agrees_with_hom_existence_on_fixtures():
             direct = is_retract(p, b) is not None
             via_hom = homs(b, c, "any") is not None
             assert direct == via_hom, (b.name, c.name)
+
+
+def subuniverses(alg: FiniteAlgebra):
+    """All subuniverses, ascending by size then carrier (desk-scale: 2^(n-2) candidates)."""
+    base = sorted(subalgebra_closure(alg, ()))
+    rest = [a for a in alg.elements if a not in base]
+    found = set()
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            cand = frozenset(base) | frozenset(extra)
+            if cand in found:
+                continue
+            closed = all(
+                t[a][b] in cand for t in alg.binary_tables().values() for a in cand for b in cand
+            ) and all(t[a] in cand for t in alg.unary_tables().values() for a in cand)
+            if closed:
+                found.add(cand)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def test_restriction_of_onto_hom_to_subuniverses(nontrivial_algebras):
