@@ -158,6 +158,17 @@ def test_catalogs_match_golden_file():
     assert module.golden_text() == (root / "tests" / "data" / "catalog_golden.json").read_text()
 
 
+def test_catalogs_match_golden_file_to_size_12():
+    """Names, order and serial keys of every catalog at sizes 11 and 12, as
+    recorded in tests/data/catalog_golden_12.json by
+    scripts/catalog_golden.py --max-size 12."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("catalog_golden", root / "scripts" / "catalog_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.golden_text(12) == (root / "tests" / "data" / "catalog_golden_12.json").read_text()
+
+
 def antitone_involutions_oracle(lat):
     """Every involutive order anti-automorphism, by a search with no size pruning."""
     n = lat.size
