@@ -472,29 +472,32 @@ def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
 
 # -- canonical form ----------------------------------------------------------
 
-def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
-    """Apply old->new index permutation to every table."""
-    n = alg.size
-    inv = [0] * n
+_TABLES = ("meet", "join", "impl", "box", "invol", "dualneg", "dimpl")
+_BINARY = frozenset({"meet", "join", "impl", "dimpl"})
+_TAIL = _TABLES[3:]  # what serial_key compares after impl, in its order
+
+
+def relabeled_tables(alg: FiniteAlgebra, perm, names) -> tuple:
+    """The named tables of alg under the old->new permutation perm, None where alg has none."""
+    inv = [0] * alg.size
     for old, new in enumerate(perm):
         inv[new] = old
 
-    def two(t):
-        return None if t is None else tuple(one(t[i]) for i in inv)
-
     def one(t):
-        return None if t is None else tuple([perm[t[i]] for i in inv])
+        return tuple([perm[t[i]] for i in inv])
 
-    return replace(
-        alg,
-        meet=two(alg.meet),
-        join=two(alg.join),
-        impl=two(alg.impl),
-        dimpl=two(alg.dimpl),
-        box=one(alg.box),
-        invol=one(alg.invol),
-        dualneg=one(alg.dualneg),
-    )
+    out = []
+    for name in names:
+        t = getattr(alg, name)
+        if t is not None:
+            t = tuple(one(t[i]) for i in inv) if name in _BINARY else one(t)
+        out.append(t)
+    return tuple(out)
+
+
+def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
+    """Apply old->new index permutation to every table."""
+    return replace(alg, **dict(zip(_TABLES, relabeled_tables(alg, perm, _TABLES))))
 
 
 def serial_key(alg: FiniteAlgebra):
@@ -512,7 +515,7 @@ def serial_key(alg: FiniteAlgebra):
     )
 
 
-# The largest catalog build (ws5 to size 12) makes about 700 distinct calls.
+# A catalog build to size 12 makes 465 distinct calls, all from the lattice enumeration.
 @lru_cache(maxsize=1024)
 def canonical_relabeling(alg: FiniteAlgebra):
     """(perm, algebra) with the least serial_key over linear-extension relabelings.
@@ -525,19 +528,21 @@ def canonical_relabeling(alg: FiniteAlgebra):
     placed row of the relabeled meet table larger.  So the placed rows are fixed
     at each node, the next element is a minimal element of the first block of
     that order whose new row is least, and a node whose rows exceed the best
-    meet table found is cut.  Full keys are compared only among extensions that
-    tie on the least meet table; two that tie on the full key give an
-    automorphism of alg, and a candidate that an automorphism fixing the prefix
-    maps onto an earlier sibling is skipped, since its subtree repeats the
-    sibling's keys on later extensions.  alg.meet must be the meet of a
-    lattice, as in every valid algebra.
+    meet table found is cut.  In a valid algebra join and impl are determined by
+    meet, so extensions that tie on the least meet table tie on them too, and
+    only their relabeled box, invol, dualneg and dimpl (the rest of serial_key,
+    in its order) are compared; two that tie on those give an automorphism of
+    alg, and a candidate that an automorphism fixing the prefix maps onto an
+    earlier sibling is skipped, since its subtree repeats the sibling's keys on
+    later extensions.  alg must be a valid algebra; the whole algebra is
+    relabeled once, at the end.
     """
     n, meet = alg.size, alg.meet
     below = [sum(1 << b for b in range(n) if b != a and meet[a][b] == b) for a in range(n)]
     label = [0] * n
     ext: list[int] = []
     rows: list[tuple[int, ...]] = []
-    best: list = []  # [meet rows, perm, extension, relabeled algebra or None]
+    best: list = []  # [meet rows, perm, extension, relabeled _TAIL tables or None]
     autos: list[list[int]] = []
 
     def split(cells, x):
@@ -576,12 +581,12 @@ def canonical_relabeling(alg: FiniteAlgebra):
                 best[:] = [tuple(rows), perm, tuple(ext), None]
                 return True
             if best[3] is None:
-                best[3] = relabel(alg, best[1])
-            cand = relabel(alg, perm)
-            if serial_key(cand) < serial_key(best[3]):
-                best[:] = [tuple(rows), perm, tuple(ext), cand]
+                best[3] = relabeled_tables(alg, best[1], _TAIL)
+            tail = relabeled_tables(alg, perm, _TAIL)
+            if tail < best[3]:
+                best[:] = [tuple(rows), perm, tuple(ext), tail]
                 return True
-            if cand == best[3]:
+            if tail == best[3]:
                 auto = list(range(n))
                 for a, b in zip(best[2], ext):
                     auto[a] = b
@@ -613,7 +618,7 @@ def canonical_relabeling(alg: FiniteAlgebra):
         return changed
 
     search([list(range(n))], True)
-    return best[1], best[3] or relabel(alg, best[1])
+    return best[1], relabel(alg, best[1])
 
 
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:

@@ -5,11 +5,18 @@ poset of join-irreducibles with n downsets is a poset with fewer downsets plus
 one new maximal element above one of its downsets.  Two posets are isomorphic
 exactly when their downset lattices are, so the posets are deduplicated on the
 serial key of the canonical form of their downset lattice.
+
+Every enumerated lattice is thus a canonical form, and a decoration keeps its
+meet, join and impl tables.  So the relabelings that canonicalise a decoration
+are the automorphisms of the lattice, and the least of its box and invol tables
+under them gives its canonical form without a search.  The tables of the
+leveled classes are defined from the lattice alone, so every automorphism fixes
+them and those decorations are canonical as built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .algebra import (
@@ -18,6 +25,7 @@ from .algebra import (
     canonical_form,
     derive_operations,
     derived_box_hdp,
+    relabeled_tables,
     serial_key,
     validate,
 )
@@ -90,6 +98,49 @@ def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
 
 # -- decorations --------------------------------------------------------------
 
+def _automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Every automorphism of a lattice whose labels extend its order, old->new.
+
+    A meet-preserving bijection maps the downset and the upset of a onto those
+    of its image, so sigma[a] = v is tried only when |down a| = |down v| and
+    |up a| = |up v|.  Elements are assigned in label order, and a meet of a with
+    a smaller label is below it, so it is assigned before a is checked.
+    """
+    n, meet = lat.size, lat.meet
+    down = [sum(meet[x][a] == x for x in range(n)) for a in range(n)]
+    up = [sum(meet[a][x] == a for x in range(n)) for a in range(n)]
+    sigma = [-1] * n
+    used = [False] * n
+    out = []
+
+    def rec(a):
+        if a == n:
+            out.append(tuple(sigma))
+            return
+        for v in range(n):
+            if used[v] or down[v] != down[a] or up[v] != up[a]:
+                continue
+            sigma[a] = v
+            if all(sigma[meet[a][b]] == meet[v][sigma[b]] for b in range(a)):
+                used[v] = True
+                rec(a + 1)
+                used[v] = False
+
+    rec(0)
+    return out
+
+
+def _least_relabeling(cand: FiniteAlgebra, autos) -> FiniteAlgebra:
+    """canonical_form(cand) for a decoration of a canonical lattice with automorphisms autos.
+
+    The relabelings that reach the lattice's own, least, meet table are exactly
+    its automorphisms; each extends the order, since the labels do, and fixes
+    meet, join and impl.  So only box and invol are relabeled and compared.
+    """
+    box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
+    return replace(cand, box=box, invol=invol)
+
+
 def _boolean_atom_sets(lat: FiniteAlgebra):
     """Sets of pairwise disjoint nonzero elements that join to the top.
 
@@ -114,7 +165,7 @@ def _boolean_atom_sets(lat: FiniteAlgebra):
 
 
 def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
-    found = {}
+    found, autos = {}, None
     for atoms in _boolean_atom_sets(lat):
         # box a = the largest member of the Boolean sublattice below a
         box = tuple(
@@ -123,7 +174,8 @@ def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
         )
         cand = FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl, box=box)
         if validate(cand).valid:
-            canon = canonical_form(cand)
+            autos = autos or _automorphisms(lat)
+            canon = _least_relabeling(cand, autos)
             found.setdefault(serial_key(canon), canon)
     return [found[k] for k in sorted(found)]
 
@@ -176,7 +228,7 @@ def _antitone_involutions(lat: FiniteAlgebra):
 
 
 def _decorate_hri(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
-    found = {}
+    found, autos = {}, None
     for inv in _antitone_involutions(lat):
         if any(inv[lat.neg[a]] != lat.neg[lat.neg[a]] for a in lat.elements):
             continue
@@ -185,7 +237,8 @@ def _decorate_hri(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
             lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl, box=box, invol=inv
         )
         if validate(cand).valid:
-            canon = canonical_form(cand)
+            autos = autos or _automorphisms(lat)
+            canon = _least_relabeling(cand, autos)
             found.setdefault(serial_key(canon), canon)
     return [found[k] for k in sorted(found)]
 
@@ -238,12 +291,18 @@ def _decorate_leveled(lat: FiniteAlgebra, cls: VarietyClass) -> list[FiniteAlgeb
             raise TheoremViolation(f"forced dualneg disagrees with 1 -< a in {lat!r}")
         extra["dimpl"] = dimpl
     cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, **extra)
-    cand = derive_operations(cand)  # fills box; raises if a WS5 box axiom breaks
-    return [canonical_form(cand)]
+    # dualneg, dimpl and box are defined from the lattice, so every automorphism
+    # fixes them, and cand is already canonical.
+    return [derive_operations(cand)]  # fills box; raises if a WS5 box axiom breaks
 
 
 def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
-    """All decorations of a Heyting algebra in the given class, up to isomorphism."""
+    """All decorations of a Heyting algebra in the given class, up to isomorphism, canonical.
+
+    lat must be a canonical form, as enum_distributive_lattices yields: each
+    decoration is canonicalised through the automorphisms of lat, which fix its
+    meet, join and impl, instead of by a canonical-form search.
+    """
     if lat.cls.kind != "heyting":
         raise ValueError("decorate expects a plain Heyting algebra")
     if cls.kind == "heyting":

@@ -59,7 +59,12 @@ class FpVerdict:
 
 def decide_projective_fp(cls: VarietyClass, pair: DefiningPair) -> FpVerdict:
     """Projective iff the atoms are satisfiable in the two-element algebra; the
-    satisfying assignment certifies the onto homomorphism to it."""
+    satisfying assignment certifies the onto homomorphism to it.  The search is
+    exponential in the number of variables, which is at most
+    terms.MAX_PRESENTATION_VARS."""
+    if len(pair.variables) > terms.MAX_PRESENTATION_VARS:
+        raise ValueError(f"presentation has {len(pair.variables)} variables; "
+                         f"at most {terms.MAX_PRESENTATION_VARS} are searched")
     env = terms.satisfy_atoms(two_element(cls), pair)
     if env is not None:
         return FpVerdict(True, env, "atoms satisfiable in 2; the presented algebra is "

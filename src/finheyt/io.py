@@ -83,7 +83,7 @@ def algebra_from_dict(data: dict, where: str = "algebra") -> FiniteAlgebra:
         invol=_table(data, "invol", False, where),
         dualneg=_table(data, "dualneg", False, where),
         dimpl=_table(data, "dimpl", True, where),
-        name=str(data.get("name", "")),
+        name=_expect(data, "name", str, where) if "name" in data else "",
     )
 
 
@@ -125,7 +125,12 @@ def read_presentation(path) -> DefiningPair:
     data = _load_json(path)
     names = _expect(data, "vars", list, str(path))
     atoms = _expect(data, "atoms", list, str(path))
+    for v in names:
+        if not isinstance(v, str):
+            raise MalformedAlgebraError(f"{path}: variable {v!r} is not a string")
+    if len(set(names)) != len(names):
+        raise MalformedAlgebraError(f"{path}: variables {names} repeat a name")
     return DefiningPair(
-        tuple(str(v) for v in names),
+        tuple(names),
         tuple(_equation_from_dict(a, f"{path}.atoms[{i}]") for i, a in enumerate(atoms)),
     )

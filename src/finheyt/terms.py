@@ -113,6 +113,12 @@ and right operands of implications, and a term tree at most this high; deeper
 input raises TermParseError instead of exhausting the interpreter's stack here
 or in the recursive functions that later walk the term."""
 
+MAX_PRESENTATION_VARS = 20
+"""decision.decide_projective_fp tries all 2^k assignments of a presentation's
+k variables in the two-element algebra.  At k = 20, with one atom over all the
+variables, that takes about 30 s on one core under CPython 3.11; a presentation
+with more variables raises ValueError."""
+
 
 def _height(t: Term) -> int:
     best, stack = 0, [(t, 0)]

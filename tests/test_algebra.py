@@ -479,3 +479,19 @@ def test_canonical_relabeling_breaks_ties_by_the_first_extension():
     tied = [ext for ext in linear_extensions(alg) if relabel(alg, extension_perm(ext)) == canon]
     assert len(tied) == 6
     assert perm == extension_perm(tied[0]) == (0, 1, 2, 3, 6, 4, 5, 7)
+
+
+def test_canonical_relabeling_compares_box_at_tied_leaves():
+    # The lattices 2x2x2 and 2x2x3 of these products have automorphisms that
+    # move their box, so extensions that reach the least meet table, and with
+    # it the least join and impl, still differ in box.
+    rng = random.Random(20170602)
+    six = build_catalog(VarietyClass("ws5"), 6).of_size(6)[0]
+    for alg in (product(two_ws5(), b4_disc()), product(two_ws5(), six)):
+        for x in (alg, *(random_relabeling(alg, rng) for _ in range(3))):
+            perm, canon = canonical_relabeling(x)
+            tied = [relabel(x, extension_perm(ext)) for ext in linear_extensions(x)]
+            tied = [t for t in tied if t.meet == canon.meet]
+            assert all(t.join == canon.join and t.impl == canon.impl for t in tied)
+            assert any(t.box != canon.box for t in tied)
+            assert (perm, canon) == brute_canonical_relabeling(x)

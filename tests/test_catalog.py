@@ -1,10 +1,13 @@
 import importlib.util
 import itertools
 import pathlib
+from collections import Counter
+from functools import reduce
 
 import pytest
 
 from finheyt.algebra import (
+    FiniteAlgebra,
     VarietyClass,
     canonical_form,
     derive_operations,
@@ -15,6 +18,11 @@ from finheyt.catalog import (
     MAX_LATTICE_SIZE,
     Catalog,
     _antitone_involutions,
+    _automorphisms,
+    _boolean_atom_sets,
+    _forced_dimpl,
+    _forced_dualneg,
+    _stabilizes_at,
     build_catalog,
     decorate,
     enum_distributive_lattices,
@@ -217,3 +225,82 @@ def test_antitone_involutions_match_unpruned_search():
             assert found == list(antitone_involutions_oracle(lat)), lat.name
             total += len(found)
     assert total == 102
+
+
+def automorphisms_oracle(lat):
+    """Every meet-preserving permutation, by a backtrack with no size pruning."""
+    n, meet = lat.size, lat.meet
+    sigma = [-1] * n
+    out = []
+
+    def rec(a):
+        if a == n:
+            out.append(tuple(sigma))
+            return
+        for v in range(n):
+            if v in sigma:
+                continue
+            sigma[a] = v
+            if all(sigma[meet[a][b]] == meet[v][sigma[b]] for b in range(a)):
+                rec(a + 1)
+            sigma[a] = -1
+
+    rec(0)
+    return out
+
+
+def test_automorphisms_match_unpruned_search():
+    orders = Counter()
+    for n in range(1, 11):
+        for lat in enum_distributive_lattices(n):
+            autos = _automorphisms(lat)
+            assert autos == automorphisms_oracle(lat), lat.name
+            orders[len(autos)] += 1
+    assert orders == {1: 41, 2: 41, 4: 20, 6: 6, 8: 1}  # group orders of the 109 lattices
+
+
+def decorate_oracle(cls, lat):
+    """decorate as it was, with a canonical-form search on every valid candidate."""
+    if cls.kind == "heyting":
+        return [lat]
+    cands = []
+    if cls.kind == "ws5":
+        for atoms in _boolean_atom_sets(lat):
+            box = tuple(
+                reduce(lambda x, y: lat.join[x][y], (e for e in atoms if lat.le(e, a)), 0)
+                for a in lat.elements
+            )
+            cands.append(FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, box=box))
+    elif cls.kind == "hri":
+        for inv in _antitone_involutions(lat):
+            if any(inv[lat.neg[a]] != lat.neg[lat.neg[a]] for a in lat.elements):
+                continue
+            box = tuple(lat.neg[inv[a]] for a in lat.elements)
+            cands.append(FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl,
+                                       box=box, invol=inv))
+    else:
+        dualneg = _forced_dualneg(lat)
+        if not _stabilizes_at(lat, dualneg, cls.level):
+            return []
+        extra = {"dualneg": dualneg}
+        if cls.kind == "dht":
+            extra["dimpl"] = _forced_dimpl(lat)
+        cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, **extra)
+        return [canonical_form(derive_operations(cand))]
+    found = {}
+    for cand in cands:
+        if validate(cand).valid:
+            canon = canonical_form(cand)
+            found.setdefault(serial_key(canon), canon)
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("cls", ["heyting", "ws5", "hri", "hdp:1", "hdp:2", "dht:1", "dht:2"])
+def test_decorate_matches_canonical_form_search(cls):
+    cls = VarietyClass.parse(cls)
+    for n in range(1, 11):
+        for lat in enum_distributive_lattices(n):
+            found = decorate(cls, lat)
+            assert found == decorate_oracle(cls, lat), lat.name
+            if cls.kind in ("hdp", "dht"):
+                assert all(canonical_form(a) == a for a in found)

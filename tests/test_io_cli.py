@@ -17,7 +17,7 @@ from finheyt.fixtures import (
     catalog_fixtures,
     two_ws5,
 )
-from finheyt.terms import print_term
+from finheyt.terms import MAX_PRESENTATION_VARS, print_term
 
 
 @pytest.fixture()
@@ -263,6 +263,40 @@ def test_cli_projective_deeply_nested_presentation_exits_2(tmp_path, capsys):
         pres.write_text(json.dumps({"vars": ["x"], "atoms": [{"lhs": lhs, "rhs": "x"}]}))
         code, _, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
         assert code == 2 and ("nests deeper" in err or "higher than" in err)
+
+
+def test_cli_projective_presentation_with_too_many_variables_exits_2(tmp_path, capsys):
+    names = [f"x{i}" for i in range(MAX_PRESENTATION_VARS + 1)]
+    conj = " & ".join(names)
+    pres = tmp_path / "wide.json"
+    pres.write_text(json.dumps({"vars": names, "atoms": [{"lhs": conj, "rhs": f"!({conj})"}]}))
+    code, out, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
+    assert code == 2 and out == "" and "21 variables" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"vars": [[1]], "atoms": []}, "not a string"),
+    ({"vars": ["x", "x"], "atoms": [{"lhs": "x", "rhs": "x"}]}, "repeat a name"),
+], ids=["non-string-variable", "duplicate-variable"])
+def test_cli_projective_ill_typed_presentation_exits_2(tmp_path, capsys, data, message):
+    pres = tmp_path / "bad.json"
+    pres.write_text(json.dumps(data))
+    with pytest.raises(MalformedAlgebraError):
+        io.read_presentation(pres)
+    code, out, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
+    assert code == 2 and out == "" and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "profile"])
+def test_cli_non_string_algebra_name_exits_2(tmp_path, capsys, command):
+    data = io.algebra_to_dict(two_ws5())
+    data["name"] = ["TwoWS5"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedAlgebraError):
+        io.read_algebra(path)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2 and out == "" and "'name' has wrong type" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
