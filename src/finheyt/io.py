@@ -125,11 +125,13 @@ def read_presentation(path) -> DefiningPair:
     data = _load_json(path)
     names = _expect(data, "vars", list, str(path))
     atoms = _expect(data, "atoms", list, str(path))
+    seen: set = set()
     for v in names:
         if not isinstance(v, str):
             raise MalformedAlgebraError(f"{path}: variable {v!r} is not a string")
-    if len(set(names)) != len(names):
-        raise MalformedAlgebraError(f"{path}: variables {names} repeat a name")
+        if v in seen:
+            raise MalformedAlgebraError(f"{path}: variable {v!r} is declared twice")
+        seen.add(v)
     return DefiningPair(
         tuple(names),
         tuple(_equation_from_dict(a, f"{path}.atoms[{i}]") for i, a in enumerate(atoms)),

@@ -276,7 +276,7 @@ def test_cli_projective_presentation_with_too_many_variables_exits_2(tmp_path, c
 
 @pytest.mark.parametrize("data, message", [
     ({"vars": [[1]], "atoms": []}, "not a string"),
-    ({"vars": ["x", "x"], "atoms": [{"lhs": "x", "rhs": "x"}]}, "repeat a name"),
+    ({"vars": ["x", "x"], "atoms": [{"lhs": "x", "rhs": "x"}]}, "declared twice"),
 ], ids=["non-string-variable", "duplicate-variable"])
 def test_cli_projective_ill_typed_presentation_exits_2(tmp_path, capsys, data, message):
     pres = tmp_path / "bad.json"
