@@ -172,7 +172,7 @@ def _cmd_rho(args) -> int:
 def _cmd_alpha(args) -> int:
     alg = _load(args.file)
     formula = decision.diagram_alpha(two_element(alg.cls))
-    found = decision.satisfying_assignment(alg, formula)
+    found = terms.satisfying_assignment(alg, formula)
     witness = None if found is None else [found["x"], found["y"]]
     record = {"command": "alpha", "holds": found is not None, "witness": witness}
     human = f"alpha holds: {found is not None}" + (f" witness (x, y) = {tuple(witness)}"

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finheyt.terms import Var, discriminator_term, eval_term
+from finheyt.terms import Var, discriminator_term
+from term_oracle import eval_term
 
 from finheyt.algebra import (
     LEVELED,

@@ -8,20 +8,13 @@ from hypothesis import strategies as st
 from finheyt.algebra import VarietyClass, relabel
 from finheyt.congruence import principal_congruence, product, quotient
 from finheyt.decision import (
-    FirstOrderFormula,
-    FoAnd,
-    FoAtom,
-    FoNot,
-    FoOr,
     decide_projective_finite,
     decide_projective_fp,
     diagram_alpha,
     diagram_beta,
     element_criterion,
-    eval_formula,
     primitive_report,
     rho,
-    satisfying_assignment,
 )
 from finheyt.fixtures import (
     b4_disc,
@@ -43,16 +36,26 @@ from finheyt.terms import (
     Diamond,
     Dimpl,
     Dualneg,
+    FirstOrderFormula,
+    FoAnd,
+    FoAtom,
+    FoNot,
+    FoOr,
     Impl,
     Invol,
     Join,
     Meet,
     Neg,
+    QuasiCheck,
+    Quasiidentity,
     Var,
-    eval_term,
+    check_quasiidentity,
+    eval_formula,
     parse_term,
     satisfy_atoms,
+    satisfying_assignment,
 )
+from term_oracle import eval_term, quasiidentity_oracle, satisfy_atoms_oracle
 
 
 def naive_eval(alg, formula, start=0, env=None):
@@ -201,7 +204,7 @@ def test_diagram_alpha_structure_for_two():
     ors = [c for c in conjuncts if isinstance(c, FoOr)]
     assert len(ors) == 1 and len(ors[0].args) == 2
     # every atom got relativized: both sides mention the discriminator variables x,y
-    from finheyt.decision import formula_vars
+    from finheyt.terms import formula_vars
 
     for c in conjuncts:
         assert {"x", "y"} <= formula_vars(c)
@@ -294,14 +297,10 @@ def _operations(alg):
     return unary, binary
 
 
-@st.composite
-def _prenex_formulas(draw, alg):
-    """Closed prenex formulas over 1-4 variables with mixed quantifiers."""
-    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
-    quants = draw(st.lists(st.sampled_from(["exists", "forall"]),
-                           min_size=len(names), max_size=len(names)))
+def _terms_over(alg, names):
+    """Terms in alg's operations over the constants and the given variables."""
     unary, binary = _operations(alg)
-    terms_ = st.recursive(
+    return st.recursive(
         st.sampled_from([CONST0, CONST1, *map(Var, names)]),
         lambda kids: st.one_of(
             st.builds(lambda op, a: op(a), st.sampled_from(unary), kids),
@@ -309,6 +308,15 @@ def _prenex_formulas(draw, alg):
         ),
         max_leaves=6,
     )
+
+
+@st.composite
+def _prenex_formulas(draw, alg):
+    """Closed prenex formulas over 1-4 variables with mixed quantifiers."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    quants = draw(st.lists(st.sampled_from(["exists", "forall"]),
+                           min_size=len(names), max_size=len(names)))
+    terms_ = _terms_over(alg, names)
     matrix = st.recursive(
         st.builds(FoAtom, terms_, terms_),
         lambda kids: st.one_of(
@@ -334,6 +342,70 @@ def test_staged_evaluator_matches_naive_on_random_formulas(small_algebras, data)
     want = naive_witness(alg, formula)
     assert satisfying_assignment(alg, formula) == want
     assert eval_formula(alg, formula) == naive_eval(alg, formula) == (want is not None)
+
+
+@st.composite
+def _quasiidentities(draw, alg):
+    """Quasiidentities with 0-3 premises over at most 3 variables."""
+    terms_ = _terms_over(alg, ["u", "v", "w"])
+    equation = st.tuples(terms_, terms_)
+    return Quasiidentity(tuple(draw(st.lists(equation, max_size=3))), draw(equation))
+
+
+@st.composite
+def _presentations(draw, alg):
+    """Presentations with 0-3 atoms over 0-4 declared variables, not all of them used."""
+    names = tuple(f"v{i}" for i in range(draw(st.integers(0, 4))))
+    terms_ = _terms_over(alg, names)
+    equation = st.tuples(terms_, terms_)
+    return DefiningPair(names, tuple(draw(st.lists(equation, max_size=3))))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_quasiidentity_matches_oracle_on_random_quasiidentities(small_algebras, data):
+    alg = data.draw(st.sampled_from(small_algebras), label="algebra")
+    q = data.draw(_quasiidentities(alg), label="quasiidentity")
+    holds, witness = quasiidentity_oracle(alg, q)
+    assert check_quasiidentity(alg, q) == QuasiCheck(holds, witness)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_satisfy_atoms_matches_oracle_on_random_presentations(small_algebras, data):
+    alg = data.draw(st.sampled_from(small_algebras), label="algebra")
+    pair = data.draw(_presentations(alg), label="presentation")
+    assert satisfy_atoms(alg, pair) == satisfy_atoms_oracle(alg, pair)
+
+
+_EDGE_QUASIIDENTITIES = [
+    Quasiidentity((), (CONST0, CONST1)),                       # no variable, no premise
+    Quasiidentity(((CONST0, CONST1),), (CONST0, CONST1)),      # no variable, false premise
+    Quasiidentity(((CONST1, CONST1),), (CONST1, CONST1)),      # no variable, holds
+    Quasiidentity((), (Var("x"), Var("x"))),                   # no premise, holds
+    Quasiidentity((), (Box(Var("x")), Var("x"))),              # no premise, fails on most
+]
+_EDGE_PRESENTATIONS = [
+    DefiningPair((), ()),
+    DefiningPair((), ((CONST0, CONST1),)),
+    DefiningPair(("x", "y"), ()),
+    DefiningPair(("x", "y"), ((Var("y"), Neg(Var("y"))),)),
+]
+
+
+def test_quasiidentity_and_presentation_edge_cases_match_oracle(small_algebras):
+    for alg in small_algebras:
+        for q in _EDGE_QUASIIDENTITIES:
+            holds, witness = quasiidentity_oracle(alg, q)
+            assert check_quasiidentity(alg, q) == QuasiCheck(holds, witness), (alg.name, q)
+        for pair in _EDGE_PRESENTATIONS:
+            assert satisfy_atoms(alg, pair) == satisfy_atoms_oracle(alg, pair), (alg.name, pair)
+
+
+def test_rho_matches_oracle_on_the_catalogs(nontrivial_algebras):
+    for alg in nontrivial_algebras:
+        holds, witness = quasiidentity_oracle(alg, rho())
+        assert check_quasiidentity(alg, rho()) == QuasiCheck(holds, witness), alg.name
 
 
 def test_alpha_witness_is_the_lex_first_pair():

@@ -287,6 +287,19 @@ def test_cli_projective_ill_typed_presentation_exits_2(tmp_path, capsys, data, m
     assert code == 2 and out == "" and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("atoms", [
+    [{"lhs": "x", "rhs": "!x"}, {"lhs": "~x", "rhs": "x"}],
+    [{"lhs": "~x", "rhs": "x"}, {"lhs": "x", "rhs": "!x"}],
+], ids=["unsatisfiable-atom-first", "ill-typed-atom-first"])
+def test_cli_projective_ill_typed_atom_exits_2_in_any_order(tmp_path, capsys, atoms):
+    # x = !x fails under every assignment, so an evaluator that checks atoms in
+    # order would never reach ~x, which ws5 lacks.
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"vars": ["x"], "atoms": atoms}))
+    code, out, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)
+    assert code == 2 and out == "" and "operation ~ unavailable" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "profile"])
 def test_cli_non_string_algebra_name_exits_2(tmp_path, capsys, command):
     data = io.algebra_to_dict(two_ws5())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finheyt.congruence import product
+from finheyt.decision import diagram_alpha
 from finheyt.errors import TermEvalError, TermParseError
 from finheyt.fixtures import b4_prod, c3_hdp, c3_hri, c3_simple, catalog_fixtures, two_ws5
 from finheyt.morphism import subalgebra_closure
@@ -25,12 +26,14 @@ from finheyt.terms import (
     Quasiidentity,
     Var,
     check_quasiidentity,
-    eval_term,
     parse_term,
     print_term,
     satisfy_atoms,
+    _atoms_formula,
+    _plan,
     term_vars,
 )
+from term_oracle import eval_term
 
 
 def test_parse_examples():
@@ -171,6 +174,53 @@ def test_rho_in_product_does_not_reflect_to_factors():
     prod = product(two_ws5(), c3_simple())
     assert check_quasiidentity(prod, RHO).holds
     assert not check_quasiidentity(c3_simple(), RHO).holds
+
+
+def test_missing_operation_raises_whatever_the_premises():
+    # x = !x holds under no assignment, so the conclusion is never compared;
+    # the missing ~ table is still an error.
+    x = Var("x")
+    q = Quasiidentity(((x, Neg(x)),), (Invol(x), x))
+    with pytest.raises(TermEvalError):
+        check_quasiidentity(two_ws5(), q)
+    with pytest.raises(TermEvalError):
+        satisfy_atoms(two_ws5(), DefiningPair(("x",), q.premises + (q.conclusion,)))
+
+
+def _wide_plan(body: str):
+    """The plan of the 20-variable presentation body = !(body)."""
+    names = tuple(f"x{i}" for i in range(20))
+    t = parse_term(body)
+    return _plan(_atoms_formula(DefiningPair(names, ((t, Neg(t)),))))
+
+
+def test_plan_does_not_memoise_a_level_that_sees_every_variable_above_it():
+    # Each (x_i & x19) is computed at the last level and reads every x_i, so
+    # every frontier holds all the variables above it and no key can repeat.
+    star = _wide_plan(" | ".join(f"(x{i} & x19)" for i in range(19)))
+    assert star.frontier == (None,) * 20
+
+
+def test_plan_memoises_a_chain_on_its_running_meet():
+    # Level d reads only x0 & ... & x(d-1) from above.  Levels 0 and 1 see
+    # every variable above them (none, and x0 itself), so only they are left
+    # unmemoised.
+    chain = _wide_plan(" & ".join(f"x{i}" for i in range(20)))
+    assert chain.frontier[:2] == (None, None)
+    running = 0  # the slot of x0 & ... & x(d-1); slot d holds x_d
+    for d in range(2, 20):
+        running = chain.slots.index(("meet", running, d - 1))
+        assert chain.frontier[d] == (running,)
+
+
+def test_plan_memoises_alpha_below_x_and_y():
+    # Below y, alpha reads [](x<->y) and the other subterms that determine the
+    # discriminator, never x or y themselves, so (x, y) pairs share memo hits.
+    plan = _plan(diagram_alpha(two_ws5()))
+    assert plan.names[:2] == ("x", "y")
+    assert plan.frontier[:2] == (None, None)
+    for key in plan.frontier[2:]:
+        assert key and not set(key) & {0, 1}
 
 
 def test_satisfy_atoms_examples():
