@@ -118,10 +118,9 @@ or in the recursive functions that later walk the term."""
 MAX_PRESENTATION_VARS = 20
 """decision.decide_projective_fp searches the 2^k assignments of a presentation's
 k variables in the two-element algebra on the staged plan (see ``_plan``).  At
-k = 20, on one core under CPython 3.11, x0 & ... & x19 = !(x0 & ... & x19) takes
-0.01 s (memoised on the running meet), and (x0 & x19) | ... | (x18 & x19) = !(...)
-visits every assignment in about 3.4 s and 17 MB; the cost also grows with the
-size of the terms at the last level.  More variables raise ValueError."""
+k = 20 under CPython 3.11, x0 & ... & x19 = !(x0 & ... & x19) takes 0.01 s, and
+(x0 & x1 & x19) | (x1 & x19) | ... | (x18 & x19) = !(...) about 5 s at 20 MB of
+peak RSS.  More variables raise ValueError."""
 
 
 def _height(t: Term) -> int:
@@ -394,7 +393,10 @@ TABLE_OF = {Meet: "meet", Join: "join", Impl: "impl", Dimpl: "dimpl", Neg: "neg"
             Box: "box", Invol: "invol", Dualneg: "dualneg"}
 """The FiniteAlgebra table each operation node reads; a Diamond is read as ![]!."""
 
-_SYMBOL = {TABLE_OF[node]: sym for node, sym in (_PREFIX | _BINARY).items() if node in TABLE_OF}
+_MEMO_ENTRIES = 1 << 14
+"""The most memo entries one satisfying_assignment call stores over all levels;
+rarely repeating keys would keep about one per outer assignment (200 MB for the
+presentation in MAX_PRESENTATION_VARS).  alpha at 36 elements stores 1,800."""
 
 
 @dataclass(frozen=True)
@@ -408,7 +410,7 @@ class _Plan:
     trailing slots are the level's remaining ones, read only deeper.  A check is
     ("atom", l, r), ("not", check), ("and", checks) or ("or", checks).
     ``frontier[d]`` is the memo key of depth d's search, or None where it is
-    not memoised.
+    not memoised.  ``symbols`` maps each table to the operator first written for it.
     """
 
     exists: tuple[bool, ...]
@@ -416,6 +418,7 @@ class _Plan:
     slots: tuple[tuple, ...]
     levels: tuple[tuple, ...]
     frontier: tuple[tuple[int, ...] | None, ...]
+    symbols: dict
 
 
 def _conjuncts(f: Formula):
@@ -433,6 +436,7 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
     slots: list[tuple] = []
     slot_depth: list[int] = []
     slot_of: dict = {}
+    symbols: dict = {}
 
     def intern(key, depth):
         if key not in slot_of:
@@ -443,6 +447,7 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
 
     def term(t: Term) -> int:
         if isinstance(t, Diamond):
+            symbols.setdefault("box", "<>")
             t = Neg(Box(Neg(t.arg)))
         if isinstance(t, Var):
             return slot_of[("var", depth_of[t.name])]
@@ -450,6 +455,7 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
             return intern(("const", t.value), -1)
         if type(t) not in TABLE_OF:
             raise TypeError(f"not a term: {t!r}")
+        symbols.setdefault(TABLE_OF[type(t)], (_PREFIX | _BINARY)[type(t)])
         args = tuple(map(term, (t.arg,) if hasattr(t, "arg") else (t.left, t.right)))
         return intern((TABLE_OF[type(t)], *args), max(slot_depth[a] for a in args))
 
@@ -510,6 +516,7 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         slots=tuple(slots),
         levels=tuple(levels),
         frontier=tuple(reversed(frontier)),
+        symbols=symbols,
     )
 
 
@@ -539,7 +546,7 @@ def _bind_level(plan: _Plan, level, alg: FiniteAlgebra, val: list):
         name, *args = plan.slots[s]
         table = getattr(alg, name)
         if table is None:
-            raise TermEvalError(f"operation {_SYMBOL[name]} unavailable for class {alg.cls}")
+            raise TermEvalError(f"operation {plan.symbols[name]} unavailable for class {alg.cls}")
         if len(args) == 1:
             return s, tuple((c,) for c in table), args[0], zero
         return s, table, *args
@@ -549,9 +556,9 @@ def _bind_level(plan: _Plan, level, alg: FiniteAlgebra, val: list):
             tuple(map(op, trailing)))
 
 
-def _search(exists: bool, slot: int, level, frontier, inner, n: int, val: list):
+def _search(exists: bool, slot: int, level, frontier, inner, n: int, val: list, room: list):
     """The search over one quantifier's variable, memoised on its frontier
-    unless that is None.
+    unless that is None, while room[0], the entries left to store, is positive.
 
     It returns None when the subformula fails, else the values of the
     existential variables bound from here up to the first universal one: an
@@ -589,7 +596,10 @@ def _search(exists: bool, slot: int, level, frontier, inner, n: int, val: list):
         k = key(val)
         if k in memo:
             return memo[k]
-        memo[k] = out = search()
+        out = search()
+        if room[0]:
+            room[0] -= 1
+            memo[k] = out
         return out
 
     return memoised
@@ -603,7 +613,8 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     staged plan of the formula (see ``_plan``); memoised subtrees return the
     same values a fresh search would, so the assignment is the lex-first one.
     Every table the formula reads is bound before the search starts, so a
-    missing operation raises TermEvalError whatever the values.
+    missing operation raises TermEvalError whatever the values.  Past
+    _MEMO_ENTRIES stored entries, the memos stop storing and levels recompute.
     """
     plan = _plan(formula)
     val = [0] * (len(plan.slots) + 1)
@@ -611,12 +622,13 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
         if key[0] == "const":
             val[s] = 0 if key[1] == 0 else alg.top
     levels = [_bind_level(plan, level, alg, val) for level in plan.levels]
-    inner = None
+    inner, room = None, [_MEMO_ENTRIES]
     for d in reversed(range(len(plan.names))):
-        inner = _search(plan.exists[d], d, levels[d + 1], plan.frontier[d], inner, alg.size, val)
+        inner = _search(plan.exists[d], d, levels[d + 1], plan.frontier[d], inner, alg.size,
+                        val, room)
     # The constant level runs first and once: an existential over the single
     # value 0 of the spare slot.
-    values = _search(True, len(plan.slots), levels[0], None, inner, 1, val)()
+    values = _search(True, len(plan.slots), levels[0], None, inner, 1, val, room)()
     return None if values is None else dict(zip(plan.names, values[1:]))
 
 
@@ -634,13 +646,6 @@ def _failure_formula(q: Quasiidentity) -> FirstOrderFormula:
     return FirstOrderFormula(tuple(("exists", v) for v in q.variables()), matrix)
 
 
-@lru_cache(maxsize=32)
-def _atoms_formula(pair: DefiningPair) -> FirstOrderFormula:
-    """exists pair's variables: every atom."""
-    matrix = FoAnd(tuple(FoAtom(l, r) for l, r in pair.atoms))
-    return FirstOrderFormula(tuple(("exists", v) for v in pair.variables), matrix)
-
-
 def check_quasiidentity(alg: FiniteAlgebra, q: Quasiidentity) -> QuasiCheck:
     """Exhaustively test q on a nontrivial algebra; witness is the lex-first failing env.
 
@@ -653,4 +658,6 @@ def check_quasiidentity(alg: FiniteAlgebra, q: Quasiidentity) -> QuasiCheck:
 
 def satisfy_atoms(alg: FiniteAlgebra, pair: DefiningPair) -> dict | None:
     """Lexicographically first assignment of pair.variables satisfying every atom, or None."""
-    return satisfying_assignment(alg, _atoms_formula(pair))
+    prefix = tuple(("exists", v) for v in pair.variables)
+    matrix = FoAnd(tuple(FoAtom(l, r) for l, r in pair.atoms))
+    return satisfying_assignment(alg, FirstOrderFormula(prefix, matrix))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finheyt import terms
 from finheyt.algebra import VarietyClass, relabel
 from finheyt.congruence import principal_congruence, product, quotient
 from finheyt.decision import (
@@ -413,6 +414,18 @@ def test_alpha_witness_is_the_lex_first_pair():
     alpha = diagram_alpha(two_ws5())
     assert satisfying_assignment(alg, alpha) == naive_witness(alg, alpha)
     assert satisfying_assignment(b4_disc(), alpha) is None
+
+
+def test_memo_budget_keeps_the_answers(monkeypatch):
+    # Past the budget a level recomputes instead of looking up; the answers
+    # and witnesses stay those of the brute force.
+    monkeypatch.setattr(terms, "_MEMO_ENTRIES", 3)
+    for alg in (b4_prod(), b4_disc(), b4_hri(), c3_hri()):
+        alpha = diagram_alpha(two_element(alg.cls))
+        assert satisfying_assignment(alg, alpha) == naive_witness(alg, alpha), alg.name
+    for alg in (two_ws5(), c3_simple()):
+        holds, witness = quasiidentity_oracle(alg, rho())
+        assert check_quasiidentity(alg, rho()) == QuasiCheck(holds, witness), alg.name
 
 
 @pytest.mark.parametrize("factors", [

@@ -300,6 +300,15 @@ def test_cli_projective_ill_typed_atom_exits_2_in_any_order(tmp_path, capsys, at
     assert code == 2 and out == "" and "operation ~ unavailable" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lhs, symbol", [("<>x", "<>"), ("[]x", "[]")])
+def test_cli_projective_missing_box_names_the_operator_written(tmp_path, capsys, lhs, symbol):
+    # <> is evaluated as ![]!, but the message names the operator the atom uses.
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"vars": ["x"], "atoms": [{"lhs": lhs, "rhs": "x"}]}))
+    code, out, err = run_cli(capsys, "projective", "--class", "heyting", "--presentation", pres)
+    assert code == 2 and out == "" and f"operation {symbol} unavailable" in err
+
+
 @pytest.mark.parametrize("command", ["validate", "profile"])
 def test_cli_non_string_algebra_name_exits_2(tmp_path, capsys, command):
     data = io.algebra_to_dict(two_ws5())

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from finheyt.terms import (
     Box,
     DefiningPair,
     Diamond,
+    FirstOrderFormula,
+    FoAtom,
     Dimpl,
     Dualneg,
     Impl,
@@ -29,7 +32,6 @@ from finheyt.terms import (
     parse_term,
     print_term,
     satisfy_atoms,
-    _atoms_formula,
     _plan,
     term_vars,
 )
@@ -188,10 +190,10 @@ def test_missing_operation_raises_whatever_the_premises():
 
 
 def _wide_plan(body: str):
-    """The plan of the 20-variable presentation body = !(body)."""
-    names = tuple(f"x{i}" for i in range(20))
+    """The plan of exists x0..x19: body = !(body), as satisfy_atoms builds it."""
     t = parse_term(body)
-    return _plan(_atoms_formula(DefiningPair(names, ((t, Neg(t)),))))
+    prefix = tuple(("exists", f"x{i}") for i in range(20))
+    return _plan(FirstOrderFormula(prefix, FoAtom(t, Neg(t))))
 
 
 def test_plan_does_not_memoise_a_level_that_sees_every_variable_above_it():
@@ -211,6 +213,37 @@ def test_plan_memoises_a_chain_on_its_running_meet():
     for d in range(2, 20):
         running = chain.slots.index(("meet", running, d - 1))
         assert chain.frontier[d] == (running,)
+
+
+def _near_star(k: int) -> DefiningPair:
+    """The star with (x0 & xl) widened to (x0 & x1 & xl), xl the last of k
+    variables: x0 is read only through x0 & x1, so every level from 2 on is
+    memoised, on keys that rarely repeat."""
+    last = f"x{k - 1}"
+    body = " | ".join([f"(x0 & x1 & {last})"] + [f"(x{i} & {last})" for i in range(1, k - 1)])
+    t = parse_term(body)
+    return DefiningPair(tuple(f"x{i}" for i in range(k)), ((t, Neg(t)),))
+
+
+def test_plan_memoises_the_near_star_from_level_2():
+    pair = _near_star(20)
+    plan = _plan(FirstOrderFormula(tuple(("exists", v) for v in pair.variables),
+                                   FoAtom(*pair.atoms[0])))
+    assert plan.frontier[:2] == (None, None)
+    assert all(len(plan.frontier[d]) == d for d in range(2, 20))
+
+
+def test_memo_budget_bounds_memory_on_the_near_star():
+    # Unbounded, the memos of the 16-variable near star hold about 49,000
+    # keys of up to 15 slots, 8.4 MB at the peak under CPython 3.11; the
+    # budget keeps them to _MEMO_ENTRIES, 3.0 MB at the peak.
+    tracemalloc.start()
+    try:
+        assert satisfy_atoms(two_ws5(), _near_star(16)) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_plan_memoises_alpha_below_x_and_y():
