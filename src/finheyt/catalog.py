@@ -9,9 +9,13 @@ serial key of the canonical form of their downset lattice.
 Every enumerated lattice is thus a canonical form, and a decoration keeps its
 meet, join and impl tables.  So the relabelings that canonicalise a decoration
 are the automorphisms of the lattice, and the least of its box and invol tables
-under them gives its canonical form without a search.  The tables of the
-leveled classes are defined from the lattice alone, so every automorphism fixes
-them and those decorations are canonical as built.
+under them gives its canonical form without a search.  One backtrack over
+lattice maps finds both those automorphisms and the dual automorphisms, whose
+involutive members are the invol tables of the hri candidates; the ws5
+candidates come from the lattice's Boolean sublattices.  The ws5 and hri
+candidates share one tail: validate, canonicalise, dedupe, sort.  The tables of
+the leveled classes are defined from the lattice alone, so every automorphism
+fixes them and those decorations are canonical as built.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .algebra import (
     VarietyClass,
     canonical_form,
     derive_operations,
-    derived_box_hdp,
+    inferred_level,
     relabeled_tables,
     serial_key,
     validate,
@@ -98,17 +102,23 @@ def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
 
 # -- decorations --------------------------------------------------------------
 
-def _automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Every automorphism of a lattice whose labels extend its order, old->new.
+def _automorphisms(lat: FiniteAlgebra, dual: bool = False) -> list[tuple[int, ...]]:
+    """Every automorphism of a lattice whose labels extend its order, old->new;
+    with dual, every dual automorphism (a bijection sending meets to joins).
 
-    A meet-preserving bijection maps the downset and the upset of a onto those
-    of its image, so sigma[a] = v is tried only when |down a| = |down v| and
-    |up a| = |up v|.  Elements are assigned in label order, and a meet of a with
-    a smaller label is below it, so it is assigned before a is checked.
+    An automorphism maps the downset and the upset of a onto those of its image,
+    and a dual one maps them onto the upset and the downset, so sigma[a] = v is
+    tried only when (|down v|, |up v|) is (|down a|, |up a|), or (|up a|,
+    |down a|) with dual.  Elements are assigned in label order, and a meet of a
+    with a smaller label is below it, so it is assigned before a is checked.
+    Values are tried in ascending order, so the maps come in lexicographic order.
     """
     n, meet = lat.size, lat.meet
+    image = lat.join if dual else meet
     down = [sum(meet[x][a] == x for x in range(n)) for a in range(n)]
     up = [sum(meet[a][x] == a for x in range(n)) for a in range(n)]
+    shape = list(zip(down, up))
+    want = list(zip(up, down)) if dual else shape
     sigma = [-1] * n
     used = [False] * n
     out = []
@@ -118,10 +128,10 @@ def _automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
             out.append(tuple(sigma))
             return
         for v in range(n):
-            if used[v] or down[v] != down[a] or up[v] != up[a]:
+            if used[v] or shape[v] != want[a]:
                 continue
             sigma[a] = v
-            if all(sigma[meet[a][b]] == meet[v][sigma[b]] for b in range(a)):
+            if all(sigma[meet[a][b]] == image[v][sigma[b]] for b in range(a)):
                 used[v] = True
                 rec(a + 1)
                 used[v] = False
@@ -130,15 +140,27 @@ def _automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
     return out
 
 
-def _least_relabeling(cand: FiniteAlgebra, autos) -> FiniteAlgebra:
-    """canonical_form(cand) for a decoration of a canonical lattice with automorphisms autos.
+def _antitone_involutions(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """All unary tables that are involutive order anti-automorphisms, in lexicographic order."""
+    return [s for s in _automorphisms(lat, dual=True) if all(s[s[a]] == a for a in lat.elements)]
+
+
+def _canonical_decorations(lat: FiniteAlgebra, candidates) -> list[FiniteAlgebra]:
+    """The valid candidates, canonical, deduplicated and sorted by serial key.
 
     The relabelings that reach the lattice's own, least, meet table are exactly
     its automorphisms; each extends the order, since the labels do, and fixes
-    meet, join and impl.  So only box and invol are relabeled and compared.
+    meet, join and impl.  So the canonical form of a decoration is its least
+    relabeling over Aut(lat), and only box and invol are relabeled and compared.
     """
-    box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
-    return replace(cand, box=box, invol=invol)
+    found, autos = {}, None
+    for cand in candidates:
+        if validate(cand).valid:
+            autos = autos or _automorphisms(lat)
+            box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
+            canon = replace(cand, box=box, invol=invol)
+            found.setdefault(serial_key(canon), canon)
+    return [found[k] for k in sorted(found)]
 
 
 def _boolean_atom_sets(lat: FiniteAlgebra):
@@ -164,83 +186,24 @@ def _boolean_atom_sets(lat: FiniteAlgebra):
     yield from rec(1, 0)
 
 
-def _decorate_ws5(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
-    found, autos = {}, None
+def _ws5_candidates(lat: FiniteAlgebra):
     for atoms in _boolean_atom_sets(lat):
         # box a = the largest member of the Boolean sublattice below a
         box = tuple(
             reduce(lambda x, y: lat.join[x][y], (e for e in atoms if lat.le(e, a)), 0)
             for a in lat.elements
         )
-        cand = FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl, box=box)
-        if validate(cand).valid:
-            autos = autos or _automorphisms(lat)
-            canon = _least_relabeling(cand, autos)
-            found.setdefault(serial_key(canon), canon)
-    return [found[k] for k in sorted(found)]
+        yield FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl, box=box)
 
 
-def _antitone_involutions(lat: FiniteAlgebra):
-    """All unary tables that are involutive order anti-automorphisms.
-
-    Such a map sends the downset of a onto the upset of its image, so inv[a] = b
-    is tried only when |down a| = |up b|.  The condition is only necessary: it
-    skips branches that yield nothing, and ok still checks every survivor.
-    """
-    n = lat.size
-    le = [[lat.meet[a][c] == a for c in range(n)] for a in range(n)]
-    down = [sum(le[x][a] for x in range(n)) for a in range(n)]
-    up = [sum(le[b]) for b in range(n)]
-    inv = [-1] * n
-
-    def ok(a):
-        b = inv[a]
-        le_a, le_b = le[a], le[b]
-        for c in range(n):
-            ic = inv[c]
-            if ic == -1:
-                continue
-            if le_a[c] != le[ic][b] or le[c][a] != le_b[ic]:
-                return False
-        return True
-
-    def rec(a):
-        if a == n:
-            yield tuple(inv)
-            return
-        if inv[a] != -1:
-            yield from rec(a + 1)
-            return
-        for b in range(n):
-            if down[a] != up[b] or b in inv:
-                continue
-            if inv[b] != -1 and inv[b] != a:
-                continue
-            prev_b = inv[b]
-            inv[a] = b
-            inv[b] = a
-            if ok(a) and ok(b):
-                yield from rec(a + 1)
-            inv[a] = -1
-            inv[b] = prev_b if b != a else -1
-
-    yield from rec(0)
-
-
-def _decorate_hri(lat: FiniteAlgebra) -> list[FiniteAlgebra]:
-    found, autos = {}, None
+def _hri_candidates(lat: FiniteAlgebra):
     for inv in _antitone_involutions(lat):
         if any(inv[lat.neg[a]] != lat.neg[lat.neg[a]] for a in lat.elements):
             continue
         box = tuple(lat.neg[inv[a]] for a in lat.elements)
-        cand = FiniteAlgebra(
+        yield FiniteAlgebra(
             lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl, box=box, invol=inv
         )
-        if validate(cand).valid:
-            autos = autos or _automorphisms(lat)
-            canon = _least_relabeling(cand, autos)
-            found.setdefault(serial_key(canon), canon)
-    return [found[k] for k in sorted(found)]
 
 
 def _forced_dualneg(lat: FiniteAlgebra) -> tuple[int, ...]:
@@ -272,25 +235,16 @@ def _forced_dimpl(lat: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _stabilizes_at(lat: FiniteAlgebra, dualneg, level: int) -> bool:
-    bd = tuple(lat.neg[dualneg[a]] for a in lat.elements)
-    cur = tuple(lat.elements)
-    for _ in range(level):
-        cur = tuple(bd[c] for c in cur)
-    return tuple(bd[c] for c in cur) == cur
-
-
 def _decorate_leveled(lat: FiniteAlgebra, cls: VarietyClass) -> list[FiniteAlgebra]:
-    dualneg = _forced_dualneg(lat)
-    if not _stabilizes_at(lat, dualneg, cls.level):
+    cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, dualneg=_forced_dualneg(lat))
+    level = inferred_level(cand)
+    if level is None or level > cls.level:
         return []
-    extra = {"dualneg": dualneg}
     if cls.kind == "dht":
         dimpl = _forced_dimpl(lat)
-        if dualneg != tuple(dimpl[lat.top][a] for a in lat.elements):
+        if cand.dualneg != tuple(dimpl[lat.top][a] for a in lat.elements):
             raise TheoremViolation(f"forced dualneg disagrees with 1 -< a in {lat!r}")
-        extra["dimpl"] = dimpl
-    cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, **extra)
+        cand = replace(cand, dimpl=dimpl)
     # dualneg, dimpl and box are defined from the lattice, so every automorphism
     # fixes them, and cand is already canonical.
     return [derive_operations(cand)]  # fills box; raises if a WS5 box axiom breaks
@@ -308,9 +262,9 @@ def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
     if cls.kind == "heyting":
         return [lat]
     if cls.kind == "ws5":
-        return _decorate_ws5(lat)
+        return _canonical_decorations(lat, _ws5_candidates(lat))
     if cls.kind == "hri":
-        return _decorate_hri(lat)
+        return _canonical_decorations(lat, _hri_candidates(lat))
     return _decorate_leveled(lat, cls)
 
 

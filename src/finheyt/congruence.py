@@ -80,19 +80,10 @@ class Congruence:
         return Congruence(tuple(tuple(v) for v in groups.values()), self.size)
 
     def permutes_with(self, other: "Congruence") -> bool:
-        n = self.size
-
-        def compose(first, second):
-            out = set()
-            for a in range(n):
-                for b in range(n):
-                    if first.related(a, b):
-                        for c in range(n):
-                            if second.related(b, c):
-                                out.add((a, c))
-            return out
-
-        return compose(self, other) == compose(other, self)
+        """self o other relates a to c exactly when the self-block of a meets the
+        other-block of c, so both composites are read off the block pairs that meet."""
+        pairs = set(zip(self.class_of, other.class_of))
+        return all(((i, j) in pairs) == ((k, l) in pairs) for i, l in pairs for k, j in pairs)
 
 
 def _blocks_valid(alg: FiniteAlgebra, blocks) -> str | None:

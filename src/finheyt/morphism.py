@@ -35,12 +35,6 @@ class Homomorphism:
     def __call__(self, a: int) -> int:
         return self.map[a]
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self o inner (inner applied first)."""
-        if inner.cod != self.dom:
-            raise ValueError("composition domains do not line up")
-        return Homomorphism(inner.dom, self.cod, tuple(self.map[v] for v in inner.map))
-
     def inverse(self) -> "Homomorphism":
         if not (self.onto and self.injective):
             raise ValueError("only bijections invert")
@@ -48,10 +42,6 @@ class Homomorphism:
         for a, b in enumerate(self.map):
             inv[b] = a
         return Homomorphism(self.cod, self.dom, tuple(inv))
-
-    @classmethod
-    def identity(cls, alg: FiniteAlgebra) -> "Homomorphism":
-        return cls(alg, alg, tuple(alg.elements))
 
 
 def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
@@ -299,7 +289,7 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     return Homomorphism(a, b, tuple(back[y] for y in pa))
 
 
-def _sections(retract_of, onto_hom):
+def _sections(onto_hom):
     """Search injections psi with onto_hom o psi = id, choosing per congruence class."""
     p, b = onto_hom.dom, onto_hom.cod
     fibers = [[x for x in p.elements if onto_hom.map[x] == v] for v in b.elements]
@@ -360,7 +350,7 @@ def is_retract(p: FiniteAlgebra, b: FiniteAlgebra, factor_pair=None) -> RetractW
             if len(set(m)) != b.size:
                 continue
             phi = Homomorphism(p, b, m)
-            for sec in _sections(b, phi):
+            for sec in _sections(phi):
                 psi = Homomorphism(b, p, sec)
                 witness = RetractWitness(retraction=phi, injection=psi)
                 break

@@ -350,6 +350,23 @@ def test_inferred_level_examples():
     assert inferred_level(b4) == 0
 
 
+def test_level_far_above_the_size_answers_as_the_size():
+    """boxdot^k and the orbits of boxdot settle within size steps, so validate and
+    derive_operations at level 10**9 answer as at the size, without iterating
+    10**9 times."""
+    huge = replace(c3_hdp(), cls=VarietyClass("hdp", 10**9))
+    assert validate(huge).valid
+    assert derive_operations(huge) == huge
+    # with the identity as dualneg, boxdot on B4 is neg, a permutation that never settles
+    b4 = FiniteAlgebra(4, VarietyClass("hdp", 10**9), b4_prod().meet, b4_prod().join,
+                       b4_prod().impl, dualneg=(0, 1, 2, 3))
+    report = validate(b4)
+    moved = [v for name, v in report.violations if name == "boxdot-level"]
+    assert moved == [(0,), (1,), (2,), (3,)]
+    for level in (4, 5):
+        assert report == validate_oracle(replace(b4, cls=VarietyClass("hdp", level)))
+
+
 def test_element_profile_examples():
     prof = element_profile(b4_disc())
     assert prof.open == frozenset({0, 3})

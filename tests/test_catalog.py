@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import pathlib
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -22,7 +23,6 @@ from finheyt.catalog import (
     _boolean_atom_sets,
     _forced_dimpl,
     _forced_dualneg,
-    _stabilizes_at,
     build_catalog,
     decorate,
     enum_distributive_lattices,
@@ -177,6 +177,14 @@ def test_catalogs_match_golden_file_to_size_12():
     assert module.golden_text(12) == (root / "tests" / "data" / "catalog_golden_12.json").read_text()
 
 
+@pytest.mark.parametrize("kind", ["hdp", "dht"])
+def test_catalog_at_a_level_far_above_the_size_matches_level_8(kind):
+    huge = build_catalog(VarietyClass(kind, 10**9), 8)
+    eight = build_catalog(VarietyClass(kind, 8), 8)
+    assert len(eight.algebras) == 36
+    assert [replace(a, cls=eight.cls) for a in huge.algebras] == list(eight.algebras)
+
+
 def antitone_involutions_oracle(lat):
     """Every involutive order anti-automorphism, by a search with no size pruning."""
     n = lat.size
@@ -257,6 +265,54 @@ def test_automorphisms_match_unpruned_search():
             assert autos == automorphisms_oracle(lat), lat.name
             orders[len(autos)] += 1
     assert orders == {1: 41, 2: 41, 4: 20, 6: 6, 8: 1}  # group orders of the 109 lattices
+
+
+def dual_automorphisms_oracle(lat):
+    """Every bijection with a <= b exactly when sigma[b] <= sigma[a], by a backtrack
+    with no size pruning."""
+    n = lat.size
+    le = [[lat.meet[a][b] == a for b in range(n)] for a in range(n)]
+    sigma = [-1] * n
+    out = []
+
+    def rec(a):
+        if a == n:
+            out.append(tuple(sigma))
+            return
+        for v in range(n):
+            if v in sigma:
+                continue
+            if all(le[a][b] == le[sigma[b]][v] and le[b][a] == le[v][sigma[b]] for b in range(a)):
+                sigma[a] = v
+                rec(a + 1)
+                sigma[a] = -1
+
+    rec(0)
+    return out
+
+
+def test_dual_automorphisms_match_unpruned_search():
+    counts, self_dual, total = Counter(), 0, 0
+    for n in range(1, MAX_LATTICE_SIZE + 1):
+        for lat in enum_distributive_lattices(n):
+            duals = _automorphisms(lat, dual=True)
+            if n <= 10:
+                assert duals == dual_automorphisms_oracle(lat), lat.name
+                counts[len(duals)] += 1
+            self_dual += bool(duals)
+            total += len(duals)
+    # lattices up to size 10 by number of dual automorphisms: 33 of the 109 are self-dual
+    assert counts == {0: 76, 1: 19, 2: 5, 4: 6, 6: 2, 8: 1}
+    assert (self_dual, total) == (62, 146)  # up to size 12
+
+
+def _stabilizes_at(lat, dualneg, level):
+    """boxdot^(level+1) = boxdot^level, by iterating boxdot level times."""
+    bd = tuple(lat.neg[dualneg[a]] for a in lat.elements)
+    cur = tuple(lat.elements)
+    for _ in range(level):
+        cur = tuple(bd[c] for c in cur)
+    return tuple(bd[c] for c in cur) == cur
 
 
 def decorate_oracle(cls, lat):

@@ -3,6 +3,8 @@ import itertools
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finheyt import congruence as cg
 from finheyt.algebra import (
@@ -140,6 +142,23 @@ def scan_factor_complement(alg, theta):
         ):
             return theta_prime
     return None
+
+
+def permutes_oracle(theta, phi):
+    """theta o phi == phi o theta, by composing the two relations element by element."""
+    n = theta.size
+
+    def compose(first, second):
+        out = set()
+        for a in range(n):
+            for b in range(n):
+                if first.related(a, b):
+                    for c in range(n):
+                        if second.related(b, c):
+                            out.add((a, c))
+        return out
+
+    return compose(theta, phi) == compose(phi, theta)
 
 
 def split_oracle(alg):
@@ -325,6 +344,40 @@ def test_factor_pair_properties_on_fixtures():
                 assert pair.theta.join(pair.theta_prime).is_total
                 assert pair.theta.permutes_with(pair.theta_prime)
                 assert pair.iso.onto and pair.iso.injective
+
+
+def _partition(labels):
+    """The partition of range(len(labels)) into the classes of equal labels."""
+    blocks = {}
+    for a, v in enumerate(labels):
+        blocks.setdefault(v, []).append(a)
+    return Congruence(tuple(tuple(b) for b in blocks.values()), len(labels))
+
+
+_label_pairs = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, n - 1), min_size=n, max_size=n)] * 2)
+)
+
+
+@given(_label_pairs)
+@settings(max_examples=300, deadline=None)
+def test_permutes_with_matches_relational_composition(labels):
+    """Random partitions, most of them not congruences of any algebra."""
+    theta, phi = map(_partition, labels)
+    assert theta.permutes_with(phi) == permutes_oracle(theta, phi)
+    # comparable equivalences always permute
+    assert theta.permutes_with(theta.join(phi)) and theta.meet(phi).permutes_with(phi)
+
+
+def test_permutes_with_matches_oracle_on_every_pair_of_partitions_of_4():
+    parts = {_partition(labels) for labels in itertools.product(range(4), repeat=4)}
+    assert len(parts) == 15  # Bell number B4
+    permuting = 0
+    for theta, phi in itertools.product(parts, repeat=2):
+        verdict = theta.permutes_with(phi)
+        assert verdict == permutes_oracle(theta, phi), (theta, phi)
+        permuting += verdict
+    assert permuting == 117
 
 
 def test_decompose_examples():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -247,6 +248,21 @@ def test_cli_malformed_algebra_exits_2(tmp_path, capsys, base, edit, command):
         io.read_algebra(path)
     code, out, err = run_cli(capsys, command, path)
     assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_projective_at_a_level_far_above_the_size_answers_promptly(tmp_path, capsys):
+    """hdp:10**9 decides on the two-element algebra as hdp:1 does, without
+    iterating boxdot 10**9 times."""
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"vars": ["x", "y"], "atoms": [
+        {"lhs": "x | y", "rhs": "1"}, {"lhs": "x & y", "rhs": "0"}]}))
+    t0 = time.perf_counter()
+    huge = run_cli(capsys, "projective", "--class", "hdp:1000000000", "--presentation", pres,
+                   "--json")
+    assert time.perf_counter() - t0 < 10
+    assert huge[0] == 0
+    assert huge == run_cli(capsys, "projective", "--class", "hdp:1", "--presentation", pres,
+                           "--json")
 
 
 def test_cli_projective_malformed_presentation_exits_2(tmp_path, capsys):
