@@ -520,34 +520,30 @@ def serial_key(alg: FiniteAlgebra):
     )
 
 
-# A catalog build to size 12 makes 465 distinct calls, all from the lattice enumeration.
-@lru_cache(maxsize=1024)
-def canonical_relabeling(alg: FiniteAlgebra):
-    """(perm, algebra) with the least serial_key over linear-extension relabelings.
+def least_meet_relabeling(meet, tail=None):
+    """(rows, perm): the least relabeled meet table over linear-extension
+    relabelings, and the old->new permutation of the first extension reaching
+    it whose tail(perm) is least.  tail gives the tables compared after meet at
+    tied leaves; without it every tie is a lattice automorphism.
 
-    perm maps old indices to new ones; among the linear extensions reaching the
-    least key, it comes from the first in lexicographic order of the extension
-    (the tuple of old elements in new order).  Branch and bound: the extension
-    grows one element at a time, and the remaining elements stay sorted by the
-    labels of their meets with the placed ones, because any other order makes a
-    placed row of the relabeled meet table larger.  So the placed rows are fixed
-    at each node, the next element is a minimal element of the first block of
-    that order whose new row is least, and a node whose rows exceed the best
-    meet table found is cut.  In a valid algebra join and impl are determined by
-    meet, so extensions that tie on the least meet table tie on them too, and
-    only their relabeled box, invol, dualneg and dimpl (the rest of serial_key,
-    in its order) are compared; two that tie on those give an automorphism of
-    alg, and a candidate that an automorphism fixing the prefix maps onto an
-    earlier sibling is skipped, since its subtree repeats the sibling's keys on
-    later extensions.  alg must be a valid algebra; the whole algebra is
-    relabeled once, at the end.
+    Branch and bound: the extension grows one element at a time, and the
+    remaining elements stay sorted by the labels of their meets with the placed
+    ones, because any other order makes a placed row of the relabeled meet
+    table larger.  So the placed rows are fixed at each node, the next element
+    is a minimal element of the first block of that order whose new row is
+    least, and a node whose rows exceed the best meet table found is cut.
+    Extensions that tie on the least meet table and on tail give an
+    automorphism, and a candidate that an automorphism fixing the prefix maps
+    onto an earlier sibling is skipped, since its subtree repeats the sibling's
+    keys on later extensions.
     """
-    n, meet = alg.size, alg.meet
+    n = len(meet)
+    tail = tail or (lambda perm: ())
     below = [sum(1 << b for b in range(n) if b != a and meet[a][b] == b) for a in range(n)]
     label = [0] * n
     ext: list[int] = []
     rows: list[tuple[int, ...]] = []
-    best: list = []  # [meet rows, perm, extension, relabeled _TAIL tables or None]
+    best: list = []  # [meet rows, perm, extension, tail(perm) or None]
     autos: list[list[int]] = []
 
     def split(cells, x):
@@ -586,12 +582,12 @@ def canonical_relabeling(alg: FiniteAlgebra):
                 best[:] = [tuple(rows), perm, tuple(ext), None]
                 return True
             if best[3] is None:
-                best[3] = relabeled_tables(alg, best[1], _TAIL)
-            tail = relabeled_tables(alg, perm, _TAIL)
-            if tail < best[3]:
-                best[:] = [tuple(rows), perm, tuple(ext), tail]
+                best[3] = tail(best[1])
+            key = tail(perm)
+            if key < best[3]:
+                best[:] = [tuple(rows), perm, tuple(ext), key]
                 return True
-            if tail == best[3]:
+            if key == best[3]:
                 auto = list(range(n))
                 for a, b in zip(best[2], ext):
                     auto[a] = b
@@ -600,7 +596,7 @@ def canonical_relabeling(alg: FiniteAlgebra):
         first = cells[0]
         mask = sum(1 << x for x in first)
         options = {x: split(cells, x) for x in first if not below[x] & mask}
-        least = min(tail for tail, _ in options.values())
+        least = min(beyond for beyond, _ in options.values())
         x0 = next(x for x in options if options[x][0] == least)
         row = (*(label[meet[x0][e]] for e in ext), k, *least)
         if not less:
@@ -610,8 +606,8 @@ def canonical_relabeling(alg: FiniteAlgebra):
         changed = False
         done: list[int] = []
         rows.append(row)
-        for x, (tail, refined) in options.items():
-            if tail != least or (done and autos and in_orbit(x, done)):
+        for x, (beyond, refined) in options.items():
+            if beyond != least or (done and autos and in_orbit(x, done)):
                 continue
             done.append(x)
             label[x] = k
@@ -623,7 +619,25 @@ def canonical_relabeling(alg: FiniteAlgebra):
         return changed
 
     search([list(range(n))], True)
-    return best[1], relabel(alg, best[1])
+    return best[0], best[1]
+
+
+# Quotient naming, isomorphic and the tests call this; the catalog enumeration
+# searches its lattices with least_meet_relabeling directly.
+@lru_cache(maxsize=1024)
+def canonical_relabeling(alg: FiniteAlgebra):
+    """(perm, algebra) with the least serial_key over linear-extension relabelings.
+
+    perm maps old indices to new ones; among the linear extensions reaching the
+    least key, it comes from the first in lexicographic order of the extension
+    (the tuple of old elements in new order).  In a valid algebra join and impl
+    are determined by meet, so extensions that tie on the least meet table tie
+    on them too, and least_meet_relabeling compares only their relabeled box,
+    invol, dualneg and dimpl (the rest of serial_key, in its order).  alg must
+    be a valid algebra; the whole algebra is relabeled once, at the end.
+    """
+    _, perm = least_meet_relabeling(alg.meet, lambda p: relabeled_tables(alg, p, _TAIL))
+    return perm, relabel(alg, perm)
 
 
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:

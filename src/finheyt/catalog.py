@@ -3,8 +3,11 @@
 Finite distributive lattices are enumerated through Birkhoff duality: every
 poset of join-irreducibles with n downsets is a poset with fewer downsets plus
 one new maximal element above one of its downsets.  Two posets are isomorphic
-exactly when their downset lattices are, so the posets are deduplicated on the
-serial key of the canonical form of their downset lattice.
+exactly when their downset lattices are, and a lattice is fixed by its meet
+table.  So each grown poset costs one canonical-form search on the meet table of
+its downset lattice alone, the posets are deduplicated on the least relabeled
+meet table, and only a new lattice has its join and impl tables built, directly
+in canonical label order from the downsets.
 
 Every enumerated lattice is thus a canonical form, and a decoration keeps its
 meet, join and impl tables.  So the relabelings that canonicalise a decoration
@@ -26,9 +29,9 @@ from functools import lru_cache, reduce
 from .algebra import (
     FiniteAlgebra,
     VarietyClass,
-    canonical_form,
     derive_operations,
     inferred_level,
+    least_meet_relabeling,
     relabeled_tables,
     serial_key,
     validate,
@@ -40,55 +43,73 @@ MAX_LATTICE_SIZE = 12  # documented desk-scale bound
 
 # -- posets of join-irreducibles ---------------------------------------------
 
-def _downset_masks(below: tuple[int, ...], cap: int | None = None):
+def _downset_masks(below: tuple[int, ...]) -> list[int]:
     """Downsets of a poset given by strictly-below bitmasks (indices linearly extended)."""
     sets = [0]
     for i, b in enumerate(below):
         sets += [s | (1 << i) for s in sets if s & b == b]
-        if cap is not None and len(sets) > cap:
-            return None
     return sets
 
 
-def _lattice_of_downsets(below: tuple[int, ...]) -> FiniteAlgebra:
-    masks = sorted(_downset_masks(below), key=lambda m: (bin(m).count("1"), m))
-    idx = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
-    meet = tuple(tuple(idx[a & b] for b in masks) for a in masks)
-    join = tuple(tuple(idx[a | b] for b in masks) for a in masks)
-    impl = []
-    for a in masks:
-        row = []
-        for b in masks:
-            c = 0
+def _grown_posets(n: int):
+    """(poset, downsets) for every poset with n downsets grown from a stored one.
+
+    Removing a maximal element leaves fewer downsets, so every such poset grows
+    from one with fewer by a maximal element above one of its downsets d.  The
+    grown poset keeps the old downsets and adds s + new for each old s above d.
+    The empty poset, with its one downset, is the only one with a single downset.
+    """
+    if n == 1:
+        yield (), [0]
+    for m in range(1, n):
+        for below, _ in _posets_with_downsets(m):
+            masks = _downset_masks(below)
+            new = 1 << len(below)
             for d in masks:
-                if d & a & ~b == 0:
-                    c |= d
-            row.append(idx[c])
-        impl.append(tuple(row))
-    return canonical_form(
-        FiniteAlgebra(n, VarietyClass("heyting"), meet, join, tuple(impl))
-    )
+                up = [s | new for s in masks if s & d == d]
+                if m + len(up) == n:
+                    yield below + (d,), masks + up
+
+
+def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteAlgebra:
+    """The downset lattice with element i = masks[i], given its meet table in that order.
+
+    a -> b is the set of points p with down(p) & a inside b, that is, the points
+    outside the upset of a - b; the upsets of the points give that upset.
+    """
+    idx = {s: i for i, s in enumerate(masks)}
+    join = [[idx[a | b] for b in masks] for a in masks]
+    k = len(below)
+    up = [sum(1 << p for p in range(k) if below[p] >> q & 1) | 1 << q for q in range(k)]
+    outside = {0: (1 << k) - 1}
+
+    def outside_upset(x):
+        """The points outside the upset of the points in x."""
+        if x not in outside:
+            low = x & -x
+            outside[x] = outside_upset(x ^ low) & ~up[low.bit_length() - 1]
+        return outside[x]
+
+    impl = [[idx[outside_upset(a & ~b)] for b in masks] for a in masks]
+    return FiniteAlgebra(len(masks), VarietyClass("heyting"), meet, join, impl)
 
 
 @lru_cache(maxsize=None)
 def _posets_with_downsets(n: int) -> tuple:
     """(poset, canonical downset lattice) for every poset with n downsets, up to iso.
 
-    Removing a maximal element leaves fewer downsets, so every such poset grows
-    from one with fewer by a maximal element above one of its downsets.
+    Each grown poset is deduplicated on the least relabeling of its meet table;
+    only a new lattice has its tables built, in that canonical label order.
     """
-    if n == 1:
-        return (((), _lattice_of_downsets(())),)
     found = {}
-    for m in range(1, n):
-        for below, _ in _posets_with_downsets(m):
-            for d in _downset_masks(below):
-                grown = below + (d,)
-                masks = _downset_masks(grown, cap=n)
-                if masks is not None and len(masks) == n:
-                    lat = _lattice_of_downsets(grown)
-                    found.setdefault(serial_key(lat), (grown, lat))
+    for grown, masks in _grown_posets(n):
+        idx = {s: i for i, s in enumerate(masks)}
+        rows, perm = least_meet_relabeling([[idx[a & b] for b in masks] for a in masks])
+        if rows not in found:
+            ordered = [0] * n
+            for old, new in enumerate(perm):
+                ordered[new] = masks[old]
+            found[rows] = (grown, _lattice_in_order(grown, ordered, rows))
     return tuple(found.values())
 
 

@@ -26,7 +26,9 @@ from finheyt.algebra import (
     discriminator_eval,
     element_profile,
     inferred_level,
+    least_meet_relabeling,
     relabel,
+    relabeled_tables,
     serial_key,
     validate,
 )
@@ -472,6 +474,19 @@ def test_canonical_relabeling_matches_brute_force(catalog_algebras):
     inputs += small_fixture_products()
     for alg in inputs:
         assert canonical_relabeling(alg) == brute_canonical_relabeling(alg), alg
+
+
+def test_least_meet_relabeling_matches_canonical_relabeling(catalog_algebras):
+    rng = random.Random(20171007)
+    tail = ("box", "invol", "dualneg", "dimpl")
+    for alg in catalog_algebras:
+        for x in (alg, random_relabeling(alg, rng)):
+            rows, perm = least_meet_relabeling(
+                x.meet, lambda p: relabeled_tables(x, p, tail)
+            )
+            assert perm == canonical_relabeling(x)[0], x
+            assert rows == relabel(x, perm).meet, x
+            assert least_meet_relabeling(x.meet)[0] == rows, x  # the meet table alone
 
 
 def test_canonical_form_of_64_element_product_is_relabeling_invariant():

@@ -21,8 +21,10 @@ from finheyt.catalog import (
     _antitone_involutions,
     _automorphisms,
     _boolean_atom_sets,
+    _downset_masks,
     _forced_dimpl,
     _forced_dualneg,
+    _posets_with_downsets,
     build_catalog,
     decorate,
     enum_distributive_lattices,
@@ -90,6 +92,41 @@ def test_enum_lattices_are_canonical_valid_and_distinct():
             assert validate(alg).valid
             assert canonical_form(alg) == alg
             assert alg.size == n
+
+
+def lattice_of_downsets_oracle(below):
+    """The downset lattice of a poset, impl by an O(n^3) scan, then canonical_form."""
+    masks = sorted(_downset_masks(below), key=lambda m: (bin(m).count("1"), m))
+    idx = {m: i for i, m in enumerate(masks)}
+    meet = tuple(tuple(idx[a & b] for b in masks) for a in masks)
+    join = tuple(tuple(idx[a | b] for b in masks) for a in masks)
+    impl = []
+    for a in masks:
+        row = []
+        for b in masks:
+            c = 0
+            for d in masks:
+                if d & a & ~b == 0:
+                    c |= d
+            row.append(idx[c])
+        impl.append(tuple(row))
+    return canonical_form(
+        FiniteAlgebra(len(masks), VarietyClass("heyting"), meet, join, tuple(impl))
+    )
+
+
+def test_enumerated_lattices_match_canonical_form_oracle():
+    total = 0
+    for n in range(1, MAX_LATTICE_SIZE + 1):
+        for below, lat in _posets_with_downsets(n):
+            want = lattice_of_downsets_oracle(below)
+            assert lat.size == n
+            assert lat.meet == want.meet, below
+            assert lat.join == want.join, below
+            assert lat.impl == want.impl, below
+            assert lat == want
+            total += 1
+    assert total == 342
 
 
 def test_decorate_examples():
@@ -183,6 +220,48 @@ def test_catalog_at_a_level_far_above_the_size_matches_level_8(kind):
     eight = build_catalog(VarietyClass(kind, 8), 8)
     assert len(eight.algebras) == 36
     assert [replace(a, cls=eight.cls) for a in huge.algebras] == list(eight.algebras)
+
+
+def boolean_sublattices_oracle(lat):
+    """0-1-sublattices in which every member has a complement, by a scan of every subset."""
+    top = lat.top
+    middle = [a for a in lat.elements if a not in (0, top)]
+    for k in range(len(middle) + 1):
+        for extra in itertools.combinations(middle, k):
+            g = (0, *extra, top) if top != 0 else (0,)
+            gs = set(g)
+            if not all(lat.meet[a][b] in gs and lat.join[a][b] in gs for a in g for b in g):
+                continue
+            if not all(
+                any(lat.meet[a][b] == 0 and lat.join[a][b] == top for b in g) for a in g
+            ):
+                continue
+            yield g
+
+
+def decorate_ws5_oracle(lat):
+    """The ws5 decorations of lat from the subset scan, each by a canonical-form search."""
+    found = {}
+    for g in boolean_sublattices_oracle(lat):
+        box = tuple(
+            reduce(lambda x, y: lat.join[x][y], (e for e in g if lat.le(e, a)), 0)
+            for a in lat.elements
+        )
+        cand = FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl, box=box)
+        if validate(cand).valid:
+            canon = canonical_form(cand)
+            found.setdefault(serial_key(canon), canon)
+    return [found[k] for k in sorted(found)]
+
+
+def test_ws5_decorations_match_subset_scan():
+    ws5, total = VarietyClass("ws5"), 0
+    for n in range(1, 11):
+        for lat in enum_distributive_lattices(n):
+            found = decorate(ws5, lat)
+            assert found == decorate_ws5_oracle(lat), lat.name
+            total += len(found)
+    assert total == len(build_catalog(ws5, 10).algebras)
 
 
 def antitone_involutions_oracle(lat):
