@@ -43,17 +43,10 @@ MAX_LATTICE_SIZE = 12  # documented desk-scale bound
 
 # -- posets of join-irreducibles ---------------------------------------------
 
-def _downset_masks(below: tuple[int, ...]) -> list[int]:
-    """Downsets of a poset given by strictly-below bitmasks (indices linearly extended)."""
-    sets = [0]
-    for i, b in enumerate(below):
-        sets += [s | (1 << i) for s in sets if s & b == b]
-    return sets
-
-
 def _grown_posets(n: int):
     """(poset, downsets) for every poset with n downsets grown from a stored one.
 
+    A poset is a tuple of strictly-below bitmasks, its points linearly extended.
     Removing a maximal element leaves fewer downsets, so every such poset grows
     from one with fewer by a maximal element above one of its downsets d.  The
     grown poset keeps the old downsets and adds s + new for each old s above d.
@@ -62,13 +55,12 @@ def _grown_posets(n: int):
     if n == 1:
         yield (), [0]
     for m in range(1, n):
-        for below, _ in _posets_with_downsets(m):
-            masks = _downset_masks(below)
+        for below, _, masks in _posets_with_downsets(m):
             new = 1 << len(below)
             for d in masks:
                 up = [s | new for s in masks if s & d == d]
                 if m + len(up) == n:
-                    yield below + (d,), masks + up
+                    yield below + (d,), [*masks, *up]
 
 
 def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteAlgebra:
@@ -96,7 +88,8 @@ def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteA
 
 @lru_cache(maxsize=None)
 def _posets_with_downsets(n: int) -> tuple:
-    """(poset, canonical downset lattice) for every poset with n downsets, up to iso.
+    """(poset, canonical downset lattice, downsets) for every poset with n downsets,
+    up to iso; element i of the lattice is the i-th downset.
 
     Each grown poset is deduplicated on the least relabeling of its meet table;
     only a new lattice has its tables built, in that canonical label order.
@@ -109,7 +102,7 @@ def _posets_with_downsets(n: int) -> tuple:
             ordered = [0] * n
             for old, new in enumerate(perm):
                 ordered[new] = masks[old]
-            found[rows] = (grown, _lattice_in_order(grown, ordered, rows))
+            found[rows] = (grown, _lattice_in_order(grown, ordered, rows), tuple(ordered))
     return tuple(found.values())
 
 
@@ -117,7 +110,7 @@ def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
     """All Heyting algebras of size n up to isomorphism, canonical and sorted."""
     if not 1 <= n <= MAX_LATTICE_SIZE:
         raise ValueError(f"size must be within 1..{MAX_LATTICE_SIZE}, got {n}")
-    lattices = sorted((lat for _, lat in _posets_with_downsets(n)), key=serial_key)
+    lattices = sorted((lat for _, lat, _ in _posets_with_downsets(n)), key=serial_key)
     return [alg.rename(f"heyting_n{n}_{i:02d}") for i, alg in enumerate(lattices)]
 
 

@@ -21,7 +21,6 @@ from finheyt.catalog import (
     _antitone_involutions,
     _automorphisms,
     _boolean_atom_sets,
-    _downset_masks,
     _forced_dimpl,
     _forced_dualneg,
     _posets_with_downsets,
@@ -94,9 +93,17 @@ def test_enum_lattices_are_canonical_valid_and_distinct():
             assert alg.size == n
 
 
+def downset_masks(below):
+    """Downsets of a poset given by strictly-below bitmasks (indices linearly extended)."""
+    sets = [0]
+    for i, b in enumerate(below):
+        sets += [s | (1 << i) for s in sets if s & b == b]
+    return sets
+
+
 def lattice_of_downsets_oracle(below):
     """The downset lattice of a poset, impl by an O(n^3) scan, then canonical_form."""
-    masks = sorted(_downset_masks(below), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(downset_masks(below), key=lambda m: (bin(m).count("1"), m))
     idx = {m: i for i, m in enumerate(masks)}
     meet = tuple(tuple(idx[a & b] for b in masks) for a in masks)
     join = tuple(tuple(idx[a | b] for b in masks) for a in masks)
@@ -118,9 +125,13 @@ def lattice_of_downsets_oracle(below):
 def test_enumerated_lattices_match_canonical_form_oracle():
     total = 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
-        for below, lat in _posets_with_downsets(n):
+        for below, lat, masks in _posets_with_downsets(n):
             want = lattice_of_downsets_oracle(below)
             assert lat.size == n
+            # the stored downsets are the poset's, element i of lat the i-th
+            assert sorted(masks) == sorted(downset_masks(below)), below
+            pairs = itertools.product(lat.elements, repeat=2)
+            assert all(masks[lat.meet[a][b]] == masks[a] & masks[b] for a, b in pairs), below
             assert lat.meet == want.meet, below
             assert lat.join == want.join, below
             assert lat.impl == want.impl, below
