@@ -16,9 +16,9 @@ under them gives its canonical form without a search.  One backtrack over
 lattice maps finds both those automorphisms and the dual automorphisms, whose
 involutive members are the invol tables of the hri candidates; the ws5
 candidates come from the lattice's Boolean sublattices.  The ws5 and hri
-candidates share one tail: validate, canonicalise, dedupe, sort.  The tables of
-the leveled classes are defined from the lattice alone, so every automorphism
-fixes them and those decorations are canonical as built.
+candidates share one tail: validate, canonicalise, dedupe, sort.  The leveled
+classes' c -< a is the join of the join-irreducibles below c and not below a,
+so every automorphism fixes it and those decorations are canonical as built.
 """
 
 from __future__ import annotations
@@ -160,20 +160,24 @@ def _antitone_involutions(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 
 def _canonical_decorations(lat: FiniteAlgebra, candidates) -> list[FiniteAlgebra]:
-    """The valid candidates, canonical, deduplicated and sorted by serial key.
+    """The candidates, canonical, deduplicated and sorted by serial key.
 
     The relabelings that reach the lattice's own, least, meet table are exactly
     its automorphisms; each extends the order, since the labels do, and fixes
     meet, join and impl.  So the canonical form of a decoration is its least
     relabeling over Aut(lat), and only box and invol are relabeled and compared.
+    Every candidate is valid by construction; one that is not raises.
     """
     found, autos = {}, None
     for cand in candidates:
-        if validate(cand).valid:
-            autos = autos or _automorphisms(lat)
-            box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
-            canon = replace(cand, box=box, invol=invol)
-            found.setdefault(serial_key(canon), canon)
+        bad = validate(cand).violations
+        if bad:
+            name, witness = bad[0]
+            raise TheoremViolation(f"{cand.cls} candidate on {lat!r} fails {name} at {witness}")
+        autos = autos or _automorphisms(lat)
+        box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
+        canon = replace(cand, box=box, invol=invol)
+        found.setdefault(serial_key(canon), canon)
     return [found[k] for k in sorted(found)]
 
 
@@ -220,48 +224,41 @@ def _hri_candidates(lat: FiniteAlgebra):
         )
 
 
-def _forced_dualneg(lat: FiniteAlgebra) -> tuple[int, ...]:
-    """Least b with a | b = 1; exists on any finite distributive lattice."""
-    out = []
-    for a in lat.elements:
-        candidates = [b for b in lat.elements if lat.join[a][b] == lat.top]
-        val = reduce(lambda x, y: lat.meet[x][y], candidates)
-        if lat.join[a][val] != lat.top:
-            raise TheoremViolation(f"dual pseudocomplement missing at {a} in {lat!r}")
-        out.append(val)
-    return tuple(out)
+def _co_implication(lat: FiniteAlgebra):
+    """The row of c -< a over a, as a function of c: the least b with c <= a | b.
 
+    A join-irreducible is below a | b exactly when it is below a or below b, so
+    c -< a is the join of the join-irreducibles below c and not below a.  An
+    element is join-irreducible when the elements strictly below it, which the
+    labels list before it, join to less.
+    """
+    n, meet, join = lat.size, lat.meet, lat.join
+    irr = [j for j in range(n)
+           if reduce(lambda x, y: join[x][y], (x for x in range(j) if meet[x][j] == x), 0) != j]
+    below = [sum(1 << i for i, j in enumerate(irr) if meet[j][c] == j) for c in range(n)]
+    joined = {0: 0}
 
-def _forced_dimpl(lat: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Least b with c <= a | b, as a c-by-a table."""
-    rows = []
-    for c in lat.elements:
-        up = [lat.meet[c][x] == c for x in lat.elements]  # up[x]: c <= x
-        row = []
-        for a in lat.elements:
-            join_a = lat.join[a]
-            candidates = [b for b in lat.elements if up[join_a[b]]]
-            val = reduce(lambda x, y: lat.meet[x][y], candidates)
-            if not up[join_a[val]]:
-                raise TheoremViolation(f"dual residual missing at ({c},{a}) in {lat!r}")
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    def join_of(x):
+        """The join of the join-irreducibles in x."""
+        if x not in joined:
+            low = x & -x
+            joined[x] = join[join_of(x ^ low)][irr[low.bit_length() - 1]]
+        return joined[x]
+
+    return lambda c: tuple(join_of(below[c] & ~below[a]) for a in range(n))
 
 
 def _decorate_leveled(lat: FiniteAlgebra, cls: VarietyClass) -> list[FiniteAlgebra]:
-    cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, dualneg=_forced_dualneg(lat))
+    """The hdp or dht decoration of lat if its level fits: dualneg a is 1 -< a,
+    and only dht builds the whole table c -< a."""
+    co_impl = _co_implication(lat)
+    cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, dualneg=co_impl(lat.top))
     level = inferred_level(cand)
     if level is None or level > cls.level:
         return []
     if cls.kind == "dht":
-        dimpl = _forced_dimpl(lat)
-        if cand.dualneg != tuple(dimpl[lat.top][a] for a in lat.elements):
-            raise TheoremViolation(f"forced dualneg disagrees with 1 -< a in {lat!r}")
-        cand = replace(cand, dimpl=dimpl)
-    # dualneg, dimpl and box are defined from the lattice, so every automorphism
-    # fixes them, and cand is already canonical.
-    return [derive_operations(cand)]  # fills box; raises if a WS5 box axiom breaks
+        cand = replace(cand, dimpl=tuple(map(co_impl, lat.elements)))
+    return [derive_operations(cand)]  # fills box; raises if an axiom breaks
 
 
 def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:

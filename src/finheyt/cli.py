@@ -30,9 +30,9 @@ def _emit(args, human: str, record: dict) -> None:
         print(human)
 
 
-def _load(path, derive: bool = True):
+def _load(path):
     alg = io.read_algebra(path)
-    if derive and alg.cls.kind != "heyting" and alg.box is None:
+    if alg.cls.kind != "heyting" and alg.box is None:
         alg = derive_operations(alg)
     return alg
 
@@ -74,6 +74,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_homs(args) -> int:
+    if args.cap is not None and not (args.count or args.all):
+        raise FinheytError("--cap applies only with --count or --all")
     a, b = _load(args.fileA), _load(args.fileB)
     onto = "_onto" if args.onto else ""
     if args.count or args.all:

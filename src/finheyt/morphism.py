@@ -73,7 +73,6 @@ def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
 class RetractWitness:
     retraction: Homomorphism
     injection: Homomorphism
-    composite_is_identity: bool = False
 
     def __post_init__(self):
         r, j = self.retraction, self.injection
@@ -81,15 +80,13 @@ class RetractWitness:
             raise ValueError("retraction/injection domains do not line up")
         if not r.onto:
             raise ValueError("retraction must be onto")
-        ok = all(r.map[j.map[b]] == b for b in j.dom.elements)
-        if not ok:
+        if any(r.map[j.map[b]] != b for b in j.dom.elements):
             raise ValueError("retraction o injection is not the identity")
-        object.__setattr__(self, "composite_is_identity", True)
 
 
 @dataclass(frozen=True)
 class HomsResult:
-    homs: tuple[Homomorphism, ...] | None
+    homs: tuple[Homomorphism, ...]
     count: int
     truncated: bool = False
 
@@ -152,7 +149,9 @@ def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     return [sub]
 
 
-# The census of 254 algebras up to size 10 makes one call per algebra.
+# Repeats come from the CLI on products: in perfbench's products ops 6 of 18
+# calls hit, and an uncached call on a 36-element product takes 12 ms (2 cores,
+# CPython 3.11).  Its census of 254 algebras calls once per algebra: 0 hits.
 @lru_cache(maxsize=256)
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     """Greedy generators: repeatedly add the element whose closure grows most."""
@@ -241,13 +240,12 @@ def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | N
     """Homomorphism search.
 
     mode "any": first witness in search order or None;
-    mode "all": HomsResult with lexicographically sorted maps;
-    mode "count": HomsResult with the exact count (maps omitted).
+    mode "all": HomsResult with lexicographically sorted maps.
     The suffix "_onto" (as in "any_onto") keeps only the maps onto cod.  cap (at
-    least 1) bounds the kept maps for all/count and sets `truncated` when more exist.
+    least 1) bounds the kept maps for "all" and sets `truncated` when more exist.
     """
     kind = mode.removesuffix("_onto")
-    if kind not in ("any", "all", "count"):
+    if kind not in ("any", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -262,8 +260,6 @@ def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | N
             truncated = True
             break
         maps.append(m)
-    if kind == "count":
-        return HomsResult(None, len(maps), truncated)
     maps.sort()
     return HomsResult(tuple(Homomorphism(dom, cod, m) for m in maps), len(maps), truncated)
 

@@ -7,6 +7,7 @@ from functools import reduce
 
 import pytest
 
+from finheyt import catalog
 from finheyt.algebra import (
     FiniteAlgebra,
     VarietyClass,
@@ -21,13 +22,13 @@ from finheyt.catalog import (
     _antitone_involutions,
     _automorphisms,
     _boolean_atom_sets,
-    _forced_dimpl,
-    _forced_dualneg,
+    _co_implication,
     _posets_with_downsets,
     build_catalog,
     decorate,
     enum_distributive_lattices,
 )
+from finheyt.errors import TheoremViolation
 from finheyt.fixtures import b4_disc, b4_prod, c3_simple
 
 
@@ -172,6 +173,16 @@ def test_decorate_ws5_of_diamond_gives_both_fixtures():
 def test_decorate_rejects_decorated_input():
     with pytest.raises(ValueError):
         decorate(VarietyClass("ws5"), c3_simple())
+
+
+def test_invalid_decoration_candidate_raises(monkeypatch):
+    chain = enum_distributive_lattices(3)[0]
+    # the identity box makes the middle element open without a complement
+    identity = FiniteAlgebra(3, VarietyClass("ws5"), chain.meet, chain.join, chain.impl,
+                             box=(0, 1, 2))
+    monkeypatch.setattr(catalog, "_ws5_candidates", lambda lat: [identity])
+    with pytest.raises(TheoremViolation, match=r"heyting_n3_00.* open-elements-boolean at \(1,\)"):
+        decorate(VarietyClass("ws5"), chain)
 
 
 def test_catalog_invariants(catalogs):
@@ -405,6 +416,45 @@ def _stabilizes_at(lat, dualneg, level):
     return tuple(bd[c] for c in cur) == cur
 
 
+def forced_dualneg_oracle(lat):
+    """Least b with a | b = 1; exists on any finite distributive lattice."""
+    out = []
+    for a in lat.elements:
+        candidates = [b for b in lat.elements if lat.join[a][b] == lat.top]
+        val = reduce(lambda x, y: lat.meet[x][y], candidates)
+        assert lat.join[a][val] == lat.top, f"dual pseudocomplement missing at {a} in {lat!r}"
+        out.append(val)
+    return tuple(out)
+
+
+def forced_dimpl_oracle(lat):
+    """Least b with c <= a | b, as a c-by-a table."""
+    rows = []
+    for c in lat.elements:
+        up = [lat.meet[c][x] == c for x in lat.elements]  # up[x]: c <= x
+        row = []
+        for a in lat.elements:
+            join_a = lat.join[a]
+            candidates = [b for b in lat.elements if up[join_a[b]]]
+            val = reduce(lambda x, y: lat.meet[x][y], candidates)
+            assert up[join_a[val]], f"dual residual missing at ({c},{a}) in {lat!r}"
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_co_implication_matches_least_element_scans():
+    total = 0
+    for n in range(1, MAX_LATTICE_SIZE + 1):
+        for lat in enum_distributive_lattices(n):
+            co_impl = _co_implication(lat)
+            dimpl = forced_dimpl_oracle(lat)
+            assert tuple(map(co_impl, lat.elements)) == dimpl, lat.name
+            assert co_impl(lat.top) == forced_dualneg_oracle(lat) == dimpl[lat.top], lat.name
+            total += 1
+    assert total == 342
+
+
 def decorate_oracle(cls, lat):
     """decorate as it was, with a canonical-form search on every valid candidate."""
     if cls.kind == "heyting":
@@ -425,12 +475,12 @@ def decorate_oracle(cls, lat):
             cands.append(FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl,
                                        box=box, invol=inv))
     else:
-        dualneg = _forced_dualneg(lat)
+        dualneg = forced_dualneg_oracle(lat)
         if not _stabilizes_at(lat, dualneg, cls.level):
             return []
         extra = {"dualneg": dualneg}
         if cls.kind == "dht":
-            extra["dimpl"] = _forced_dimpl(lat)
+            extra["dimpl"] = forced_dimpl_oracle(lat)
         cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, **extra)
         return [canonical_form(derive_operations(cand))]
     found = {}

@@ -161,6 +161,13 @@ def test_cli_homs_cap_below_one_exits_2(files, capsys, cap):
     assert "cap must be at least 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap", ["0", "1"])
+def test_cli_homs_cap_without_count_or_all_exits_2(files, capsys, cap):
+    code, out, err = run_cli(capsys, "homs", files["B4prod"], files["B4prod"], "--cap", cap)
+    assert code == 2 and out == ""
+    assert "--cap applies only with --count or --all" in err and "Traceback" not in err
+
+
 def test_cli_quotient(files, capsys):
     code, out, _ = run_cli(capsys, "quotient", files["B4prod"], "--filter", "1,3", "--json")
     assert code == 0
