@@ -9,12 +9,19 @@ over all relabelings by linear extensions of the lattice order.
 canonical_relabeling finds it by branch and bound on the relabeled meet table
 rather than by enumerating the extensions, of which the 16-element Boolean
 lattice alone has 1,680,384.
+
+This module owns the table schema: TABLES names every table an algebra may
+carry, in the order of the file format and of serial_key, BINARY says which of
+them take two arguments, and check_structure says which a class carries.  Code
+that handles every table (file formats, products, subalgebras, quotients,
+homomorphisms) iterates TABLES or FiniteAlgebra.tables() instead of naming them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import (
     InvalidAlgebraError,
@@ -55,6 +62,11 @@ class VarietyClass:
 
 
 HEYTING = VarietyClass("heyting")
+
+# Every table, in file and serial_key order: the Heyting tables, then the
+# optional ones of the discriminator classes.
+TABLES = ("meet", "join", "impl", "box", "invol", "dualneg", "dimpl")
+BINARY = frozenset({"meet", "join", "impl", "dimpl"})
 
 
 def _tup2(rows):
@@ -133,19 +145,27 @@ class FiniteAlgebra:
     def boolean_h_reduct(self) -> bool:
         return all(self.join[a][self.neg[a]] == self.top for a in self.elements)
 
-    def unary_tables(self) -> dict:
-        out = {}
-        for name in ("box", "invol", "dualneg"):
+    @cached_property
+    def _present(self) -> tuple:
+        """Read-only views of the present tables by name, in TABLES order: all,
+        unary, binary."""
+        every, unary, binary = {}, {}, {}
+        for name in TABLES:
             t = getattr(self, name)
             if t is not None:
-                out[name] = t
-        return out
+                every[name] = t
+                (binary if name in BINARY else unary)[name] = t
+        return MappingProxyType(every), MappingProxyType(unary), MappingProxyType(binary)
 
-    def binary_tables(self) -> dict:
-        out = {"meet": self.meet, "join": self.join, "impl": self.impl}
-        if self.dimpl is not None:
-            out["dimpl"] = self.dimpl
-        return out
+    def tables(self) -> MappingProxyType:
+        """The tables present, by name, in TABLES order."""
+        return self._present[0]
+
+    def unary_tables(self) -> MappingProxyType:
+        return self._present[1]
+
+    def binary_tables(self) -> MappingProxyType:
+        return self._present[2]
 
     def rename(self, name: str) -> "FiniteAlgebra":
         return replace(self, name=name)
@@ -198,35 +218,25 @@ def check_structure(alg: FiniteAlgebra) -> None:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise MalformedAlgebraError(f"{name}[{i}] = {v!r} out of range 0..{n - 1}")
 
-    chk2("meet", alg.meet)
-    chk2("join", alg.join)
-    chk2("impl", alg.impl)
-    kind = alg.cls.kind
-    allowed = {
+    # Besides the Heyting tables a class may carry the tables it lists here,
+    # and needs the last, from which hri, hdp and dht derive box.
+    extra = {
         "heyting": (),
         "ws5": ("box",),
         "hri": ("box", "invol"),
         "hdp": ("box", "dualneg"),
         "dht": ("box", "dualneg", "dimpl"),
-    }[kind]
-    for name in ("box", "invol", "dualneg", "dimpl"):
+    }[alg.cls.kind]
+    allowed, required = TABLES[:3] + extra, TABLES[:3] + extra[-1:]
+    for name in TABLES:
         t = getattr(alg, name)
         if t is None:
-            continue
-        if name not in allowed:
+            if name in required:
+                raise MalformedAlgebraError(f"class {alg.cls} requires table {name}")
+        elif name not in allowed:
             raise MalformedAlgebraError(f"table {name} not part of class {alg.cls}")
-        if name == "dimpl":
-            chk2(name, t)
         else:
-            chk1(name, t)
-    if kind == "ws5" and alg.box is None:
-        raise MalformedAlgebraError("ws5 algebra requires a box table")
-    if kind == "hri" and alg.invol is None:
-        raise MalformedAlgebraError("hri algebra requires an invol table")
-    if kind == "hdp" and alg.dualneg is None:
-        raise MalformedAlgebraError("hdp algebra requires a dualneg table")
-    if kind == "dht" and alg.dimpl is None:
-        raise MalformedAlgebraError("dht algebra requires a dimpl table")
+            (chk2 if name in BINARY else chk1)(name, t)
 
 
 def _boxdot(alg: FiniteAlgebra, dualneg) -> tuple[int, ...]:
@@ -477,32 +487,37 @@ def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
 
 # -- canonical form ----------------------------------------------------------
 
-_TABLES = ("meet", "join", "impl", "box", "invol", "dualneg", "dimpl")
-_BINARY = frozenset({"meet", "join", "impl", "dimpl"})
-_TAIL = _TABLES[3:]  # what serial_key compares after impl, in its order
+_TAIL = TABLES[3:]  # what serial_key compares after impl, in its order
 
 
-def relabeled_tables(alg: FiniteAlgebra, perm, names) -> tuple:
-    """The named tables of alg under the old->new permutation perm, None where alg has none."""
-    inv = [0] * alg.size
-    for old, new in enumerate(perm):
-        inv[new] = old
+def relabeled_tables(alg: FiniteAlgebra, old, new, names) -> tuple:
+    """The named tables of alg on the elements old (new index -> old element),
+    each value x read as new[x]; None where alg has none.
 
+    new maps at least the elements of old and their values to new indices: a
+    relabeling passes the inverse of its old->new permutation and the
+    permutation, a subalgebra its sorted carrier and the positions in it.
+    """
     def one(t):
-        return tuple([perm[t[i]] for i in inv])
+        return tuple([new[t[i]] for i in old])
 
     out = []
     for name in names:
         t = getattr(alg, name)
         if t is not None:
-            t = tuple(one(t[i]) for i in inv) if name in _BINARY else one(t)
+            t = tuple(one(t[i]) for i in old) if name in BINARY else one(t)
         out.append(t)
     return tuple(out)
 
 
+def _inverse(perm) -> list[int]:
+    """The new->old list of an old->new permutation."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
 def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
     """Apply old->new index permutation to every table."""
-    return replace(alg, **dict(zip(_TABLES, relabeled_tables(alg, perm, _TABLES))))
+    return replace(alg, **dict(zip(TABLES, relabeled_tables(alg, _inverse(perm), perm, TABLES))))
 
 
 def serial_key(alg: FiniteAlgebra):
@@ -636,7 +651,10 @@ def canonical_relabeling(alg: FiniteAlgebra):
     invol, dualneg and dimpl (the rest of serial_key, in its order).  alg must
     be a valid algebra; the whole algebra is relabeled once, at the end.
     """
-    _, perm = least_meet_relabeling(alg.meet, lambda p: relabeled_tables(alg, p, _TAIL))
+    def tail(p):
+        return relabeled_tables(alg, _inverse(p), p, _TAIL)
+
+    _, perm = least_meet_relabeling(alg.meet, tail)
     return perm, relabel(alg, perm)
 
 

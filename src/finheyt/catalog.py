@@ -174,8 +174,8 @@ def _canonical_decorations(lat: FiniteAlgebra, candidates) -> list[FiniteAlgebra
         if bad:
             name, witness = bad[0]
             raise TheoremViolation(f"{cand.cls} candidate on {lat!r} fails {name} at {witness}")
-        autos = autos or _automorphisms(lat)
-        box, invol = min(relabeled_tables(cand, s, ("box", "invol")) for s in autos)
+        autos = autos or [(sorted(lat.elements, key=s.__getitem__), s) for s in _automorphisms(lat)]
+        box, invol = min(relabeled_tables(cand, old, s, ("box", "invol")) for old, s in autos)
         canon = replace(cand, box=box, invol=invol)
         found.setdefault(serial_key(canon), canon)
     return [found[k] for k in sorted(found)]

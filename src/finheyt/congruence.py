@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .algebra import FiniteAlgebra, canonical_relabeling, serial_key
+from .algebra import BINARY, FiniteAlgebra, canonical_relabeling, serial_key
 from .errors import TheoremViolation
 from .morphism import Homomorphism
 
@@ -235,27 +235,19 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     if a.cls != b.cls:
         raise ValueError(f"class mismatch: {a.cls} vs {b.cls}")
     n, m = a.size, b.size
-
-    def two(ta, tb):
-        if ta is None or tb is None:
-            return None
-        return tuple(
-            tuple(ta[x1][x2] * m + tb[y1][y2] for x2 in range(n) for y2 in range(m))
-            for x1 in range(n) for y1 in range(m)
-        )
-
-    def one(ta, tb):
-        if ta is None or tb is None:
-            return None
-        return tuple(ta[x] * m + tb[y] for x in range(n) for y in range(m))
-
-    return FiniteAlgebra(
-        n * m, a.cls,
-        meet=two(a.meet, b.meet), join=two(a.join, b.join), impl=two(a.impl, b.impl),
-        dimpl=two(a.dimpl, b.dimpl), box=one(a.box, b.box), invol=one(a.invol, b.invol),
-        dualneg=one(a.dualneg, b.dualneg),
-        name=f"({a.name or 'A'})x({b.name or 'B'})",
-    )
+    tables = {}
+    for name, ta in a.tables().items():
+        tb = b.tables().get(name)
+        if tb is None:
+            continue
+        if name in BINARY:
+            tables[name] = tuple(
+                tuple(ta[x1][x2] * m + tb[y1][y2] for x2 in range(n) for y2 in range(m))
+                for x1 in range(n) for y1 in range(m)
+            )
+        else:
+            tables[name] = tuple(ta[x] * m + tb[y] for x in range(n) for y in range(m))
+    return FiniteAlgebra(n * m, a.cls, name=f"({a.name or 'A'})x({b.name or 'B'})", **tables)
 
 
 @dataclass(frozen=True)
@@ -266,19 +258,7 @@ class FactorPair:
     theta_prime: Congruence
     quotient_a: FiniteAlgebra
     quotient_b: FiniteAlgebra
-    proj_a: Homomorphism
-    proj_b: Homomorphism
     iso: Homomorphism
-
-
-def make_factor_pair(alg: FiniteAlgebra, theta: Congruence, theta_prime: Congruence) -> FactorPair:
-    qa, pa = quotient(alg, theta)
-    qb, pb = quotient(alg, theta_prime)
-    prod = product(qa, qb)
-    iso = Homomorphism(alg, prod, tuple(pa.map[x] * qb.size + pb.map[x] for x in alg.elements))
-    if not (iso.onto and iso.injective):
-        raise TheoremViolation("factor map onto the product is not bijective")
-    return FactorPair(theta, theta_prime, qa, qb, pa, pb, iso)
 
 
 def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | None:
@@ -296,7 +276,13 @@ def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | Non
         raise TheoremViolation(f"congruences of {b} and its complement join below the total")
     if not theta.permutes_with(theta_prime):
         raise TheoremViolation(f"congruences of {b} and its complement do not permute")
-    return make_factor_pair(alg, theta, theta_prime)
+    qa, pa = quotient(alg, theta)
+    qb, pb = quotient(alg, theta_prime)
+    iso = Homomorphism(alg, product(qa, qb),
+                       tuple(pa.map[x] * qb.size + pb.map[x] for x in alg.elements))
+    if not (iso.onto and iso.injective):
+        raise TheoremViolation("factor map onto the product is not bijective")
+    return FactorPair(theta, theta_prime, qa, qb, iso)
 
 
 def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:

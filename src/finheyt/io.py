@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import FiniteAlgebra, VarietyClass, require_valid
+from .algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, require_valid
 from .errors import MalformedAlgebraError
 from .terms import DefiningPair, parse_term
 
@@ -15,22 +15,9 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
     cls: dict = {"kind": alg.cls.kind}
     if alg.cls.level is not None:
         cls["level"] = alg.cls.level
-    out = {
-        "name": alg.name,
-        "class": cls,
-        "size": alg.size,
-        "meet": [list(r) for r in alg.meet],
-        "join": [list(r) for r in alg.join],
-        "impl": [list(r) for r in alg.impl],
-    }
-    if alg.box is not None:
-        out["box"] = list(alg.box)
-    if alg.invol is not None:
-        out["invol"] = list(alg.invol)
-    if alg.dualneg is not None:
-        out["dualneg"] = list(alg.dualneg)
-    if alg.dimpl is not None:
-        out["dimpl"] = [list(r) for r in alg.dimpl]
+    out = {"name": alg.name, "class": cls, "size": alg.size}
+    for name, t in alg.tables().items():
+        out[name] = [list(r) for r in t] if name in BINARY else list(t)
     return out
 
 
@@ -73,18 +60,12 @@ def algebra_from_dict(data: dict, where: str = "algebra") -> FiniteAlgebra:
         cls = VarietyClass(kind, level)
     except ValueError as e:
         raise MalformedAlgebraError(f"{where}.class: {e}") from None
-    return FiniteAlgebra(
-        size=_expect(data, "size", int, where),
-        cls=cls,
-        meet=_table(data, "meet", True, where, required=True),
-        join=_table(data, "join", True, where, required=True),
-        impl=_table(data, "impl", True, where, required=True),
-        box=_table(data, "box", False, where),
-        invol=_table(data, "invol", False, where),
-        dualneg=_table(data, "dualneg", False, where),
-        dimpl=_table(data, "dimpl", True, where),
-        name=_expect(data, "name", str, where) if "name" in data else "",
-    )
+    size = _expect(data, "size", int, where)
+    # Every algebra carries the Heyting tables, TABLES[:3]; the rest are optional.
+    tables = {key: _table(data, key, key in BINARY, where, required=key in TABLES[:3])
+              for key in TABLES}
+    name = _expect(data, "name", str, where) if "name" in data else ""
+    return FiniteAlgebra(size, cls, **tables, name=name)
 
 
 def _load_json(path: Path):

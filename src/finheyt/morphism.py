@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, canonical_relabeling, serial_key
+from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
 from .errors import TheoremViolation
 from .fixtures import two_element
 
@@ -87,7 +87,6 @@ class RetractWitness:
 @dataclass(frozen=True)
 class HomsResult:
     homs: tuple[Homomorphism, ...]
-    count: int
     truncated: bool = False
 
 
@@ -116,17 +115,9 @@ def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tupl
     if subalgebra_closure(alg, sub) != frozenset(sub):
         raise ValueError("carrier is not closed under the operations")
     pos = {old: new for new, old in enumerate(sub)}
-
-    def two(t):
-        return None if t is None else tuple(tuple(pos[t[a][b]] for b in sub) for a in sub)
-
-    def one(t):
-        return None if t is None else tuple(pos[t[a]] for a in sub)
-
     out = FiniteAlgebra(
         len(sub), alg.cls,
-        meet=two(alg.meet), join=two(alg.join), impl=two(alg.impl), dimpl=two(alg.dimpl),
-        box=one(alg.box), invol=one(alg.invol), dualneg=one(alg.dualneg),
+        **dict(zip(TABLES, relabeled_tables(alg, sub, pos, TABLES))),
         name=f"{alg.name}|{sub}" if alg.name else "",
     )
     return out, tuple(sub)
@@ -261,7 +252,7 @@ def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | N
             break
         maps.append(m)
     maps.sort()
-    return HomsResult(tuple(Homomorphism(dom, cod, m) for m in maps), len(maps), truncated)
+    return HomsResult(tuple(Homomorphism(dom, cod, m) for m in maps), truncated)
 
 
 def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:

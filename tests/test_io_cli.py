@@ -50,11 +50,21 @@ def test_catalog_entries_revalidate_after_roundtrip(tmp_path):
         assert validate(io.read_algebra(path)).valid
 
 
-def test_write_uses_canonical_key_order(tmp_path):
-    path = tmp_path / "two.json"
-    io.write_algebra(path, two_ws5())
+def _dht2_member():
+    return next(a for a in build_catalog(VarietyClass("dht", 2), 3).algebras if a.nontrivial)
+
+
+@pytest.mark.parametrize("make, extra", [
+    (two_ws5, ["box"]),
+    (c3_hri, ["box", "invol"]),
+    (c3_hdp, ["box", "dualneg"]),
+    (_dht2_member, ["box", "dualneg", "dimpl"]),
+], ids=["ws5", "hri", "hdp", "dht"])
+def test_write_uses_canonical_key_order(tmp_path, make, extra):
+    path = tmp_path / "alg.json"
+    io.write_algebra(path, make())
     keys = list(json.loads(path.read_text()))
-    assert keys == ["name", "class", "size", "meet", "join", "impl", "box"]
+    assert keys == ["name", "class", "size", "meet", "join", "impl", *extra]
 
 
 def test_read_structural_errors(tmp_path):

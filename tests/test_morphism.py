@@ -68,6 +68,14 @@ def test_induced_subalgebra_validates_carrier():
     assert embed == (0, 3)
 
 
+@pytest.mark.parametrize("cls", ["ws5", "hri", "hdp:1", "dht:2"])
+def test_diagonal_of_square_is_the_algebra(cls):
+    # The diagonal carries every table of the class through product and restriction.
+    for a in build_catalog(VarietyClass.parse(cls), 5).algebras:
+        square = product(a, a)
+        assert induced_subalgebra(square, [x * a.size + x for x in a.elements])[0] == a
+
+
 def test_minimal_subalgebras_examples():
     for alg in (b4_disc(), c3_simple(), two_ws5(), c3_hri(), c3_hdp(), b4_hri()):
         subs = minimal_subalgebras(alg)
@@ -78,7 +86,7 @@ def test_minimal_subalgebras_examples():
 def test_homs_examples():
     res = homs(two_ws5(), c3_simple(), "all")
     assert [h.map for h in res.homs] == [(0, 2)]
-    assert homs(b4_prod(), two_ws5(), "all").count == 2
+    assert len(homs(b4_prod(), two_ws5(), "all").homs) == 2
     assert homs(b4_disc(), two_ws5(), "any_onto") is None
     assert homs(b4_disc(), two_ws5(), "any") is None  # even non-onto: box blocks atoms
 
@@ -103,15 +111,15 @@ def test_homs_match_bruteforce():
 
 def test_homs_cap_sets_truncation_flag():
     res = homs(b4_prod(), b4_prod(), "all", cap=1)
-    assert res.truncated and res.count == 1
+    assert res.truncated and len(res.homs) == 1
     full = homs(b4_prod(), b4_prod(), "all")
-    assert not full.truncated and full.count > 1
+    assert not full.truncated and len(full.homs) > 1
     # the cap applies to the onto maps, after the onto filter
     dom = product(b4_prod(), two_ws5())
     res = homs(dom, b4_prod(), "all_onto")
-    assert (res.count, res.truncated) == (6, False)
+    assert (len(res.homs), res.truncated) == (6, False)
     res = homs(dom, b4_prod(), "all_onto", cap=1)
-    assert (res.count, res.truncated) == (1, True)
+    assert (len(res.homs), res.truncated) == (1, True)
     with pytest.raises(ValueError):
         homs(dom, b4_prod(), "some_onto")
 
@@ -120,9 +128,9 @@ def test_homs_to_and_from_trivial():
     from finheyt.congruence import quotient, to_congruence
 
     one, _ = quotient(two_ws5(), to_congruence(two_ws5(), frozenset({0, 1})))
-    assert homs(two_ws5(), one, "all").count == 1
-    assert homs(one, two_ws5(), "all").count == 0
-    assert homs(one, one, "all").count == 1
+    assert len(homs(two_ws5(), one, "all").homs) == 1
+    assert len(homs(one, two_ws5(), "all").homs) == 0
+    assert len(homs(one, one, "all").homs) == 1
 
 
 def test_hom_constructor_verifies_preservation():
@@ -187,7 +195,7 @@ def test_isomorphic_finds_seeded_relabelings():
 def test_hom_count_invariant_under_relabeling():
     alg, two = b4_prod(), two_ws5()
     swapped = relabel(alg, (0, 2, 1, 3))
-    assert homs(alg, two, "all").count == homs(swapped, two, "all").count
+    assert len(homs(alg, two, "all").homs) == len(homs(swapped, two, "all").homs)
 
 
 def test_is_retract_examples():
