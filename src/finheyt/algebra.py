@@ -538,8 +538,9 @@ def serial_key(alg: FiniteAlgebra):
 def least_meet_relabeling(meet, tail=None):
     """(rows, perm): the least relabeled meet table over linear-extension
     relabelings, and the old->new permutation of the first extension reaching
-    it whose tail(perm) is least.  tail gives the tables compared after meet at
-    tied leaves; without it every tie is a lattice automorphism.
+    it whose tail(perm, ext) is least, ext being the extension as a new->old
+    list.  tail gives the tables compared after meet at tied leaves; without it
+    every tie is a lattice automorphism.
 
     Branch and bound: the extension grows one element at a time, and the
     remaining elements stay sorted by the labels of their meets with the placed
@@ -553,12 +554,12 @@ def least_meet_relabeling(meet, tail=None):
     keys on later extensions.
     """
     n = len(meet)
-    tail = tail or (lambda perm: ())
+    tail = tail or (lambda perm, ext: ())
     below = [sum(1 << b for b in range(n) if b != a and meet[a][b] == b) for a in range(n)]
     label = [0] * n
     ext: list[int] = []
     rows: list[tuple[int, ...]] = []
-    best: list = []  # [meet rows, perm, extension, tail(perm) or None]
+    best: list = []  # [meet rows, perm, extension, tail(perm, ext) or None]
     autos: list[list[int]] = []
 
     def split(cells, x):
@@ -597,8 +598,8 @@ def least_meet_relabeling(meet, tail=None):
                 best[:] = [tuple(rows), perm, tuple(ext), None]
                 return True
             if best[3] is None:
-                best[3] = tail(best[1])
-            key = tail(perm)
+                best[3] = tail(best[1], best[2])
+            key = tail(perm, ext)
             if key < best[3]:
                 best[:] = [tuple(rows), perm, tuple(ext), key]
                 return True
@@ -651,8 +652,8 @@ def canonical_relabeling(alg: FiniteAlgebra):
     invol, dualneg and dimpl (the rest of serial_key, in its order).  alg must
     be a valid algebra; the whole algebra is relabeled once, at the end.
     """
-    def tail(p):
-        return relabeled_tables(alg, _inverse(p), p, _TAIL)
+    def tail(perm, ext):
+        return relabeled_tables(alg, ext, perm, _TAIL)
 
     _, perm = least_meet_relabeling(alg.meet, tail)
     return perm, relabel(alg, perm)

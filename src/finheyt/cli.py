@@ -176,7 +176,8 @@ def _cmd_alpha(args) -> int:
     formula = decision.diagram_alpha(two_element(alg.cls))
     found = terms.satisfying_assignment(alg, formula)
     witness = None if found is None else [found["x"], found["y"]]
-    record = {"command": "alpha", "holds": found is not None, "witness": witness}
+    record = {"command": "alpha", "holds": found is not None, "witness": witness,
+              "assignment": found}
     human = f"alpha holds: {found is not None}" + (f" witness (x, y) = {tuple(witness)}"
                                                      if witness else "")
     _emit(args, human, record)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 
 from .algebra import FiniteAlgebra
@@ -118,9 +119,10 @@ or in the recursive functions that later walk the term."""
 MAX_PRESENTATION_VARS = 20
 """decision.decide_projective_fp searches the 2^k assignments of a presentation's
 k variables in the two-element algebra on the staged plan (see ``_plan``).  At
-k = 20 under CPython 3.11, x0 & ... & x19 = !(x0 & ... & x19) takes 0.01 s, and
-(x0 & x1 & x19) | (x1 & x19) | ... | (x18 & x19) = !(...) about 5 s at 20 MB of
-peak RSS.  More variables raise ValueError."""
+k = 20 under CPython 3.11 on 2 cores, x0 & ... & x19 = !(x0 & ... & x19) takes
+0.01 s, the star (x0 & x19) | ... | (x18 & x19) = !(...) 1.1-1.5 s, and the
+widened star (x0 & x1 & x19) | (x1 & x19) | ... | (x18 & x19) = !(...)
+2.1-2.3 s at 19 MB of peak RSS.  More variables raise ValueError."""
 
 
 def _height(t: Term) -> int:
@@ -382,6 +384,11 @@ def formula_vars(f: Formula) -> set:
 #     the depth of its last variable; a slot is computed just before the first
 #     check at its depth that reads it, so a failing check skips the rest of
 #     that depth's table lookups;
+#   - each depth becomes one generated Python function: the loop over its
+#     variable with every table lookup and check written out inline, holding
+#     its slots in locals and storing in the shared value list only those read
+#     deeper; the source is built from slot numbers, table positions and fixed
+#     keywords only, never from a variable name or other text of the formula;
 #   - the subtree below depth d is a pure function of its frontier, the slots
 #     set above d and read at d or deeper, so each call memoises it on them,
 #     unless the frontier holds every variable bound above d: then no key can
@@ -401,22 +408,27 @@ presentation in MAX_PRESENTATION_VARS).  alpha at 36 elements stores 1,800."""
 
 @dataclass(frozen=True)
 class _Plan:
-    """Algebra-independent schedule of a prenex formula.
+    """Algebra-independent schedule of a prenex formula, compiled per depth.
 
     Slots hold ("var", depth), ("const", 0 | 1) or (table, argument slots...);
-    slot d holds the variable of depth d.  ``levels[0]`` runs once per call and
-    ``levels[d + 1]`` after binding the variable of depth d.  A level is
-    (segments, trailing): each segment is (slots to compute, check) and the
-    trailing slots are the level's remaining ones, read only deeper.  A check is
-    ("atom", l, r), ("not", check), ("and", checks) or ("or", checks).
+    slot d holds the variable of depth d.  ``tables`` names the tables the
+    formula reads, table i passed to the generated code as Ti.  ``source[0]``
+    defines the function run once per call and ``source[d + 1]`` the search
+    over the variable of depth d; ``factories`` holds each compiled
+    ``level(val, inner, n, T0, T1, ...)``, which returns that search bound to
+    the value list, the next search and the universe size.  A search returns
+    None when its subformula fails, else the values of the existential
+    variables bound from there up to the first universal one.
     ``frontier[d]`` is the memo key of depth d's search, or None where it is
-    not memoised.  ``symbols`` maps each table to the operator first written for it.
+    not memoised.  ``symbols`` maps each table to the operator first written
+    for it.
     """
 
-    exists: tuple[bool, ...]
     names: tuple[str, ...]
     slots: tuple[tuple, ...]
-    levels: tuple[tuple, ...]
+    tables: tuple[str, ...]
+    source: tuple[str, ...]
+    factories: tuple
     frontier: tuple[tuple[int, ...] | None, ...]
     symbols: dict
 
@@ -460,7 +472,8 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         return intern((TABLE_OF[type(t)], *args), max(slot_depth[a] for a in args))
 
     def check(f: Formula):
-        """(check, depth of its last variable, slots it reads)."""
+        """(check, depth of its last variable, slots it reads); a check is
+        ("atom", l, r), ("not", check), ("and", checks) or ("or", checks)."""
         if isinstance(f, FoAtom):
             a, b = term(f.lhs), term(f.rhs)
             return ("atom", a, b), max(slot_depth[a], slot_depth[b]), {a, b}
@@ -486,23 +499,21 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         for a in slots[s][1:]:
             compute(a, out, read)
             read.add(a)
-        out.append(s)
+        out.append(("op", s))
 
     levels, reads = [], []
     for d in range(-1, len(names)):
-        segments, read = [], set()
+        steps, read = [], set()
         for tree, depth, used in checks:
             if depth == d:
-                ops: list = []
                 for s in sorted(used):
-                    compute(s, ops, read)
+                    compute(s, steps, read)
                 read |= used
-                segments.append((tuple(ops), tree))
-        trailing: list = []
+                steps.append(("check", tree))
         for s in range(len(slots)):
             if slot_depth[s] == d:
-                compute(s, trailing, read)
-        levels.append((tuple(segments), tuple(trailing)))
+                compute(s, steps, read)
+        levels.append(steps)
         reads.append(read)
     frontier = []
     below: set = set()
@@ -510,85 +521,98 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         below |= reads[d + 1]
         key = {s for s in below if 0 <= slot_depth[s] < d}
         frontier.append(None if key >= set(range(d)) else tuple(sorted(key)))
+    tables = tuple(dict.fromkeys(key[0] for key in slots if key[0] not in ("var", "const")))
+    source, factories = [], []
+    for i, steps in enumerate(levels):
+        exists = i > 0 and formula.prefix[i - 1][0] == "exists"
+        src = _level_source(i - 1, exists, steps, slots, tables, set().union(*reads[i + 1:]),
+                            last=i == len(names))
+        namespace: dict = {}
+        exec(src, namespace)
+        source.append(src)
+        factories.append(namespace["level"])
     return _Plan(
-        exists=tuple(q == "exists" for q, _ in formula.prefix),
         names=names,
         slots=tuple(slots),
-        levels=tuple(levels),
+        tables=tables,
+        source=tuple(source),
+        factories=tuple(factories),
         frontier=tuple(reversed(frontier)),
         symbols=symbols,
     )
 
 
-def _bind_check(check, val: list):
-    kind, *args = check
-    if kind == "atom":
-        a, b = args
-        return lambda: val[a] == val[b]
-    if kind == "not":
-        inner = _bind_check(args[0], val)
-        return lambda: not inner()
-    parts = [_bind_check(c, val) for c in args[0]]
-    if kind == "and":
-        return lambda: all(p() for p in parts)
-    return lambda: any(p() for p in parts)
+def _level_source(d: int, exists: bool, steps, slots, tables, deeper, last: bool) -> str:
+    """Python source of the factory of depth d's search, or of the level run
+    once per call for d = -1.  deeper holds the slots read below depth d.
+    Slot s is the local xs, table i the argument Ti; the only other names are
+    fixed keywords and temporaries ci, so no text of the formula enters the
+    source.  Compound checks are flattened into one statement per node, so
+    that no check tree nests expressions or blocks."""
+    mine = {s for kind, s in steps if kind == "op"} | ({d} if d >= 0 else set())
+    outer: set = set()
+    body: list[str] = []
+    fail = "continue" if exists else "return None"
+    temps = count()
+
+    def ref(s):
+        if s not in mine:
+            outer.add(s)
+        return f"x{s}"
+
+    def expr(tree, negated=False):
+        """An expression true when tree holds (fails, if negated): a comparison,
+        or an and/or over operands with a temporary for each compound one."""
+        while tree[0] == "not":
+            tree, negated = tree[1], not negated
+        kind, *args = tree
+        if kind == "atom":
+            return f"{ref(args[0])} {'!=' if negated else '=='} {ref(args[1])}"
+        out = f" {kind} ".join(map(operand, args[0])) or str(kind == "and")
+        return f"not ({out})" if negated else out
+
+    def operand(tree):
+        inner = tree
+        while inner[0] == "not":
+            inner = inner[1]
+        if inner[0] == "atom":
+            return expr(tree)
+        name = f"c{next(temps)}"
+        body.append(f"{name} = {expr(tree)}")
+        return name
+
+    for kind, x in steps:
+        if kind == "op":
+            table, *args = slots[x]
+            body.append(f"x{x} = T{tables.index(table)}" + "".join(f"[{ref(a)}]" for a in args))
+            if x in deeper:
+                body.append(f"val[{x}] = x{x}")
+        else:
+            body.append(f"if {expr(x, negated=True)}: {fail}")
+    if d < 0:
+        body.append("return ()" if last else "return inner()")
+        loop = body
+    else:
+        head = [f"for x{d} in range(n):"]
+        if d in deeper:
+            head.append(f"    val[{d}] = x{d}")
+        if last:
+            tail = [f"return (x{d},)"] if exists else []
+        elif exists:
+            tail = ["found = inner()", "if found is not None:", f"    return (x{d}, *found)"]
+        else:
+            tail = ["if inner() is None:", "    return None"]
+        loop = head + ["    " + line for line in body + tail or ["pass"]]
+        loop.append("return None" if exists else "return ()")
+    lines = [f"x{s} = val[{s}]" for s in sorted(outer)] + loop
+    params = "".join(f", T{i}" for i in range(len(tables)))
+    return (f"def level(val, inner, n{params}):\n    def search():\n"
+            + "".join(f"        {line}\n" for line in lines) + "    return search\n")
 
 
-def _bind_level(plan: _Plan, level, alg: FiniteAlgebra, val: list):
-    """(segments, trailing) with each slot as (out, table, a, b): val[out] = table[val[a]][val[b]].
-
-    A unary table is read as a one-column binary table against the spare last
-    slot of val, which stays 0.
-    """
-    zero = len(val) - 1
-
-    def op(s):
-        name, *args = plan.slots[s]
-        table = getattr(alg, name)
-        if table is None:
-            raise TermEvalError(f"operation {plan.symbols[name]} unavailable for class {alg.cls}")
-        if len(args) == 1:
-            return s, tuple((c,) for c in table), args[0], zero
-        return s, table, *args
-
-    segments, trailing = level
-    return (tuple((tuple(map(op, ops)), _bind_check(tree, val)) for ops, tree in segments),
-            tuple(map(op, trailing)))
-
-
-def _search(exists: bool, slot: int, level, frontier, inner, n: int, val: list, room: list):
-    """The search over one quantifier's variable, memoised on its frontier
-    unless that is None, while room[0], the entries left to store, is positive.
-
-    It returns None when the subformula fails, else the values of the
-    existential variables bound from here up to the first universal one: an
-    existential level returns its first good value followed by the tail below,
-    a universal level returns ().
-    """
-    segments, trailing = level
-
-    def search():
-        for v in range(n):
-            val[slot] = v
-            for ops, check in segments:
-                for out, t, a, b in ops:
-                    val[out] = t[val[a]][val[b]]
-                if not check():
-                    break
-            else:
-                for out, t, a, b in trailing:
-                    val[out] = t[val[a]][val[b]]
-                tail = inner() if inner else ()
-                if tail is not None:
-                    if exists:
-                        return (v, *tail)
-                    continue
-            if not exists:
-                return None
-        return None if exists else ()
-
-    if frontier is None:
-        return search
+def _memoised(search, frontier, val: list, room: list):
+    """search memoised on the slots of frontier while room[0], the entries
+    left to store, is positive."""
     key = itemgetter(*frontier) if frontier else (lambda _: ())
     memo: dict = {}
 
@@ -617,19 +641,21 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     _MEMO_ENTRIES stored entries, the memos stop storing and levels recompute.
     """
     plan = _plan(formula)
-    val = [0] * (len(plan.slots) + 1)
+    tables = [getattr(alg, name) for name in plan.tables]
+    for name, table in zip(plan.tables, tables):
+        if table is None:
+            raise TermEvalError(f"operation {plan.symbols[name]} unavailable for class {alg.cls}")
+    val = [0] * len(plan.slots)
     for s, key in enumerate(plan.slots):
         if key[0] == "const":
             val[s] = 0 if key[1] == 0 else alg.top
-    levels = [_bind_level(plan, level, alg, val) for level in plan.levels]
     inner, room = None, [_MEMO_ENTRIES]
     for d in reversed(range(len(plan.names))):
-        inner = _search(plan.exists[d], d, levels[d + 1], plan.frontier[d], inner, alg.size,
-                        val, room)
-    # The constant level runs first and once: an existential over the single
-    # value 0 of the spare slot.
-    values = _search(True, len(plan.slots), levels[0], None, inner, 1, val, room)()
-    return None if values is None else dict(zip(plan.names, values[1:]))
+        inner = plan.factories[d + 1](val, inner, alg.size, *tables)
+        if plan.frontier[d] is not None:
+            inner = _memoised(inner, plan.frontier[d], val, room)
+    values = plan.factories[0](val, inner, alg.size, *tables)()
+    return None if values is None else dict(zip(plan.names, values))
 
 
 def eval_formula(alg: FiniteAlgebra, formula: FirstOrderFormula) -> bool:

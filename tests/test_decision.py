@@ -1,4 +1,8 @@
+import io
 import itertools
+import keyword
+import re
+import tokenize
 from functools import reduce
 
 import pytest
@@ -343,6 +347,72 @@ def test_staged_evaluator_matches_naive_on_random_formulas(small_algebras, data)
     want = naive_witness(alg, formula)
     assert satisfying_assignment(alg, formula) == want
     assert eval_formula(alg, formula) == naive_eval(alg, formula) == (want is not None)
+
+
+def _deep_formula(depth):
+    """exists x, y forall z over a check tree depth levels deep: FoNot, FoOr
+    and FoAnd alternate around cycled atoms, under one more FoNot."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    atoms = [FoAtom(Meet(x, z), z), FoAtom(Join(x, y), y), FoAtom(Box(z), Neg(y)), FoAtom(x, z)]
+    f = atoms[0]
+    for i in range(depth - 1):
+        if i % 3 == 0:
+            f = FoNot(f)
+        elif i % 3 == 1:
+            f = FoOr((atoms[i % 4], f))
+        else:
+            f = FoAnd((f, atoms[i % 4]))
+    return FirstOrderFormula((("exists", "x"), ("exists", "y"), ("forall", "z")), FoNot(f))
+
+
+def test_deep_check_trees_match_naive():
+    # Written out as one nested expression, a tree this deep exceeds the
+    # parser's limit on nested parentheses.
+    formula = _deep_formula(300)
+    answers = set()
+    for alg in catalog_fixtures():
+        want = naive_witness(alg, formula)
+        assert satisfying_assignment(alg, formula) == want, alg.name
+        assert eval_formula(alg, formula) == naive_eval(alg, formula) == (want is not None)
+        answers.add(want is not None)
+    assert answers == {True, False}
+
+
+_SOURCE_NAMES = {"level", "search", "val", "inner", "n", "range", "found"}
+
+
+def _generated_names(plan):
+    """The identifiers of every generated level source of plan, which holds no
+    string literal and no identifier but keywords, _SOURCE_NAMES and slot,
+    table and temporary numbers."""
+    names = set()
+    for src in plan.source:
+        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+            assert tok.type != tokenize.STRING, src
+            if tok.type == tokenize.NAME and not keyword.iskeyword(tok.string):
+                names.add(tok.string)
+    assert all(re.fullmatch(r"[xTc]\d+", s) for s in names - _SOURCE_NAMES), names
+    return names
+
+
+@pytest.mark.parametrize("name", ["__import__('os').system('false')", "a b", "val", "n", "x0"])
+def test_hostile_variable_names_evaluate_like_naive(name):
+    # Variable names never enter the generated source, so no name can run
+    # code there or shadow the names the source uses.
+    v, w = Var(name), Var("w")
+    matrix = FoOr((FoAtom(Box(v), v), FoNot(FoAtom(Meet(v, w), w))))
+    for prefix in ((("exists", name), ("forall", "w")), (("forall", "w"), ("exists", name))):
+        formula = FirstOrderFormula(prefix, matrix)
+        _generated_names(terms._plan(formula))
+        for alg in catalog_fixtures():
+            want = naive_witness(alg, formula)
+            assert satisfying_assignment(alg, formula) == want, alg.name
+            assert eval_formula(alg, formula) == naive_eval(alg, formula)
+
+
+def test_generated_source_holds_no_formula_text():
+    plan = terms._plan(diagram_alpha(two_ws5()))
+    assert _generated_names(plan).isdisjoint(plan.names)
 
 
 @st.composite

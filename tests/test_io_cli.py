@@ -18,7 +18,15 @@ from finheyt.fixtures import (
     catalog_fixtures,
     two_ws5,
 )
-from finheyt.terms import MAX_PRESENTATION_VARS, print_term
+from finheyt.terms import (
+    CONST0,
+    CONST1,
+    MAX_PRESENTATION_VARS,
+    Var,
+    discriminator_term,
+    print_term,
+)
+from term_oracle import eval_term
 
 
 @pytest.fixture()
@@ -227,9 +235,21 @@ def test_cli_rho_alpha(files, capsys):
 
 def test_cli_alpha_witness(files, capsys):
     code, out, _ = run_cli(capsys, "alpha", files["B4prod"], "--json")
-    assert code == 0 and json.loads(out) == {"command": "alpha", "holds": True, "witness": [0, 1]}
+    assert code == 0 and json.loads(out) == {"command": "alpha", "holds": True, "witness": [0, 1],
+                                             "assignment": {"x": 0, "y": 1, "z0": 0, "z1": 2}}
     code, out, _ = run_cli(capsys, "alpha", files["B4disc"], "--json")
-    assert code == 1 and json.loads(out) == {"command": "alpha", "holds": False, "witness": None}
+    assert code == 1 and json.loads(out) == {"command": "alpha", "holds": False, "witness": None,
+                                             "assignment": None}
+
+
+def test_cli_alpha_assignment_holds_the_images_of_0_and_1(files, capsys):
+    code, out, _ = run_cli(capsys, "alpha", files["B4prod"], "--json")
+    found = json.loads(out)["assignment"]
+    alg = io.read_algebra(files["B4prod"])
+    env = {"x": found["x"], "y": found["y"]}
+    images = [eval_term(alg, discriminator_term(Var("x"), Var("y"), c), env)
+              for c in (CONST0, CONST1)]
+    assert code == 0 and [found["z0"], found["z1"]] == images
 
 
 def _set(path, value):
