@@ -86,7 +86,13 @@ class ProjectivityVerdict:
 
 
 def decide_projective_finite(alg: FiniteAlgebra) -> ProjectivityVerdict:
-    """Evaluate all four equivalent criteria and demand agreement."""
+    """Evaluate all four equivalent criteria and demand agreement.  Only the
+    classes with a box table are decided: ws5, hri, hdp:N and dht:N."""
+    if alg.box is None:
+        raise ValueError(
+            f"projectivity of a finite algebra is decided for the classes ws5, hri, hdp:N "
+            f"and dht:N, not {alg.cls}" if alg.cls.kind == "heyting" else
+            f"this {alg.cls} algebra carries no box table; run derive_operations")
     if not alg.nontrivial:
         raise ValueError("projectivity decision needs a nontrivial algebra")
     two = two_element(alg.cls)

@@ -2,7 +2,10 @@
 
 Homomorphisms are found by a depth-first search over images of a generating
 set with closure propagation.  Isomorphisms are read off the canonical forms
-(`algebra.canonical_relabeling`), a complete invariant.
+(`algebra.canonical_relabeling`), a complete invariant.  Retract sections come
+from the same search, with each element's images restricted to its fibre under
+the onto map: the retract witness is the first onto map in search order that
+has a section, together with its lexicographically least section.
 """
 
 from __future__ import annotations
@@ -161,10 +164,14 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
+def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     """Yield operation-preserving maps dom->cod as tuples, deterministic DFS order.
 
     Partial maps are extended by closure propagation and pruned on table conflicts.
+    images[x], an ascending sequence of cod's elements, restricts the values x may
+    take (every element of cod by default): a branch that forces a value outside
+    it is pruned, and a generator tries only its allowed values.  So the search
+    yields exactly the unrestricted maps that respect images, in the same order.
     """
     if dom.cls != cod.cls:
         raise ValueError(f"class mismatch: {dom.cls} vs {cod.cls}")
@@ -173,6 +180,8 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
     unary = [(t, cod.unary_tables()[n]) for n, t in dom.unary_tables().items()]
     binary = [(t, cod.binary_tables()[n]) for n, t in dom.binary_tables().items()]
     n = dom.size
+    if images is None:
+        images = [range(cod.size)] * n
 
     def close(m, queue):
         while queue:
@@ -180,7 +189,8 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
             mx = m[x]
             for ta, tb in unary:
                 e, v = ta[x], tb[mx]
-                if m[e] == -1:
+                # a forced value outside images[e] fails the elif below
+                if m[e] == -1 and v in images[e]:
                     m[e] = v
                     queue.append(e)
                 elif m[e] != v:
@@ -192,7 +202,7 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
                     if my == -1:
                         continue
                     for e, v in ((row_a[y], tb[mx][my]), (col_a[y], tb[my][mx])):
-                        if m[e] == -1:
+                        if m[e] == -1 and v in images[e]:
                             m[e] = v
                             queue.append(e)
                         elif m[e] != v:
@@ -201,10 +211,8 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
 
     gens = generating_set(dom)
     m0 = [-1] * n
-    m0[0] = 0
-    if m0[dom.top] == -1:
-        m0[dom.top] = cod.top
-    elif m0[dom.top] != cod.top:
+    m0[0], m0[dom.top] = 0, cod.top  # m0[0] is cod.top when dom is trivial
+    if m0[0] != 0 or 0 not in images[0] or cod.top not in images[dom.top]:
         return
     if not close(m0, [0, dom.top] if dom.top != 0 else [0]):
         return
@@ -218,7 +226,7 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra):
         if m[g] != -1:
             yield from rec(i + 1, m)
             return
-        for v in range(cod.size):
+        for v in images[g]:
             m2 = m.copy()
             m2[g] = v
             if close(m2, [g]):
@@ -276,53 +284,15 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     return Homomorphism(a, b, tuple(back[y] for y in pa))
 
 
-def _sections(onto_hom):
-    """Search injections psi with onto_hom o psi = id, choosing per congruence class."""
-    p, b = onto_hom.dom, onto_hom.cod
-    fibers = [[x for x in p.elements if onto_hom.map[x] == v] for v in b.elements]
-    unary = [(t, p.unary_tables()[n]) for n, t in b.unary_tables().items()]
-    binary = [(t, p.binary_tables()[n]) for n, t in b.binary_tables().items()]
-    if b.top == 0 and p.top != 0:
-        return  # no map into p preserves both constants
-    psi = [-1] * b.size
-    psi[0] = 0
-    psi[b.top] = p.top
-
-    def consistent(v):
-        for tb, tp in unary:
-            w = tb[v]
-            if psi[w] != -1 and psi[w] != tp[psi[v]]:
-                return False
-        for tb, tp in binary:
-            for u in b.elements:
-                if psi[u] == -1:
-                    continue
-                for x, y in ((v, u), (u, v)):
-                    w = tb[x][y]
-                    if psi[w] != -1 and psi[w] != tp[psi[x]][psi[y]]:
-                        return False
-        return True
-
-    order = [v for v in b.elements if psi[v] == -1]
-
-    def rec(i):
-        if i == len(order):
-            yield tuple(psi)
-            return
-        v = order[i]
-        for cand in fibers[v]:
-            psi[v] = cand
-            if consistent(v):
-                yield from rec(i + 1)
-            psi[v] = -1
-
-    if 0 in fibers[0] and p.top in fibers[b.top] and consistent(0) and consistent(b.top):
-        yield from rec(0)
-
-
 def is_retract(p: FiniteAlgebra, b: FiniteAlgebra, factor_pair=None) -> RetractWitness | None:
-    """Direct retract search; cross-checked against the product construction when
-    a FactorPair presenting p as a product is supplied."""
+    """A retraction p -> b with an injection b -> p inverse to it, or None.
+
+    When p and b are isomorphic the witness is an isomorphism and its inverse.
+    Otherwise it is the first onto map phi of the hom search p -> b, in search
+    order, that has a section, together with its lexicographically least
+    section: a hom b -> p found by the same search with the images of each v
+    restricted to phi's fibre over v.  Cross-checked against the product
+    construction when a FactorPair presenting p as a product is supplied."""
     if p.cls != b.cls:
         raise ValueError(f"class mismatch: {p.cls} vs {b.cls}")
     if b.size > p.size:
@@ -336,12 +306,10 @@ def is_retract(p: FiniteAlgebra, b: FiniteAlgebra, factor_pair=None) -> RetractW
         for m in _search(p, b):
             if len(set(m)) != b.size:
                 continue
-            phi = Homomorphism(p, b, m)
-            for sec in _sections(phi):
-                psi = Homomorphism(b, p, sec)
-                witness = RetractWitness(retraction=phi, injection=psi)
-                break
-            if witness is not None:
+            fibres = [[x for x in p.elements if m[x] == v] for v in b.elements]
+            section = min(_search(b, p, fibres), default=None)
+            if section is not None:
+                witness = RetractWitness(Homomorphism(p, b, m), Homomorphism(b, p, section))
                 break
 
     if factor_pair is not None:

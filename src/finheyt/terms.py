@@ -116,6 +116,12 @@ and right operands of implications, and a term tree at most this high; deeper
 input raises TermParseError instead of exhausting the interpreter's stack here
 or in the recursive functions that later walk the term."""
 
+MAX_QUANTIFIERS = 256
+"""satisfying_assignment accepts a prefix of at most this many quantifiers.  Each
+level's search calls the next, one frame per level plus one per memo wrapper,
+so about 500 levels exhaust CPython's default stack of 1,000 frames; the bound
+keeps half of it for the callers.  Longer prefixes raise TermEvalError."""
+
 MAX_PRESENTATION_VARS = 20
 """decision.decide_projective_fp searches the 2^k assignments of a presentation's
 k variables in the two-element algebra on the staged plan (see ``_plan``).  At
@@ -639,7 +645,11 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     Every table the formula reads is bound before the search starts, so a
     missing operation raises TermEvalError whatever the values.  Past
     _MEMO_ENTRIES stored entries, the memos stop storing and levels recompute.
+    A prefix longer than MAX_QUANTIFIERS raises TermEvalError.
     """
+    if len(formula.prefix) > MAX_QUANTIFIERS:
+        raise TermEvalError(f"formula has {len(formula.prefix)} quantifiers; "
+                            f"at most {MAX_QUANTIFIERS} are evaluated")
     plan = _plan(formula)
     tables = [getattr(alg, name) for name in plan.tables]
     for name, table in zip(plan.tables, tables):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import keyword
@@ -21,6 +22,7 @@ from finheyt.decision import (
     primitive_report,
     rho,
 )
+from finheyt.errors import TermEvalError
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -185,6 +187,13 @@ def test_decide_projective_finite_examples():
     v = decide_projective_finite(c3_simple())
     assert not v.projective
     assert set(v.criteria) == {"hom_onto_two", "element_criterion", "rho", "alpha"}
+
+
+def test_decide_projective_finite_rejects_box_less_algebras():
+    with pytest.raises(ValueError, match="ws5, hri, hdp:N and dht:N, not heyting"):
+        decide_projective_finite(two_element(VarietyClass("heyting")))
+    with pytest.raises(ValueError, match="run derive_operations"):
+        decide_projective_finite(dataclasses.replace(c3_hri(), box=None))
 
 
 def test_diagram_beta_holds_exactly_on_two():
@@ -376,6 +385,23 @@ def test_deep_check_trees_match_naive():
         assert eval_formula(alg, formula) == naive_eval(alg, formula) == (want is not None)
         answers.add(want is not None)
     assert answers == {True, False}
+
+
+def _chain(k):
+    """exists v0 ... v(k-1): v(i-1) & vi = vi for each i, true at all zeros."""
+    v = [Var(f"v{i}") for i in range(k)]
+    matrix = FoAnd(tuple(FoAtom(Meet(v[i - 1], v[i]), v[i]) for i in range(1, k)))
+    return FirstOrderFormula(tuple(("exists", x.name) for x in v), matrix)
+
+
+def test_quantifier_chain_at_the_bound_evaluates():
+    found = satisfying_assignment(two_ws5(), _chain(terms.MAX_QUANTIFIERS))
+    assert found == {f"v{i}": 0 for i in range(terms.MAX_QUANTIFIERS)}
+
+
+def test_quantifier_chain_over_the_bound_raises():
+    with pytest.raises(TermEvalError, match=str(terms.MAX_QUANTIFIERS)):
+        satisfying_assignment(two_ws5(), _chain(terms.MAX_QUANTIFIERS + 1))
 
 
 _SOURCE_NAMES = {"level", "search", "val", "inner", "n", "range", "found"}

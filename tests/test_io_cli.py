@@ -424,6 +424,15 @@ def test_cli_catalog(tmp_path, capsys):
         assert validate(io.read_algebra(p)).valid
 
 
+def test_cli_projective_on_a_heyting_algebra_names_the_decided_classes(tmp_path, capsys):
+    assert run_cli(capsys, "catalog", "--class", "heyting", "--max-size", "3",
+                   "--out", tmp_path)[0] == 0
+    code, out, err = run_cli(capsys, "projective", "--class", "heyting",
+                             tmp_path / "heyting_n3_00.json")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "decided for the classes ws5, hri, hdp:N and dht:N, not heyting" in err
+
+
 @pytest.mark.parametrize("size", ["0", "-1", "13"])
 def test_cli_catalog_max_size_out_of_range_exits_2(tmp_path, capsys, size):
     code, out, err = run_cli(capsys, "catalog", "--class", "ws5", "--max-size", size,

@@ -21,6 +21,7 @@ from finheyt.fixtures import (
 from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
+    _search,
     generating_set,
     homs,
     induced_subalgebra,
@@ -242,6 +243,76 @@ def test_prod_retract_agrees_with_hom_existence_on_fixtures():
             direct = is_retract(p, b) is not None
             via_hom = homs(b, c, "any") is not None
             assert direct == via_hom, (b.name, c.name)
+
+
+def search_pairs():
+    """Same-class (dom, cod) pairs of the fixtures and the engine algebras."""
+    algebras = [*catalog_fixtures(), *engine_algebras()]
+    return [(a, b) for a in algebras for b in algebras if a.cls == b.cls]
+
+
+def test_search_images_keep_exactly_the_respecting_maps_in_order():
+    rng = random.Random(2017)
+    for dom, cod in search_pairs():
+        maps = list(_search(dom, cod))
+        for trial in range(3):
+            # the first trial keeps one map's values, so some map survives
+            keep = rng.choice(maps) if maps and trial == 0 else None
+            images = [
+                sorted({*rng.sample(cod.elements, rng.randint(0, cod.size)),
+                        *([keep[x]] if keep else [])})
+                for x in dom.elements
+            ]
+            want = [m for m in maps if all(m[x] in images[x] for x in dom.elements)]
+            assert list(_search(dom, cod, images)) == want, (dom.name, cod.name, images)
+            assert keep is None or keep in want
+
+
+def test_search_images_without_the_constants_yield_nothing():
+    for dom, cod in search_pairs():
+        for x, value in ((0, 0), (dom.top, cod.top)):
+            images = [list(cod.elements) for _ in dom.elements]
+            images[x] = [v for v in cod.elements if v != value]
+            assert list(_search(dom, cod, images)) == [], (dom.name, cod.name, x)
+
+
+def retract_against_section_oracle(p, b):
+    """is_retract(p, b), checked against the sections among homs(b, p, "all")."""
+    back = homs(b, p, "all").homs
+
+    def sections(r):
+        return [psi.map for psi in back if all(r.map[psi.map[v]] == v for v in b.elements)]
+
+    w = is_retract(p, b)
+    assert (w is not None) == any(sections(r) for r in homs(p, b, "all_onto").homs)
+    assert w is None or w.injection.map == sections(w.retraction)[0]
+    return w
+
+
+def test_retract_witness_matches_the_section_oracle(catalogs):
+    # criterion 04's pairs: nontrivial members up to size 6, |b||c| <= 12
+    products = retracts = 0
+    for cat in catalogs.values():
+        smalls = [a for a in cat.algebras if a.nontrivial and a.size <= 6]
+        for b in smalls:
+            for c in smalls:
+                if b.size * c.size > 12:
+                    continue
+                # b x c and c x b, once where their tables coincide (as for 2 and 2 x 2)
+                for p in dict.fromkeys((product(b, c), product(c, b))):
+                    products += 1
+                    retracts += retract_against_section_oracle(p, b) is not None
+    assert (products, retracts) == (312, 176)
+
+
+def test_retract_injection_is_the_least_section_not_the_first_found(catalogs):
+    # On this 18-element product the search meets another section first.
+    named = {a.name: a for a in catalogs[VarietyClass("ws5")].algebras}
+    b, c = named["ws5_n6_01"], named["ws5_n3_00"]
+    for p in (product(b, c), product(c, b)):
+        w = retract_against_section_oracle(p, b)
+        fibres = [[x for x in p.elements if w.retraction.map[x] == v] for v in b.elements]
+        assert next(_search(b, p, fibres)) != w.injection.map
 
 
 def subuniverses(alg: FiniteAlgebra):
