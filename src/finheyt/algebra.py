@@ -27,7 +27,6 @@ from .errors import (
     InvalidAlgebraError,
     MalformedAlgebraError,
     TermEvalError,
-    TheoremViolation,
 )
 
 KINDS = ("heyting", "ws5", "hri", "hdp", "dht")
@@ -201,22 +200,18 @@ def check_structure(alg: FiniteAlgebra) -> None:
     if n < 1:
         raise MalformedAlgebraError(f"size must be >= 1, got {n}")
 
-    def chk2(name, rows):
-        if len(rows) != n:
-            raise MalformedAlgebraError(f"{name}: expected {n} rows, got {len(rows)}")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise MalformedAlgebraError(f"{name}[{i}]: expected {n} entries, got {len(row)}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise MalformedAlgebraError(f"{name}[{i}][{j}] = {v!r} out of range 0..{n - 1}")
-
     def chk1(name, row):
         if len(row) != n:
             raise MalformedAlgebraError(f"{name}: expected {n} entries, got {len(row)}")
         for i, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise MalformedAlgebraError(f"{name}[{i}] = {v!r} out of range 0..{n - 1}")
+
+    def chk2(name, rows):
+        if len(rows) != n:
+            raise MalformedAlgebraError(f"{name}: expected {n} rows, got {len(rows)}")
+        for i, row in enumerate(rows):
+            chk1(f"{name}[{i}]", row)
 
     # Besides the Heyting tables a class may carry the tables it lists here,
     # and needs the last, from which hri, hdp and dht derive box.
@@ -458,22 +453,16 @@ def derive_operations(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def element_profile(alg: FiniteAlgebra) -> ElementProfile:
-    """Classify elements; `simple` counts congruence filters and, when a box
-    table is present, is cross-checked against the open-element count."""
-    from . import congruence
-
-    simple = len(congruence.all_congruence_filters(alg)) == 2
+    """Classify elements.  The congruence filters are the up-sets of the open
+    elements, so `simple` (exactly two congruence filters) means exactly two open
+    elements: two elements, without a box table, where every element counts as open."""
     opens = alg.open_set
-    if opens is not None and simple != (len(opens) == 2):
-        raise TheoremViolation(
-            f"simplicity ({simple}) disagrees with open-element count {len(opens)} on {alg!r}"
-        )
     return ElementProfile(
         open=opens,
         dense=alg.dense_set,
         regular=alg.regular_set,
         boolean_h_reduct=alg.boolean_h_reduct,
-        simple=simple,
+        simple=len(alg.elements if opens is None else opens) == 2,
     )
 
 

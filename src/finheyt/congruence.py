@@ -1,15 +1,16 @@
 """Congruence filters, congruences, quotients, products, factor decomposition.
 
-On a finite lattice every h-filter is principal (it is finite, meet-closed and
-upward closed, so it is the up-set of the meet of its members); congruence
-filters are exactly the up-sets of open elements, and the open elements form a
-Boolean algebra whose dual is the congruence lattice.  Everything here is built
-from that: the congruence of the up-set of b has the fibres of a -> a & b as its
-blocks, the factor complement of the congruence of the up-set of b is the
-congruence of the up-set of !b, and the simple factors are the quotients by the
-up-sets of the atoms of the open elements, checked through their projections.
-Without a box table every element counts as open.  The partition form is kept
-for the relational factor-pair checks.
+On a finite lattice every h-filter is the up-set of its meet, so the filter
+predicates read a filter through its meet; congruence filters are exactly the
+up-sets of open elements, and the open elements form a Boolean algebra whose
+dual is the congruence lattice.  Every congruence is built from its open
+generator b by one constructor, _congruence_of: its blocks are the fibres of
+a -> a & b, and a table they break is a TheoremViolation.  The factor
+complement of the congruence of the up-set of b is that of the up-set of !b,
+and the simple factors are the quotients by the up-sets of the atoms of the
+open elements, checked through their projections.  Without a box table every
+element counts as open.  The partition form is kept for the relational
+factor-pair checks.
 """
 
 from __future__ import annotations
@@ -132,45 +133,45 @@ def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
 
 # -- filters -----------------------------------------------------------------
 
+def _meet_of(alg: FiniteAlgebra, elements) -> int:
+    """The meet of elements; the top for none."""
+    return reduce(lambda x, y: alg.meet[x][y], elements, alg.top)
+
+
+def _box(alg: FiniteAlgebra):
+    """The box table; the identity without one, so that every element counts as open."""
+    return alg.elements if alg.box is None else alg.box
+
+
 def is_hfilter(alg: FiniteAlgebra, carrier) -> bool:
-    """Whether carrier is an h-filter; ValueError if it leaves the universe."""
+    """Whether carrier is an h-filter, i.e. the up-set of its meet; ValueError if it
+    leaves the universe."""
     f = frozenset(carrier)
     outside = sorted(a for a in f if not 0 <= a < alg.size)
     if outside:
         raise ValueError(f"elements {outside} outside 0..{alg.size - 1}")
-    if alg.top not in f:
-        return False
-    up = all(b in f for a in f for b in alg.upset[a])
-    meets = all(alg.meet[a][b] in f for a in f for b in f)
-    return up and meets
+    return f == frozenset(alg.upset[_meet_of(alg, f)])
 
 
 def is_congruence_filter(alg: FiniteAlgebra, carrier) -> bool:
+    """Whether carrier is a congruence filter, i.e. an h-filter with an open meet."""
     f = frozenset(carrier)
     if not is_hfilter(alg, f):
         return False
-    if alg.box is None:
-        return True
-    return all(alg.box[a] in f for a in f)
+    b = _meet_of(alg, f)
+    return _box(alg)[b] == b
 
 
 def generated_hfilter(alg: FiniteAlgebra, seed) -> frozenset:
     """Least h-filter containing seed: the up-set of the meet of the seed."""
-    if not seed:
-        return frozenset({alg.top})
-    b = reduce(lambda x, y: alg.meet[x][y], seed)
-    return frozenset(alg.upset[b])
+    return frozenset(alg.upset[_meet_of(alg, seed)])
 
 
 def generated_congfilter(alg: FiniteAlgebra, seed) -> frozenset:
     """Least congruence filter containing seed, via the boxed-meet description:
     { a : box b0 & ... & box b(k-1) <= a for some bi in seed }."""
-    if alg.box is None:
-        return generated_hfilter(alg, seed)
-    if not seed:
-        return frozenset({alg.top})
-    b = reduce(lambda x, y: alg.meet[x][y], (alg.box[s] for s in seed))
-    return frozenset(alg.upset[b])
+    box = _box(alg)
+    return generated_hfilter(alg, [box[s] for s in seed])
 
 
 def _open_elements(alg: FiniteAlgebra):
@@ -186,24 +187,29 @@ def all_congruence_filters(alg: FiniteAlgebra) -> list[frozenset]:
 
 def principal_generator(alg: FiniteAlgebra, f) -> int:
     """The single generator b with f = { a : box b <= a }; b is the meet of f."""
-    b = reduce(lambda x, y: alg.meet[x][y], f)
-    bb = b if alg.box is None else alg.box[b]
-    if frozenset(alg.upset[bb]) != frozenset(f):
+    b = _meet_of(alg, f)
+    if frozenset(alg.upset[_box(alg)[b]]) != frozenset(f):
         raise TheoremViolation(f"meet {b} does not box-generate the filter {sorted(f)}")
     return b
 
 
-def to_congruence(alg: FiniteAlgebra, f) -> Congruence:
-    """Congruence of a filter: a ~ c iff (a -> c) & (c -> a) lies in f.  With f the
-    up-set of b, that is b <= a <-> c, i.e. a & b = c & b: the blocks are the fibres
-    of a -> a & b."""
-    if not is_congruence_filter(alg, f):
-        raise ValueError(f"{sorted(f)} is not a congruence filter")
-    b = reduce(lambda x, y: alg.meet[x][y], f)
+def _congruence_of(alg: FiniteAlgebra, b: int) -> Congruence:
+    """Congruence of the up-set of the open element b: a ~ c iff (a -> c) & (c -> a)
+    lies in it, i.e. b <= a <-> c, i.e. a & b = c & b, so the blocks are the fibres
+    of a -> a & b.  TheoremViolation if they break a table."""
     fibres: dict[int, list[int]] = {}
     for a in alg.elements:
         fibres.setdefault(alg.meet[a][b], []).append(a)
-    return congruence_from_blocks(alg, list(fibres.values()))
+    theta = Congruence(tuple(tuple(v) for v in fibres.values()), alg.size)
+    _induced_tables(alg, theta, TheoremViolation)
+    return theta
+
+
+def to_congruence(alg: FiniteAlgebra, f) -> Congruence:
+    """Congruence of the congruence filter f: that of the up-set of its meet."""
+    if not is_congruence_filter(alg, f):
+        raise ValueError(f"{sorted(f)} is not a congruence filter")
+    return _congruence_of(alg, _meet_of(alg, f))
 
 
 def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
@@ -212,8 +218,8 @@ def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
-    """Least congruence identifying a and b."""
-    return to_congruence(alg, generated_congfilter(alg, (alg.iff(a, b),)))
+    """Least congruence identifying a and b: that of the up-set of box(a <-> b)."""
+    return _congruence_of(alg, _box(alg)[alg.iff(a, b)])
 
 
 # -- quotients and products --------------------------------------------------
@@ -265,11 +271,11 @@ def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | Non
     """The complement of a congruence theta of alg: with b the meet of theta's top
     block, the congruence of the up-set of !b.  None when b | !b < 1, which only an
     algebra without a box table allows; then theta has no complement at all."""
-    b = reduce(lambda x, y: alg.meet[x][y], to_filter(alg, theta))
+    b = _meet_of(alg, to_filter(alg, theta))
     nb = alg.neg[b]
     if alg.join[b][nb] != alg.top:
         return None
-    theta_prime = to_congruence(alg, alg.upset[nb])
+    theta_prime = _congruence_of(alg, nb)
     if not theta.meet(theta_prime).is_identity:
         raise TheoremViolation(f"congruences of {b} and its complement meet above the identity")
     if not theta.join(theta_prime).is_total:
@@ -297,7 +303,7 @@ def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     if len(atoms) == 1:
         return [alg]
     parts = sorted(
-        (quotient(alg, to_congruence(alg, alg.upset[e])) for e in atoms),
+        (quotient(alg, _congruence_of(alg, e)) for e in atoms),
         key=lambda part: serial_key(part[0]),
     )
     factors = [f for f, _ in parts]
@@ -311,9 +317,11 @@ def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 
 def boolean_projection(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Quotient by the congruence filter generated by all dense elements."""
-    f = generated_congfilter(alg, sorted(alg.dense_set))
-    out, proj = quotient(alg, to_congruence(alg, f))
+    """Quotient by the congruence filter generated by all dense elements: the up-set
+    of the meet of their boxes."""
+    box = _box(alg)
+    b = _meet_of(alg, (box[d] for d in alg.dense_set))
+    out, proj = quotient(alg, _congruence_of(alg, b))
     if not out.boolean_h_reduct:
         raise TheoremViolation(f"Boolean projection of {alg!r} is not Boolean")
     return out, proj

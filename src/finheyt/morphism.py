@@ -25,8 +25,8 @@ class Homomorphism:
     dom: FiniteAlgebra
     cod: FiniteAlgebra
     map: tuple[int, ...]
-    onto: bool = field(default=False)
-    injective: bool = field(default=False)
+    onto: bool = field(init=False)
+    injective: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
@@ -99,17 +99,15 @@ def subalgebra_closure(alg: FiniteAlgebra, seed) -> frozenset:
     closed.update(seed)
     unary = list(alg.unary_tables().values())
     binary = list(alg.binary_tables().values())
-    frontier = list(closed)
-    while frontier:
+    while True:
         produced = set()
         for t in unary:
             produced.update(t[a] for a in closed)
         for t in binary:
             produced.update(t[a][b] for a in closed for b in closed)
-        produced -= closed
-        closed.update(produced)
-        frontier = list(produced)
-    return frozenset(closed)
+        if produced <= closed:
+            return frozenset(closed)
+        closed |= produced
 
 
 def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -196,12 +194,12 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
                 elif m[e] != v:
                     return False
             for ta, tb in binary:
-                row_a, col_a = ta[x], [ta[y][x] for y in range(n)]
+                row_a, row_b = ta[x], tb[mx]
                 for y in range(n):
                     my = m[y]
                     if my == -1:
                         continue
-                    for e, v in ((row_a[y], tb[mx][my]), (col_a[y], tb[my][mx])):
+                    for e, v in ((row_a[y], row_b[my]), (ta[y][x], tb[my][mx])):
                         if m[e] == -1 and v in images[e]:
                             m[e] = v
                             queue.append(e)

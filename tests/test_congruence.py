@@ -104,6 +104,17 @@ def congruence_closure_oracle(alg, a, b):
     return Congruence(tuple(tuple(g) for g in groups.values()), alg.size)
 
 
+def filter_oracle(alg, f, use_box):
+    """Whether f is an h-filter (and, with use_box and a box table, box-closed), by
+    scanning: the top in f, upward closed, meet-closed, box-closed."""
+    return (
+        alg.top in f
+        and all(b in f for a in f for b in alg.upset[a])
+        and all(alg.meet[a][b] in f for a in f for b in f)
+        and not (use_box and alg.box is not None and any(alg.box[a] not in f for a in f))
+    )
+
+
 def bruteforce_congruence_filters(alg):
     """Every box-closed h-filter, by scanning all subsets containing the top."""
     rest = [a for a in alg.elements if a != alg.top]
@@ -111,7 +122,7 @@ def bruteforce_congruence_filters(alg):
     for k in range(len(rest) + 1):
         for extra in itertools.combinations(rest, k):
             f = frozenset((alg.top, *extra))
-            if is_congruence_filter(alg, f):
+            if filter_oracle(alg, f, True):
                 out.append(f)
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
@@ -406,10 +417,16 @@ def test_decompose_144_element_product():
 def test_decompose_raises_when_the_projections_are_not_a_bijection(monkeypatch):
     # Every atom gets the factor of the first atom, so x -> (p(x), p(x)) is not onto.
     alg = b4_prod()
-    real = cg.to_congruence
-    monkeypatch.setattr(cg, "to_congruence", lambda a, f: real(a, a.upset[1]))
+    real = cg._congruence_of
+    monkeypatch.setattr(cg, "_congruence_of", lambda a, b: real(a, 1))
     with pytest.raises(TheoremViolation):
         decompose_simples(alg)
+
+
+def test_congruence_of_a_generator_that_is_not_open_is_a_theorem_violation():
+    # the fibres of a -> a & 1 in C3 put 1 with the top but not box 1 = 0 with box 2 = 2
+    with pytest.raises(TheoremViolation):
+        cg._congruence_of(c3_simple(), 1)
 
 
 def test_heyting_congruences_without_box():
@@ -419,6 +436,27 @@ def test_heyting_congruences_without_box():
     assert factor_complement(chain, middle) is None  # 1 | !1 = 1 | 0 < 1
     assert decompose_simples(chain) == [chain]
     assert [f.size for f in decompose_simples(heyting(b4_prod()))] == [2, 2]
+
+
+def oracle_algebras(catalogs):
+    """The algebras of test_constructions_match_search_oracles: the catalog algebras
+    of the six acceptance classes and heyting up to size 6, and every same-class
+    fixture product of at most 12 elements."""
+    algebras = [a for cat in catalogs.values() for a in cat.algebras if a.size <= 6]
+    algebras += build_catalog(HEYTING, 6).algebras
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
+            if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:
+                algebras.append(reduce(product, combo))
+    return algebras
+
+
+def test_filter_predicates_match_scan_oracle_on_every_subset(catalogs):
+    for alg in oracle_algebras(catalogs):
+        for mask in range(1 << alg.size):
+            f = frozenset(a for a in alg.elements if mask >> a & 1)
+            assert is_hfilter(alg, f) == filter_oracle(alg, f, False), (alg, sorted(f))
+            assert is_congruence_filter(alg, f) == filter_oracle(alg, f, True), (alg, sorted(f))
 
 
 def test_constructions_match_search_oracles(catalogs):

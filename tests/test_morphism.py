@@ -141,6 +141,13 @@ def test_hom_constructor_verifies_preservation():
         Homomorphism(b4_prod(), two_ws5(), (0, 1, 1, 1))  # breaks meet on atoms
 
 
+@pytest.mark.parametrize("flag", ["onto", "injective"])
+def test_hom_constructor_rejects_derived_flags(flag):
+    # onto and injective are read off the map, never passed in
+    with pytest.raises(TypeError):
+        Homomorphism(b4_prod(), two_ws5(), (0, 1, 0, 1), **{flag: True})
+
+
 def test_isomorphic_examples():
     assert isomorphic(b4_prod(), product(two_ws5(), two_ws5())) is not None
     assert isomorphic(b4_prod(), b4_disc()) is None  # open counts 4 vs 2
