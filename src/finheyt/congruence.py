@@ -8,9 +8,9 @@ generator b by one constructor, _congruence_of: its blocks are the fibres of
 a -> a & b, and a table they break is a TheoremViolation.  The factor
 complement of the congruence of the up-set of b is that of the up-set of !b,
 and the simple factors are the quotients by the up-sets of the atoms of the
-open elements, checked through their projections.  Without a box table every
-element counts as open.  The partition form is kept for the relational
-factor-pair checks.
+open elements.  Both are checked by one product check, _multiplied: the
+projections must multiply back to a bijection onto the product of the
+quotients.  Without a box table every element counts as open.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class Congruence:
     def is_total(self) -> bool:
         return len(self.blocks) == 1
 
-    def related(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
-
     def meet(self, other: "Congruence") -> "Congruence":
         keys = {}
         for a in range(self.size):
@@ -87,28 +84,16 @@ class Congruence:
         return all(((i, j) in pairs) == ((k, l) in pairs) for i, l in pairs for k, j in pairs)
 
 
-def _blocks_valid(alg: FiniteAlgebra, blocks) -> str | None:
-    seen = [0] * alg.size
-    for block in blocks:
-        for a in block:
-            if not 0 <= a < alg.size:
-                return f"element {a} out of range"
-            seen[a] += 1
-    if any(c != 1 for c in seen):
-        return "blocks do not partition the universe"
-    return None
-
-
-def _induced_tables(alg: FiniteAlgebra, theta: Congruence, error) -> dict:
+def _induced_tables(alg: FiniteAlgebra, theta: Congruence) -> dict:
     """Tables induced on the blocks of theta, by field name, in one pass per table;
-    raises `error` as soon as a table maps related arguments to unrelated values."""
+    TheoremViolation as soon as a table maps related arguments to unrelated values."""
     cls, k = theta.class_of, len(theta.blocks)
     out = {}
     for name, t in alg.unary_tables().items():
         row = {}
         for a in alg.elements:
             if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
-                raise error(f"partition not compatible with {name}")
+                raise TheoremViolation(f"partition not compatible with {name}")
         out[name] = tuple(row[c] for c in range(k))
     for name, t in alg.binary_tables().items():
         rows = [{} for _ in range(k)]
@@ -116,19 +101,9 @@ def _induced_tables(alg: FiniteAlgebra, theta: Congruence, error) -> dict:
             row, ta = rows[cls[a]], t[a]
             for b in alg.elements:
                 if row.setdefault(cls[b], cls[ta[b]]) != cls[ta[b]]:
-                    raise error(f"partition not compatible with {name}")
+                    raise TheoremViolation(f"partition not compatible with {name}")
         out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
     return out
-
-
-def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
-    """Build a congruence, verifying the partition is compatible with every table."""
-    problem = _blocks_valid(alg, blocks)
-    if problem:
-        raise ValueError(problem)
-    theta = Congruence(tuple(tuple(b) for b in blocks), alg.size)
-    _induced_tables(alg, theta, ValueError)
-    return theta
 
 
 # -- filters -----------------------------------------------------------------
@@ -201,7 +176,7 @@ def _congruence_of(alg: FiniteAlgebra, b: int) -> Congruence:
     for a in alg.elements:
         fibres.setdefault(alg.meet[a][b], []).append(a)
     theta = Congruence(tuple(tuple(v) for v in fibres.values()), alg.size)
-    _induced_tables(alg, theta, TheoremViolation)
+    _induced_tables(alg, theta)
     return theta
 
 
@@ -229,7 +204,7 @@ def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homo
     prelim = FiniteAlgebra(
         len(theta.blocks), alg.cls,
         name=f"{alg.name}/theta" if alg.name else "",
-        **_induced_tables(alg, theta, TheoremViolation),
+        **_induced_tables(alg, theta),
     )
     perm, canon = canonical_relabeling(prelim)
     proj = Homomorphism(alg, canon, tuple(perm[theta.class_of[a]] for a in alg.elements))
@@ -254,6 +229,19 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
         else:
             tables[name] = tuple(ta[x] * m + tb[y] for x in range(n) for y in range(m))
     return FiniteAlgebra(n * m, a.cls, name=f"({a.name or 'A'})x({b.name or 'B'})", **tables)
+
+
+def _multiplied(alg: FiniteAlgebra, parts) -> Homomorphism:
+    """The map x -> (proj(x)) over the (factor, projection) pairs in order, onto the
+    product of the factors (mixed radix, as `product` indexes it); TheoremViolation
+    unless it is a bijection."""
+    index = [0] * alg.size
+    for f, proj in parts:
+        index = [i * f.size + proj.map[x] for x, i in enumerate(index)]
+    h = Homomorphism(alg, reduce(product, (f for f, _ in parts)), index)
+    if not (h.onto and h.injective):
+        raise TheoremViolation(f"the projections of {alg!r} do not multiply back")
+    return h
 
 
 @dataclass(frozen=True)
@@ -282,20 +270,15 @@ def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | Non
         raise TheoremViolation(f"congruences of {b} and its complement join below the total")
     if not theta.permutes_with(theta_prime):
         raise TheoremViolation(f"congruences of {b} and its complement do not permute")
-    qa, pa = quotient(alg, theta)
-    qb, pb = quotient(alg, theta_prime)
-    iso = Homomorphism(alg, product(qa, qb),
-                       tuple(pa.map[x] * qb.size + pb.map[x] for x in alg.elements))
-    if not (iso.onto and iso.injective):
-        raise TheoremViolation("factor map onto the product is not bijective")
-    return FactorPair(theta, theta_prime, qa, qb, iso)
+    qa, qb = quotient(alg, theta), quotient(alg, theta_prime)
+    return FactorPair(theta, theta_prime, qa[0], qb[0], _multiplied(alg, [qa, qb]))
 
 
 def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     """One factor A/Con(up-set of e) per atom e of the complemented open elements; each
     is simple (or, without a box table, indecomposable).  A single atom returns the
-    input itself.  Verifies through the projections that x -> (proj_e(x))_e is a
-    bijection onto the product of the factors."""
+    input itself.  The factors, in serial-key order, must multiply back
+    (_multiplied)."""
     if not alg.nontrivial:
         raise ValueError("decompose_simples needs a nontrivial algebra")
     centre = [e for e in _open_elements(alg) if alg.join[e][alg.neg[e]] == alg.top]
@@ -306,14 +289,8 @@ def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
         (quotient(alg, _congruence_of(alg, e)) for e in atoms),
         key=lambda part: serial_key(part[0]),
     )
-    factors = [f for f, _ in parts]
-    index = [0] * alg.size
-    for f, proj in parts:
-        index = [i * f.size + proj.map[x] for x, i in enumerate(index)]
-    h = Homomorphism(alg, reduce(product, factors), index)
-    if not (h.onto and h.injective):
-        raise TheoremViolation(f"decomposition of {alg!r} does not multiply back")
-    return factors
+    _multiplied(alg, parts)
+    return [f for f, _ in parts]
 
 
 def boolean_projection(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, Homomorphism]:

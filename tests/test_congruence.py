@@ -20,7 +20,6 @@ from finheyt.congruence import (
     Congruence,
     all_congruence_filters,
     boolean_projection,
-    congruence_from_blocks,
     decompose_simples,
     factor_complement,
     generated_congfilter,
@@ -43,6 +42,7 @@ from finheyt.fixtures import (
     c3_hri,
     c3_simple,
     catalog_fixtures,
+    two_element,
     two_ws5,
 )
 from finheyt.morphism import Homomorphism, homs, isomorphic
@@ -138,7 +138,7 @@ def iff_congruence(alg, f):
         else:
             reps.append(a)
             blocks.append([a])
-    return congruence_from_blocks(alg, blocks)
+    return Congruence(tuple(tuple(b) for b in blocks), alg.size)
 
 
 def scan_factor_complement(alg, theta):
@@ -163,9 +163,9 @@ def permutes_oracle(theta, phi):
         out = set()
         for a in range(n):
             for b in range(n):
-                if first.related(a, b):
+                if first.class_of[a] == first.class_of[b]:
                     for c in range(n):
-                        if second.related(b, c):
+                        if second.class_of[b] == second.class_of[c]:
                             out.add((a, c))
         return out
 
@@ -258,15 +258,6 @@ def test_filter_congruence_roundtrips_exhaustive():
             theta = to_congruence(alg, f)
             assert to_filter(alg, theta) == f
             assert to_congruence(alg, to_filter(alg, theta)) == theta
-
-
-def test_congruence_from_blocks_rejects_incompatible_partitions():
-    with pytest.raises(ValueError):
-        congruence_from_blocks(b4_disc(), ((0, 1), (2, 3)))  # not box-compatible
-    with pytest.raises(ValueError):
-        congruence_from_blocks(b4_prod(), ((0,), (1, 2), (3,)))  # breaks meet
-    with pytest.raises(ValueError):
-        congruence_from_blocks(b4_prod(), ((0, 1), (1, 2, 3)))  # not a partition
 
 
 def test_principal_congruence_examples_and_oracle():
@@ -475,6 +466,19 @@ def test_constructions_match_search_oracles(catalogs):
             assert (pair and pair.theta_prime) == scan_factor_complement(alg, theta), (alg, f)
         if alg.nontrivial:
             assert decompose_simples(alg) == sorted(split_oracle(alg), key=serial_key), alg
+
+
+def test_onto_homs_to_two_are_the_open_atoms(nontrivial_algebras):
+    # The quotient by the up-set of b has two elements exactly when b is an open
+    # atom, so the onto homs to 2 are x -> [b <= x], and the two-element factors
+    # of the decomposition are as many as the open atoms.
+    for alg in nontrivial_algebras:
+        # an atom has exactly two elements below it: 0 and itself
+        atoms = [b for b in alg.open_set if sum(alg.le(a, b) for a in alg.elements) == 2]
+        want = sorted(tuple(int(alg.le(b, x)) for x in alg.elements) for b in atoms)
+        got = homs(alg, two_element(alg.cls), "all_onto").homs
+        assert [h.map for h in got] == want, alg
+        assert sum(f.size == 2 for f in decompose_simples(alg)) == len(atoms), alg
 
 
 def test_decompose_requires_nontrivial():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from finheyt.algebra import FiniteAlgebra, VarietyClass, relabel
+from finheyt.algebra import FiniteAlgebra, VarietyClass, canonical_form, relabel
 from finheyt.catalog import build_catalog
-from finheyt.congruence import factor_complement, principal_congruence, product
+from finheyt.congruence import factor_complement, principal_congruence, product, to_congruence
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import (
     b4_disc,
@@ -21,6 +21,7 @@ from finheyt.fixtures import (
 from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
+    _retract_via_factor_pair,
     _search,
     generating_set,
     homs,
@@ -220,11 +221,32 @@ def test_is_retract_cross_checks_factor_pair():
     assert pair is not None
     w = is_retract(p, two_ws5(), factor_pair=pair)
     assert w is not None
-    # the theorem route must also agree on a negative case
+    # both quotients of C3 x C3 are C3 and the identity is a hom between them
     p2 = product(c3_simple(), c3_simple())
     pair2 = factor_complement(p2, principal_congruence(p2, 0, 1))
     w2 = is_retract(p2, c3_simple(), factor_pair=pair2)
-    assert w2 is not None  # hom C3 -> C3 exists (identity), so C3 retracts
+    assert w2 is not None
+
+
+def test_retract_via_factor_pair_reads_the_second_quotient():
+    # split 2 x C3 at the up-set of 2: quotient_a is C3 and the target 2 is quotient_b
+    p = product(two_ws5(), c3_simple())
+    pair = factor_complement(p, to_congruence(p, frozenset(p.upset[2])))
+    assert (pair.quotient_a, pair.quotient_b) == (canonical_form(c3_simple()), two_ws5())
+    applicable, via = _retract_via_factor_pair(p, two_ws5(), pair)
+    w = is_retract(p, two_ws5(), factor_pair=pair)
+    assert applicable
+    for witness in (via, w):
+        assert (witness.retraction.map, witness.injection.map) == ((0, 0, 0, 1, 1, 1), (0, 5))
+
+
+def test_retract_via_factor_pair_agrees_on_a_negative_case():
+    # C3 x B4disc by its top-row kernel: C3 is quotient_a, but no hom C3 -> B4disc exists
+    p = product(c3_simple(), b4_disc())
+    pair = factor_complement(p, to_congruence(p, frozenset(p.upset[8])))
+    assert pair.quotient_a == canonical_form(c3_simple())
+    assert _retract_via_factor_pair(p, c3_simple(), pair) == (True, None)
+    assert is_retract(p, c3_simple(), factor_pair=pair) is None
 
 
 def test_retract_of_self_is_identity_like():
