@@ -1,7 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success / decided true, 1 decided false, 2 error,
-3 internal theorem violation (equivalent criteria disagreed).
+Each ``_cmd_*`` returns ``(exit_code, record, human)``: the ``--json`` record and
+the human line built from the same values.  ``main`` alone prints, once the
+command has returned.  Exit codes: 0 success / decided true, 1 decided false,
+2 error, 3 internal theorem violation (equivalent criteria disagreed); on 2 and
+3 stdout stays empty.
 """
 
 from __future__ import annotations
@@ -23,13 +26,6 @@ from .errors import FinheytError, TheoremViolation
 from .fixtures import two_element
 
 
-def _emit(args, human: str, record: dict) -> None:
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(human)
-
-
 def _load(path):
     alg = io.read_algebra(path)
     if alg.cls.kind != "heyting" and alg.box is None:
@@ -37,7 +33,7 @@ def _load(path):
     return alg
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     alg = io.read_algebra(args.file, check=False)
     report = validate(alg)
     record = {
@@ -48,11 +44,10 @@ def _cmd_validate(args) -> int:
     }
     lines = [f"{args.file}: {'valid' if report.valid else 'INVALID'}"]
     lines += [f"  {n} at {w}" for n, w in report.violations]
-    _emit(args, "\n".join(lines), record)
-    return 0 if report.valid else 1
+    return (0 if report.valid else 1), record, "\n".join(lines)
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     alg = _load(args.file)
     prof = element_profile(alg)
     record = {
@@ -64,44 +59,37 @@ def _cmd_profile(args) -> int:
         "boolean_h_reduct": prof.boolean_h_reduct,
         "simple": prof.simple,
     }
-    human = (
-        f"{alg.name or args.file}: open={sorted(prof.open) if prof.open is not None else 'n/a'} "
-        f"dense={sorted(prof.dense)} regular={sorted(prof.regular)} "
-        f"boolean_h_reduct={prof.boolean_h_reduct} simple={prof.simple}"
-    )
-    _emit(args, human, record)
-    return 0
+    fields = [f"{k}={'n/a' if v is None else v}" for k, v in record.items()
+              if k not in ("command", "algebra")]
+    return 0, record, f"{alg.name or args.file}: " + " ".join(fields)
 
 
-def _cmd_homs(args) -> int:
+def _cmd_homs(args):
     if args.cap is not None and not (args.count or args.all):
         raise FinheytError("--cap applies only with --count or --all")
     a, b = _load(args.fileA), _load(args.fileB)
     onto = "_onto" if args.onto else ""
-    if args.count or args.all:
-        res = morphism.homs(a, b, "all" + onto, cap=args.cap)
-        maps = res.homs
-        if args.count:
-            record = {"command": "homs", "count": len(maps), "truncated": res.truncated}
-            _emit(args, f"{len(maps)}{' (truncated)' if res.truncated else ''}", record)
-        else:
-            record = {
-                "command": "homs",
-                "maps": [list(h.map) for h in maps],
-                "truncated": res.truncated,
-            }
-            lines = [str(list(h.map)) for h in maps]
-            if res.truncated:
-                lines.append("(truncated: enumeration capped)")
-            _emit(args, "\n".join(lines) if lines else "none", record)
-        return 0 if maps else 1
-    hom = morphism.homs(a, b, "any" + onto)
-    record = {"command": "homs", "map": list(hom.map) if hom else None}
-    _emit(args, str(list(hom.map)) if hom else "none", record)
-    return 0 if hom else 1
+    if not (args.count or args.all):
+        hom = morphism.homs(a, b, "any" + onto)
+        record = {"command": "homs", "map": list(hom.map) if hom else None}
+        return (0 if hom else 1), record, str(record["map"]) if hom else "none"
+    res = morphism.homs(a, b, "all" + onto, cap=args.cap)
+    code = 0 if res.homs else 1
+    if args.count:
+        record = {"command": "homs", "count": len(res.homs), "truncated": res.truncated}
+        return code, record, f"{record['count']}{' (truncated)' if res.truncated else ''}"
+    record = {
+        "command": "homs",
+        "maps": [list(h.map) for h in res.homs],
+        "truncated": res.truncated,
+    }
+    lines = [str(m) for m in record["maps"]]
+    if res.truncated:
+        lines.append("(truncated: enumeration capped)")
+    return code, record, "\n".join(lines) if lines else "none"
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args):
     alg = _load(args.file)
     carrier = frozenset(int(t) for t in args.filter.split(","))
     theta = congruence.to_congruence(alg, carrier)
@@ -112,15 +100,12 @@ def _cmd_quotient(args) -> int:
         "projection": list(proj.map),
         "algebra": io.algebra_to_dict(out.rename(f"{alg.name}/filter")),
     }
-    human = (
-        f"blocks: {[list(b) for b in theta.blocks]}\nprojection: {list(proj.map)}\n"
-        + json.dumps(io.algebra_to_dict(out.rename(f"{alg.name}/filter")))
-    )
-    _emit(args, human, record)
-    return 0
+    human = (f"blocks: {record['blocks']}\nprojection: {record['projection']}\n"
+             + json.dumps(record["algebra"]))
+    return 0, record, human
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     alg = _load(args.file)
     factors = congruence.decompose_simples(alg)
     record = {
@@ -128,11 +113,10 @@ def _cmd_decompose(args) -> int:
         "sizes": [f.size for f in factors],
         "factors": [io.algebra_to_dict(f.rename(f"factor_{i}")) for i, f in enumerate(factors)],
     }
-    _emit(args, f"{len(factors)} simple factor(s), sizes {[f.size for f in factors]}", record)
-    return 0
+    return 0, record, f"{len(factors)} simple factor(s), sizes {record['sizes']}"
 
 
-def _cmd_projective(args) -> int:
+def _cmd_projective(args):
     cls = VarietyClass.parse(args.cls)
     if (args.algebra is None) == (args.presentation is None):
         raise FinheytError("give exactly one of <algebra-file> or --presentation")
@@ -145,8 +129,8 @@ def _cmd_projective(args) -> int:
             "assignment": verdict.assignment,
             "note": verdict.note,
         }
-        _emit(args, f"projective: {verdict.projective} ({verdict.note})", record)
-        return 0 if verdict.projective else 1
+        human = f"projective: {verdict.projective} ({verdict.note})"
+        return (0 if verdict.projective else 1), record, human
     alg = _load(args.algebra)
     if alg.cls != cls:
         raise FinheytError(f"file class {alg.cls} does not match --class {cls}")
@@ -159,19 +143,19 @@ def _cmd_projective(args) -> int:
         "witness": list(witness.map) if isinstance(witness, morphism.Homomorphism) else witness,
         "note": verdict.note,
     }
-    _emit(args, f"projective: {verdict.projective} criteria: {verdict.criteria}", record)
-    return 0 if verdict.projective else 1
+    human = f"projective: {verdict.projective} criteria: {verdict.criteria}"
+    return (0 if verdict.projective else 1), record, human
 
 
-def _cmd_rho(args) -> int:
+def _cmd_rho(args):
     alg = _load(args.file)
     chk = terms.check_quasiidentity(alg, decision.rho())
     record = {"command": "rho", "holds": chk.holds, "witness": chk.witness}
-    _emit(args, f"rho holds: {chk.holds}" + (f" witness {chk.witness}" if chk.witness else ""), record)
-    return 0 if chk.holds else 1
+    human = f"rho holds: {chk.holds}" + (f" witness {chk.witness}" if chk.witness else "")
+    return (0 if chk.holds else 1), record, human
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args):
     alg = _load(args.file)
     formula = decision.diagram_alpha(two_element(alg.cls))
     found = terms.satisfying_assignment(alg, formula)
@@ -180,11 +164,10 @@ def _cmd_alpha(args) -> int:
               "assignment": found}
     human = f"alpha holds: {found is not None}" + (f" witness (x, y) = {tuple(witness)}"
                                                      if witness else "")
-    _emit(args, human, record)
-    return 0 if witness else 1
+    return (0 if witness else 1), record, human
 
 
-def _cmd_retract(args) -> int:
+def _cmd_retract(args):
     p, b = _load(args.fileP), _load(args.fileB)
     witness = morphism.is_retract(p, b)
     record = {
@@ -193,16 +176,13 @@ def _cmd_retract(args) -> int:
         "retraction": list(witness.retraction.map) if witness else None,
         "injection": list(witness.injection.map) if witness else None,
     }
-    human = (
-        f"retract: {witness is not None}"
-        + (f"\nretraction: {list(witness.retraction.map)}\ninjection: {list(witness.injection.map)}"
-           if witness else "")
-    )
-    _emit(args, human, record)
-    return 0 if witness else 1
+    human = f"retract: {witness is not None}"
+    if witness:
+        human += f"\nretraction: {record['retraction']}\ninjection: {record['injection']}"
+    return (0 if witness else 1), record, human
 
 
-def _cmd_boolproj(args) -> int:
+def _cmd_boolproj(args):
     alg = _load(args.file)
     out, proj = congruence.boolean_projection(alg)
     record = {
@@ -210,11 +190,10 @@ def _cmd_boolproj(args) -> int:
         "projection": list(proj.map),
         "algebra": io.algebra_to_dict(out.rename(f"boolproj({alg.name})")),
     }
-    _emit(args, f"boolean projection size {out.size}, projection {list(proj.map)}", record)
-    return 0
+    return 0, record, f"boolean projection size {out.size}, projection {record['projection']}"
 
 
-def _cmd_primitive(args) -> int:
+def _cmd_primitive(args):
     algebras = [_load(f) for f in args.files]
     report = decision.primitive_report(algebras)
     record = {
@@ -226,30 +205,27 @@ def _cmd_primitive(args) -> int:
         ],
     }
     lines = [f"primitive: {report.primitive}"]
-    lines += [f"  {e.algebra.name or '?'}: rho {'holds' if e.rho_holds else 'fails'}"
-              + (f" witness {e.witness}" if e.witness else "") for e in report.entries]
-    _emit(args, "\n".join(lines), record)
-    return 0 if report.primitive else 1
+    lines += [f"  {e['algebra'] or '?'}: rho {'holds' if e['rho_holds'] else 'fails'}"
+              + (f" witness {e['witness']}" if e["witness"] else "") for e in record["entries"]]
+    return (0 if report.primitive else 1), record, "\n".join(lines)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     cls = VarietyClass.parse(args.cls)
     cat = build_catalog(cls, args.max_size)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for alg in cat.algebras:
         io.write_algebra(outdir / f"{alg.name}.json", alg)
-    by_size = {n: len(cat.of_size(n)) for n in range(1, args.max_size + 1)}
     record = {
         "command": "catalog",
         "class": str(cls),
         "max_size": args.max_size,
-        "counts": by_size,
+        "counts": {n: len(cat.of_size(n)) for n in range(1, args.max_size + 1)},
         "total": len(cat.algebras),
         "out": str(outdir),
     }
-    _emit(args, f"wrote {len(cat.algebras)} algebras to {outdir} (by size: {by_size})", record)
-    return 0
+    return 0, record, f"wrote {record['total']} algebras to {outdir} (by size: {record['counts']})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,67 +237,47 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON record")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
+    def add(name, fn, *files):
+        p = sub.add_parser(name, parents=[common])
+        for file in files:
+            p.add_argument(file)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("profile", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_profile)
+    add("validate", _cmd_validate, "file")
+    add("profile", _cmd_profile, "file")
 
-    p = sub.add_parser("homs", parents=[common])
-    p.add_argument("fileA")
-    p.add_argument("fileB")
+    p = add("homs", _cmd_homs, "fileA", "fileB")
     p.add_argument("--onto", action="store_true")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--all", action="store_true")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(fn=_cmd_homs)
 
-    p = sub.add_parser("quotient", parents=[common])
-    p.add_argument("file")
+    p = add("quotient", _cmd_quotient, "file")
     p.add_argument("--filter", required=True, help="comma-separated filter elements")
-    p.set_defaults(fn=_cmd_quotient)
 
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_decompose)
+    add("decompose", _cmd_decompose, "file")
 
-    p = sub.add_parser("projective", parents=[common])
+    p = add("projective", _cmd_projective)
     p.add_argument("--class", dest="cls", required=True, help="ws5|hri|hdp:N|dht:N")
     p.add_argument("algebra", nargs="?")
     p.add_argument("--presentation")
-    p.set_defaults(fn=_cmd_projective)
 
-    p = sub.add_parser("rho", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_rho)
+    add("rho", _cmd_rho, "file")
+    add("alpha", _cmd_alpha, "file")
+    add("retract", _cmd_retract, "fileP", "fileB")
+    add("boolproj", _cmd_boolproj, "file")
 
-    p = sub.add_parser("alpha", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_alpha)
-
-    p = sub.add_parser("retract", parents=[common])
-    p.add_argument("fileP")
-    p.add_argument("fileB")
-    p.set_defaults(fn=_cmd_retract)
-
-    p = sub.add_parser("boolproj", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_boolproj)
-
-    p = sub.add_parser("primitive", parents=[common])
+    p = add("primitive", _cmd_primitive)
     p.add_argument("files", nargs="+")
-    p.set_defaults(fn=_cmd_primitive)
 
-    p = sub.add_parser("catalog", parents=[common])
+    p = add("catalog", _cmd_catalog)
     p.add_argument("--class", dest="cls", required=True,
                    help="heyting|ws5|hri|hdp:N|dht:N")
     p.add_argument("--max-size", type=int, required=True,
                    help=f"largest universe (<= {MAX_LATTICE_SIZE})")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_catalog)
 
     return parser
 
@@ -329,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, record, human = args.fn(args)
+        print(json.dumps(record) if args.json else human)
+        return code
     except TheoremViolation as e:
         print(f"theorem violation: {e}", file=sys.stderr)
         return 3

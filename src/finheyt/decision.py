@@ -63,9 +63,13 @@ class FpVerdict:
 
 def decide_projective_fp(cls: VarietyClass, pair: DefiningPair) -> FpVerdict:
     """Projective iff the atoms are satisfiable in the two-element algebra; the
-    satisfying assignment certifies the onto homomorphism to it.  The search is
-    exponential in the number of variables, which is at most
-    terms.MAX_PRESENTATION_VARS."""
+    satisfying assignment certifies the onto homomorphism to it.  This is the
+    main theorem, which needs every compact congruence to be a factor
+    congruence, so heyting is rejected.  The search is exponential in the
+    number of variables, which is at most terms.MAX_PRESENTATION_VARS."""
+    if cls.kind == "heyting":
+        raise ValueError("projectivity of a finitely presented algebra is decided for the "
+                         "classes ws5, hri, hdp:N and dht:N, not heyting")
     if len(pair.variables) > terms.MAX_PRESENTATION_VARS:
         raise ValueError(f"presentation has {len(pair.variables)} variables; "
                          f"at most {terms.MAX_PRESENTATION_VARS} are searched")

@@ -35,9 +35,6 @@ class Homomorphism:
         object.__setattr__(self, "onto", len(image) == self.cod.size)
         object.__setattr__(self, "injective", len(image) == self.dom.size)
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     def inverse(self) -> "Homomorphism":
         if not (self.onto and self.injective):
             raise ValueError("only bijections invert")

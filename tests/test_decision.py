@@ -155,6 +155,15 @@ def test_decide_projective_fp_examples():
     assert verdict.projective and verdict.assignment == {}
 
 
+def test_decide_projective_fp_rejects_heyting():
+    # The main theorem needs every compact congruence to be a factor congruence,
+    # which fails for Heyting algebras: x | !x = 1 presents 2 x 2, not projective there.
+    pair = DefiningPair(("x",), ((parse_term("x | !x"), CONST1),))
+    assert decide_projective_fp(VarietyClass("ws5"), pair).projective
+    with pytest.raises(ValueError, match="ws5, hri, hdp:N and dht:N, not heyting"):
+        decide_projective_fp(VarietyClass("heyting"), pair)
+
+
 def test_decide_projective_fp_matches_bruteforce():
     ws5 = VarietyClass("ws5")
     two = two_element(ws5)

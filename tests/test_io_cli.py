@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 import time
 
 import pytest
@@ -118,6 +120,16 @@ def run_cli(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
+
+
+def test_cli_matches_golden_transcript():
+    """Exit code, stdout and stderr of every subcommand, human and --json, as
+    recorded in tests/data/cli_golden.json by scripts/cli_golden.py."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("cli_golden", root / "scripts" / "cli_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.golden_text() == (root / "tests" / "data" / "cli_golden.json").read_text()
 
 
 def test_cli_validate(files, capsys):
@@ -353,13 +365,15 @@ def test_cli_projective_ill_typed_atom_exits_2_in_any_order(tmp_path, capsys, at
     assert code == 2 and out == "" and "operation ~ unavailable" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("lhs, symbol", [("<>x", "<>"), ("[]x", "[]")])
-def test_cli_projective_missing_box_names_the_operator_written(tmp_path, capsys, lhs, symbol):
-    # <> is evaluated as ![]!, but the message names the operator the atom uses.
+def test_cli_projective_heyting_presentation_exits_2(tmp_path, capsys):
+    # x | !x = 1 presents 2 x 2, projective in ws5 but not among Heyting algebras,
+    # where compact congruences need not be factor congruences.
     pres = tmp_path / "pres.json"
-    pres.write_text(json.dumps({"vars": ["x"], "atoms": [{"lhs": lhs, "rhs": "x"}]}))
+    pres.write_text(json.dumps({"vars": ["x"], "atoms": [{"lhs": "x | !x", "rhs": "1"}]}))
+    assert run_cli(capsys, "projective", "--class", "ws5", "--presentation", pres)[0] == 0
     code, out, err = run_cli(capsys, "projective", "--class", "heyting", "--presentation", pres)
-    assert code == 2 and out == "" and f"operation {symbol} unavailable" in err
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "decided for the classes ws5, hri, hdp:N and dht:N, not heyting" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "profile"])

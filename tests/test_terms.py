@@ -1,14 +1,24 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finheyt.algebra import VarietyClass
 from finheyt.congruence import product
 from finheyt.decision import diagram_alpha
 from finheyt.errors import TermEvalError, TermParseError
-from finheyt.fixtures import b4_prod, c3_hdp, c3_hri, c3_simple, catalog_fixtures, two_ws5
+from finheyt.fixtures import (
+    b4_prod,
+    c3_hdp,
+    c3_hri,
+    c3_simple,
+    catalog_fixtures,
+    two_element,
+    two_ws5,
+)
 from finheyt.morphism import subalgebra_closure
 from finheyt.terms import (
     CONST0,
@@ -187,6 +197,14 @@ def test_missing_operation_raises_whatever_the_premises():
         check_quasiidentity(two_ws5(), q)
     with pytest.raises(TermEvalError):
         satisfy_atoms(two_ws5(), DefiningPair(("x",), q.premises + (q.conclusion,)))
+
+
+@pytest.mark.parametrize("lhs, symbol", [("<>x", "<>"), ("[]x", "[]")])
+def test_satisfy_atoms_missing_box_names_the_operator_written(lhs, symbol):
+    # <> is evaluated as ![]!, but the message names the operator the atom uses.
+    pair = DefiningPair(("x",), ((parse_term(lhs), Var("x")),))
+    with pytest.raises(TermEvalError, match=f"operation {re.escape(symbol)} unavailable"):
+        satisfy_atoms(two_element(VarietyClass("heyting")), pair)
 
 
 def _wide_plan(body: str):
