@@ -18,6 +18,7 @@ def census(cls: VarietyClass, max_size: int) -> None:
     t0 = time.perf_counter()
     cat = build_catalog(cls, max_size)
     built = time.perf_counter() - t0
+    t0 = time.perf_counter()
     rows = []
     for n in range(1, max_size + 1):
         algs = cat.of_size(n)
@@ -29,14 +30,16 @@ def census(cls: VarietyClass, max_size: int) -> None:
             simple += prof.simple
             projective += decide_projective_finite(a).projective
         rows.append((n, len(algs), simple, projective))
-    print(f"\n{cls}  (built in {built:.2f}s)")
+    decided = time.perf_counter() - t0
+    print(f"\n{cls}  (built in {built:.2f}s, decided in {decided:.2f}s)")
     print("  size  algebras  simple  projective")
     for n, total, simple, projective in rows:
         print(f"  {n:4d}  {total:8d}  {simple:6d}  {projective:10d}")
     if cls.kind in ("hdp", "dht"):
         levels = {}
         for a in cat.algebras:
-            levels[inferred_level(a)] = levels.get(inferred_level(a), 0) + 1
+            level = inferred_level(a)
+            levels[level] = levels.get(level, 0) + 1
         print(f"  inferred boxdot levels: {dict(sorted(levels.items()))}")
 
 

@@ -113,7 +113,8 @@ def _cmd_decompose(args):
         "sizes": [f.size for f in factors],
         "factors": [io.algebra_to_dict(f.rename(f"factor_{i}")) for i, f in enumerate(factors)],
     }
-    return 0, record, f"{len(factors)} simple factor(s), sizes {record['sizes']}"
+    kind = "indecomposable" if alg.box is None else "simple"
+    return 0, record, f"{len(factors)} {kind} factor(s), sizes {record['sizes']}"
 
 
 def _cmd_projective(args):

@@ -220,6 +220,19 @@ def test_cli_decompose(files, capsys):
     assert code == 0 and json.loads(out)["sizes"] == [2, 2]
 
 
+def test_cli_decompose_calls_heyting_factors_indecomposable(files, tmp_path, capsys):
+    # The Heyting chain of three is directly indecomposable but not simple: its
+    # filter {1, 2} is a congruence filter.  With a box the factors are simple.
+    chain = next(a for a in build_catalog(VarietyClass("heyting"), 3).algebras if a.size == 3)
+    path = tmp_path / "chain.json"
+    io.write_algebra(path, chain)
+    assert run_cli(capsys, "decompose", path) == (0, "1 indecomposable factor(s), sizes [3]", "")
+    code, out, _ = run_cli(capsys, "profile", path)
+    assert code == 0 and "simple=False" in out
+    code, out, _ = run_cli(capsys, "decompose", files["B4prod"])
+    assert code == 0 and out == "2 simple factor(s), sizes [2, 2]"
+
+
 def test_cli_projective(files, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "projective", "--class", "ws5", files["B4prod"])
     assert code == 0 and "True" in out

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -382,3 +384,71 @@ def test_generating_set_generates():
     for alg in catalog_fixtures():
         gens = generating_set(alg)
         assert subalgebra_closure(alg, gens) == frozenset(alg.elements)
+
+
+def round_closure(alg, seed):
+    """The naive Sg(X) = union of E^n(X) (Burris and Sankappanavar, A Course in
+    Universal Algebra, II.3): every round takes every product of the set again."""
+    closed = {0, alg.top}
+    closed.update(seed)
+    unary = list(alg.unary_tables().values())
+    binary = list(alg.binary_tables().values())
+    while True:
+        produced = set()
+        for t in unary:
+            produced.update(t[a] for a in closed)
+        for t in binary:
+            produced.update(t[a][b] for a in closed for b in closed)
+        if produced <= closed:
+            return frozenset(closed)
+        closed |= produced
+
+
+def greedy_from_scratch(alg):
+    """The greedy generators, each candidate's closure taken from scratch by the
+    round-based oracle: the largest closure wins, the first element on ties."""
+    closed = round_closure(alg, ())
+    gens = []
+    while len(closed) < alg.size:
+        best, best_closure = None, None
+        for x in alg.elements:
+            if x in closed:
+                continue
+            cand = round_closure(alg, closed | {x})
+            if best_closure is None or len(cand) > len(best_closure):
+                best, best_closure = x, cand
+        gens.append(best)
+        closed = best_closure
+    return tuple(gens)
+
+
+def fixture_products(max_size=36):
+    """Every same-class product of two or three catalog fixtures, up to max_size elements."""
+    return [
+        functools.reduce(product, parts)
+        for k in (2, 3)
+        for parts in itertools.product(catalog_fixtures(), repeat=k)
+        if len({f.cls for f in parts}) == 1 and math.prod(f.size for f in parts) <= max_size
+    ]
+
+
+def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
+    for alg in [*catalog_algebras, *fixture_products()]:
+        assert generating_set(alg) == greedy_from_scratch(alg), alg.name
+        assert subalgebra_closure(alg, ()) == round_closure(alg, ())
+        for x in alg.elements:
+            assert subalgebra_closure(alg, (x,)) == round_closure(alg, (x,)), (alg.name, x)
+
+
+def test_search_yields_maps_in_ascending_generator_key_order(catalogs):
+    # Two maps agree up to the first generator where they differ, so they reach
+    # it in the same state, and that generator branches in ascending order.
+    pairs = 0
+    for cat in catalogs.values():
+        small = [a for a in cat.algebras if a.size <= 6]
+        for dom, cod in itertools.product(small, repeat=2):
+            pairs += 1
+            gens = generating_set(dom)
+            keys = [tuple(m[g] for g in gens) for m in _search(dom, cod)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (dom.name, cod.name)
+    assert pairs == 1001
