@@ -214,7 +214,8 @@ def check_structure(alg: FiniteAlgebra) -> None:
             chk1(f"{name}[{i}]", row)
 
     # Besides the Heyting tables a class may carry the tables it lists here,
-    # and needs the last, from which hri, hdp and dht derive box.
+    # and needs the last, from which derive_operations fills the others: box
+    # for hri and hdp, box and dualneg for dht.
     extra = {
         "heyting": (),
         "ws5": ("box",),
@@ -288,7 +289,14 @@ def _byte_rows(rows, n):
 
 
 def validate(alg: FiniteAlgebra) -> ValidationReport:
-    """Check lattice, residuation and class axioms; collect every violation.
+    """Check structure, then lattice, residuation and class axioms; collect every
+    violation."""
+    check_structure(alg)
+    return _axioms(alg)
+
+
+def _axioms(alg: FiniteAlgebra) -> ValidationReport:
+    """The axiom pass of validate, on an algebra whose structure is checked.
 
     The axioms in three variables are checked a row at a time: for fixed
     (a, b), each side of an axiom is a row over c, and a row such as
@@ -298,7 +306,6 @@ def validate(alg: FiniteAlgebra) -> ValidationReport:
     their order are those of the plain triple loop.  bytes hold labels up to
     255 only, so above 256 elements every pair runs the per-c loop.
     """
-    check_structure(alg)
     n, top = alg.size, alg.top
     meet, join, impl = alg.meet, alg.join, alg.impl
     bad = []
@@ -428,28 +435,27 @@ def validate(alg: FiniteAlgebra) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def require_valid(alg: FiniteAlgebra) -> FiniteAlgebra:
-    report = validate(alg)
+def derive_operations(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """Fill in the derived tables alg lacks (box for hri, hdp and dht; dualneg for
+    dht) and validate the result.
+
+    Structure is checked before anything is derived.  Present tables are kept, so
+    one that disagrees with its derivation is an axiom violation (box-consistent,
+    dualneg-consistent) and raises InvalidAlgebraError.  Idempotent.
+    """
+    check_structure(alg)
+    kind, fill = alg.cls.kind, {}
+    if kind == "dht" and alg.dualneg is None:
+        fill["dualneg"] = derived_dualneg_dht(alg)
+    if alg.box is None and kind == "hri":
+        fill["box"] = tuple(alg.neg[alg.invol[a]] for a in alg.elements)
+    elif alg.box is None and kind in LEVELED:
+        fill["box"] = derived_box_hdp(alg, fill.get("dualneg", alg.dualneg), alg.cls.level)
+    out = replace(alg, **fill) if fill else alg
+    report = _axioms(out)
     if not report.valid:
         raise InvalidAlgebraError(report)
-    return alg
-
-
-def derive_operations(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """Fill in derived tables (box; dualneg for dht) and re-validate the result.
-
-    Idempotent: present tables are recomputed and must agree.
-    """
-    kind = alg.cls.kind
-    out = alg
-    if kind == "hri":
-        box = tuple(alg.neg[alg.invol[a]] for a in alg.elements)
-        out = replace(alg, box=box)
-    elif kind in LEVELED:
-        dualneg = alg.dualneg if alg.dualneg is not None else derived_dualneg_dht(alg)
-        box = derived_box_hdp(alg, dualneg, alg.cls.level)
-        out = replace(alg, box=box, dualneg=dualneg)
-    return require_valid(out)
+    return out
 
 
 def element_profile(alg: FiniteAlgebra) -> ElementProfile:

@@ -15,22 +15,10 @@ import sys
 from pathlib import Path
 
 from . import congruence, decision, io, morphism, terms
-from .algebra import (
-    VarietyClass,
-    derive_operations,
-    element_profile,
-    validate,
-)
+from .algebra import VarietyClass, element_profile, validate
 from .catalog import MAX_LATTICE_SIZE, build_catalog
 from .errors import FinheytError, TheoremViolation
 from .fixtures import two_element
-
-
-def _load(path):
-    alg = io.read_algebra(path)
-    if alg.cls.kind != "heyting" and alg.box is None:
-        alg = derive_operations(alg)
-    return alg
 
 
 def _cmd_validate(args):
@@ -48,7 +36,7 @@ def _cmd_validate(args):
 
 
 def _cmd_profile(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     prof = element_profile(alg)
     record = {
         "command": "profile",
@@ -67,7 +55,7 @@ def _cmd_profile(args):
 def _cmd_homs(args):
     if args.cap is not None and not (args.count or args.all):
         raise FinheytError("--cap applies only with --count or --all")
-    a, b = _load(args.fileA), _load(args.fileB)
+    a, b = io.read_algebra(args.fileA), io.read_algebra(args.fileB)
     onto = "_onto" if args.onto else ""
     if not (args.count or args.all):
         hom = morphism.homs(a, b, "any" + onto)
@@ -90,7 +78,7 @@ def _cmd_homs(args):
 
 
 def _cmd_quotient(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     carrier = frozenset(int(t) for t in args.filter.split(","))
     theta = congruence.to_congruence(alg, carrier)
     out, proj = congruence.quotient(alg, theta)
@@ -106,7 +94,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_decompose(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     factors = congruence.decompose_simples(alg)
     record = {
         "command": "decompose",
@@ -132,7 +120,7 @@ def _cmd_projective(args):
         }
         human = f"projective: {verdict.projective} ({verdict.note})"
         return (0 if verdict.projective else 1), record, human
-    alg = _load(args.algebra)
+    alg = io.read_algebra(args.algebra)
     if alg.cls != cls:
         raise FinheytError(f"file class {alg.cls} does not match --class {cls}")
     verdict = decision.decide_projective_finite(alg)
@@ -149,7 +137,7 @@ def _cmd_projective(args):
 
 
 def _cmd_rho(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     chk = terms.check_quasiidentity(alg, decision.rho())
     record = {"command": "rho", "holds": chk.holds, "witness": chk.witness}
     human = f"rho holds: {chk.holds}" + (f" witness {chk.witness}" if chk.witness else "")
@@ -157,7 +145,7 @@ def _cmd_rho(args):
 
 
 def _cmd_alpha(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     formula = decision.diagram_alpha(two_element(alg.cls))
     found = terms.satisfying_assignment(alg, formula)
     witness = None if found is None else [found["x"], found["y"]]
@@ -169,7 +157,7 @@ def _cmd_alpha(args):
 
 
 def _cmd_retract(args):
-    p, b = _load(args.fileP), _load(args.fileB)
+    p, b = io.read_algebra(args.fileP), io.read_algebra(args.fileB)
     witness = morphism.is_retract(p, b)
     record = {
         "command": "retract",
@@ -184,7 +172,7 @@ def _cmd_retract(args):
 
 
 def _cmd_boolproj(args):
-    alg = _load(args.file)
+    alg = io.read_algebra(args.file)
     out, proj = congruence.boolean_projection(alg)
     record = {
         "command": "boolproj",
@@ -195,7 +183,7 @@ def _cmd_boolproj(args):
 
 
 def _cmd_primitive(args):
-    algebras = [_load(f) for f in args.files]
+    algebras = [io.read_algebra(f) for f in args.files]
     report = decision.primitive_report(algebras)
     record = {
         "command": "primitive",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, VarietyClass, require_valid
+from .algebra import FiniteAlgebra, VarietyClass, derive_operations
 
 _MEET2 = ((0, 0), (0, 1))
 _JOIN2 = ((0, 1), (1, 1))
@@ -13,18 +13,17 @@ _IMPL2 = ((1, 1), (0, 1))
 
 @lru_cache(maxsize=None)
 def two_element(cls: VarietyClass) -> FiniteAlgebra:
-    """The two-element algebra of a class; every extra table is forced on {0,1}."""
-    extra = {}
-    if cls.kind != "heyting":
-        extra["box"] = (0, 1)
-    if cls.kind == "hri":
-        extra["invol"] = (1, 0)
-    if cls.kind in ("hdp", "dht"):
-        extra["dualneg"] = (1, 0)
-    if cls.kind == "dht":
-        extra["dimpl"] = ((0, 0), (1, 0))
-    alg = FiniteAlgebra(2, cls, _MEET2, _JOIN2, _IMPL2, name=f"two_{cls}", **extra)
-    return require_valid(alg)
+    """The two-element algebra of a class: the one table the class needs beyond
+    the Heyting ones, forced on {0,1}, and the derived tables filled from it."""
+    extra = {
+        "heyting": {},
+        "ws5": {"box": (0, 1)},
+        "hri": {"invol": (1, 0)},
+        "hdp": {"dualneg": (1, 0)},
+        "dht": {"dimpl": ((0, 0), (1, 0))},
+    }[cls.kind]
+    return derive_operations(FiniteAlgebra(2, cls, _MEET2, _JOIN2, _IMPL2, name=f"two_{cls}",
+                                           **extra))
 
 
 def _chain3(cls, **extra):
@@ -42,7 +41,7 @@ def two_ws5() -> FiniteAlgebra:
 @lru_cache(maxsize=None)
 def c3_simple() -> FiniteAlgebra:
     """Three-chain 0 < m < 1 with box m = 0; simple but not projective."""
-    return require_valid(_chain3(VarietyClass("ws5"), box=(0, 0, 2), name="C3simple"))
+    return derive_operations(_chain3(VarietyClass("ws5"), box=(0, 0, 2), name="C3simple"))
 
 
 @lru_cache(maxsize=None)
@@ -53,18 +52,14 @@ def c3_identity_box() -> FiniteAlgebra:
 
 @lru_cache(maxsize=None)
 def c3_hri() -> FiniteAlgebra:
-    """Three-chain with the order-flipping involution fixing m."""
-    return require_valid(
-        _chain3(VarietyClass("hri"), invol=(2, 1, 0), box=(0, 0, 2), name="C3-HRI")
-    )
+    """Three-chain with the order-flipping involution fixing m; box m = 0."""
+    return derive_operations(_chain3(VarietyClass("hri"), invol=(2, 1, 0), name="C3-HRI"))
 
 
 @lru_cache(maxsize=None)
 def c3_hdp() -> FiniteAlgebra:
-    """Three-chain with dual pseudocomplement; boxdot stabilizes at level 1."""
-    return require_valid(
-        _chain3(VarietyClass("hdp", 1), dualneg=(2, 2, 0), box=(0, 0, 2), name="C3-HDP")
-    )
+    """Three-chain with dual pseudocomplement; boxdot stabilizes at level 1, box m = 0."""
+    return derive_operations(_chain3(VarietyClass("hdp", 1), dualneg=(2, 2, 0), name="C3-HDP"))
 
 
 _MEET4 = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
@@ -75,7 +70,7 @@ _IMPL4 = ((3, 3, 3, 3), (2, 3, 2, 3), (1, 1, 3, 3), (0, 1, 2, 3))
 @lru_cache(maxsize=None)
 def b4_disc() -> FiniteAlgebra:
     """Four-element Boolean lattice with the simple (discriminator) box."""
-    return require_valid(
+    return derive_operations(
         FiniteAlgebra(4, VarietyClass("ws5"), _MEET4, _JOIN4, _IMPL4, box=(0, 0, 0, 3), name="B4disc")
     )
 
@@ -83,20 +78,16 @@ def b4_disc() -> FiniteAlgebra:
 @lru_cache(maxsize=None)
 def b4_prod() -> FiniteAlgebra:
     """Four-element Boolean lattice with identity box: isomorphic to TwoWS5 squared."""
-    return require_valid(
+    return derive_operations(
         FiniteAlgebra(4, VarietyClass("ws5"), _MEET4, _JOIN4, _IMPL4, box=(0, 1, 2, 3), name="B4prod")
     )
 
 
 @lru_cache(maxsize=None)
 def b4_hri() -> FiniteAlgebra:
-    """Four-element Boolean lattice with involution = Boolean complement."""
-    return require_valid(
-        FiniteAlgebra(
-            4, VarietyClass("hri"), _MEET4, _JOIN4, _IMPL4,
-            invol=(3, 2, 1, 0), box=(0, 1, 2, 3), name="B4-HRI",
-        )
-    )
+    """Four-element Boolean lattice with involution = Boolean complement; identity box."""
+    return derive_operations(FiniteAlgebra(4, VarietyClass("hri"), _MEET4, _JOIN4, _IMPL4,
+                                           invol=(3, 2, 1, 0), name="B4-HRI"))
 
 
 def catalog_fixtures() -> tuple[FiniteAlgebra, ...]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, require_valid
+from .algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, derive_operations
 from .errors import MalformedAlgebraError
 from .terms import DefiningPair, parse_term
 
@@ -80,14 +80,16 @@ def _load_json(path: Path):
 
 
 def read_algebra(path, check: bool = True) -> FiniteAlgebra:
-    """Load an algebra file; structural defects raise MalformedAlgebraError,
-    axiom violations raise InvalidAlgebraError (suppressed with check=False)."""
+    """Load an algebra file; structural defects raise MalformedAlgebraError.
+
+    With check, the algebra comes back complete: derive_operations fills the
+    derived tables the file leaves out (box; dualneg for dht), and an axiom
+    violation, such as a present derived table that disagrees, raises
+    InvalidAlgebraError.  With check=False the file's tables come back as they are.
+    """
     path = Path(path)
-    data = _load_json(path)
-    alg = algebra_from_dict(data, where=str(path))
-    if check:
-        require_valid(alg)
-    return alg
+    alg = algebra_from_dict(_load_json(path), where=str(path))
+    return derive_operations(alg) if check else alg
 
 
 def write_algebra(path, alg: FiniteAlgebra) -> None:

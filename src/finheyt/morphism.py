@@ -44,26 +44,29 @@ class Homomorphism:
         return Homomorphism(self.cod, self.dom, tuple(inv))
 
 
-def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
+def _table_pairs(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[dict, dict]:
+    """(unary, binary): each table of dom by name, paired with cod's table of that
+    name.  The two algebras must share their class and their tables."""
     if dom.cls != cod.cls:
         raise ValueError(f"class mismatch: {dom.cls} vs {cod.cls}")
+    if dom.tables().keys() != cod.tables().keys():
+        raise ValueError(f"tables differ: {list(dom.tables())} vs {list(cod.tables())}")
+    return ({n: (t, cod.tables()[n]) for n, t in dom.unary_tables().items()},
+            {n: (t, cod.tables()[n]) for n, t in dom.binary_tables().items()})
+
+
+def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
+    unary, binary = _table_pairs(dom, cod)
     if len(m) != dom.size or any(not 0 <= v < cod.size for v in m):
         raise ValueError("map has wrong shape")
     if m[0] != 0 or m[dom.top] != cod.top:
         raise ValueError("map does not preserve the constants")
-    for name, ta in dom.binary_tables().items():
-        tb = cod.binary_tables().get(name)
-        if tb is None:
-            raise ValueError(f"codomain lacks table {name}")
+    for name, (ta, tb) in binary.items():
         for a in dom.elements:
             for b in dom.elements:
                 if m[ta[a][b]] != tb[m[a]][m[b]]:
                     raise ValueError(f"map breaks {name} at ({a},{b})")
-    ua, ub = dom.unary_tables(), cod.unary_tables()
-    if set(ua) != set(ub):
-        raise ValueError(f"derived tables differ: {sorted(ua)} vs {sorted(ub)}")
-    for name, ta in ua.items():
-        tb = ub[name]
+    for name, (ta, tb) in unary.items():
         for a in dom.elements:
             if m[ta[a]] != tb[m[a]]:
                 raise ValueError(f"map breaks {name} at {a}")
@@ -163,12 +166,8 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     it is pruned, and a generator tries only its allowed values.  So the search
     yields exactly the unrestricted maps that respect images, in the same order.
     """
-    if dom.cls != cod.cls:
-        raise ValueError(f"class mismatch: {dom.cls} vs {cod.cls}")
-    if set(dom.unary_tables()) != set(cod.unary_tables()):
-        raise ValueError("derived tables differ between domain and codomain")
-    unary = [(t, cod.unary_tables()[n]) for n, t in dom.unary_tables().items()]
-    binary = [(t, cod.binary_tables()[n]) for n, t in dom.binary_tables().items()]
+    unary, binary = _table_pairs(dom, cod)
+    unary, binary = list(unary.values()), list(binary.values())
     n = dom.size
     if images is None:
         images = [range(cod.size)] * n
@@ -283,8 +282,7 @@ def is_retract(p: FiniteAlgebra, b: FiniteAlgebra, factor_pair=None) -> RetractW
     section: a hom b -> p found by the same search with the images of each v
     restricted to phi's fibre over v.  Cross-checked against the product
     construction when a FactorPair presenting p as a product is supplied."""
-    if p.cls != b.cls:
-        raise ValueError(f"class mismatch: {p.cls} vs {b.cls}")
+    _table_pairs(p, b)  # raises unless p and b share their class and tables
     if b.size > p.size:
         raise ValueError("retract cannot be larger than the algebra")
 

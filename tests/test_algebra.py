@@ -327,6 +327,14 @@ def test_derive_operations_idempotent():
         assert derive_operations(once) == once
 
 
+@pytest.mark.parametrize("make", [c3_hri, c3_hdp])
+def test_derive_operations_keeps_a_present_box(make):
+    """A present derived table is kept and checked, not recomputed: the identity
+    box on the three-chain disagrees with the one invol or dualneg gives."""
+    with pytest.raises(InvalidAlgebraError, match="box-consistent"):
+        derive_operations(replace(make(), box=(0, 1, 2)))
+
+
 def test_derive_operations_dht_fills_dualneg():
     dimpl = ((0, 0, 0), (1, 0, 0), (2, 2, 0))
     raw = FiniteAlgebra(3, VarietyClass("dht", 1), c3_simple().meet, c3_simple().join,

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import pathlib
 import time
@@ -12,6 +13,7 @@ from finheyt.congruence import product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
 from finheyt.fixtures import (
     b4_disc,
+    b4_hri,
     b4_prod,
     c3_hdp,
     c3_hri,
@@ -477,3 +479,79 @@ def test_cli_hri_file_without_box_gets_derived(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "profile", path, "--json")
     assert code == 0 and json.loads(out)["open"] == [0, 2]
+
+
+def _stripped_variants():
+    """(algebra, dropped): each algebra with every nonempty set of its optional
+    derived tables removed, box for hri and hdp, box and dualneg for dht."""
+    algebras = [c3_hri(), c3_hdp(), b4_hri()]
+    for cls in (VarietyClass("hri"), VarietyClass("hdp", 1), VarietyClass("dht", 2)):
+        algebras += build_catalog(cls, 4).algebras
+    for alg in algebras:
+        derived = ("box", "dualneg") if alg.cls.kind == "dht" else ("box",)
+        for k in range(1, len(derived) + 1):
+            for dropped in itertools.combinations(derived, k):
+                yield pytest.param(alg, dropped, id=f"{alg.name}-no-{'-'.join(dropped)}")
+
+
+@pytest.mark.parametrize("alg, dropped", _stripped_variants())
+def test_cli_stripped_derived_tables_change_no_answer(tmp_path, capsys, alg, dropped):
+    """Every command but validate reads a file complete, so a file without its
+    derived tables answers as the complete file does, also against it."""
+    full, stripped = tmp_path / "full.json", tmp_path / "stripped.json"
+    io.write_algebra(full, alg)
+    data = io.algebra_to_dict(alg)
+    for name in dropped:
+        del data[name]
+    stripped.write_text(json.dumps(data))
+
+    def answer(*argv):
+        return run_cli(capsys, *argv, "--json")[:2]
+
+    for command in (["profile"], ["projective", "--class", str(alg.cls)], ["rho"], ["alpha"],
+                    ["decompose"], ["boolproj"]):
+        assert answer(*command, stripped) == answer(*command, full), command
+    for command in (["homs", "--count"], ["retract"]):
+        want = answer(*command, full, full)
+        assert answer(*command, stripped, full) == want, command
+        assert answer(*command, full, stripped) == want, command
+
+
+def _without_derived(make):
+    """The file of make() without its derived tables, box and (dht) dualneg."""
+    def data():
+        out = io.algebra_to_dict(make())
+        out.pop("box")
+        out.pop("dualneg", None)
+        return out
+    return data
+
+
+def _drop_rows(data):
+    for row in data["dimpl"]:
+        row.pop()
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    (_without_derived(c3_hri), _set(["invol"], [2, 99, 0]), "invol[1] = 99 out of range"),
+    (_without_derived(c3_hri), _set(["invol"], [2, 1]), "invol: expected 3 entries, got 2"),
+    (_without_derived(c3_hri), lambda d: d.pop("invol"), "requires table invol"),
+    (_without_derived(_dht2_member), lambda d: d["dimpl"].pop(), "dimpl: expected 2 rows"),
+    (_without_derived(_dht2_member), _drop_rows, "dimpl[0]: expected 2 entries"),
+], ids=["hri-invol-out-of-range", "hri-invol-short", "hri-invol-absent", "dht-dimpl-row-missing",
+        "dht-dimpl-rows-short"])
+@pytest.mark.parametrize("command", ["profile", "projective"])
+def test_cli_malformed_incomplete_algebra_exits_2(tmp_path, capsys, base, edit, message,
+                                                  command):
+    """Structure is checked before any derived table is computed from it."""
+    data = base()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedAlgebraError):
+        io.read_algebra(path)
+    cls = data["class"]["kind"] + (f":{data['class']['level']}" if "level" in data["class"] else "")
+    argv = [command, path] if command == "profile" else [command, "--class", cls, path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+    assert message in err

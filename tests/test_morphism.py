@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -262,6 +264,19 @@ def test_retract_preconditions():
         is_retract(two_ws5(), b4_prod())  # |B| > |P|
     with pytest.raises(ValueError):
         is_retract(b4_hri(), two_ws5())  # class mismatch
+
+
+def test_algebras_with_different_tables_name_both_table_lists():
+    """One pairing checks class and tables for Homomorphism, homs and is_retract."""
+    bare, full = replace(c3_hri(), box=None), c3_hri()
+    for dom, cod in ((bare, full), (full, bare)):
+        lists = re.escape(f"{list(dom.tables())} vs {list(cod.tables())}")
+        with pytest.raises(ValueError, match=lists):
+            Homomorphism(dom, cod, (0, 1, 2))
+        with pytest.raises(ValueError, match=lists):
+            homs(dom, cod)
+        with pytest.raises(ValueError, match=lists):
+            is_retract(dom, cod)
 
 
 def test_prod_retract_agrees_with_hom_existence_on_fixtures():
