@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import congruence, decision, io, morphism, terms
@@ -217,7 +218,9 @@ def _cmd_catalog(args):
     return 0, record, f"wrote {record['total']} algebras to {outdir} (by size: {record['counts']})"
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call of main."""
     parser = argparse.ArgumentParser(
         prog="finheyt",
         description="workbench for finite Heyting-based discriminator algebras",

@@ -5,7 +5,9 @@ predicates read a filter through its meet; congruence filters are exactly the
 up-sets of open elements, and the open elements form a Boolean algebra whose
 dual is the congruence lattice.  Every congruence is built from its open
 generator b by one constructor, _congruence_of: its blocks are the fibres of
-a -> a & b, and a table they break is a TheoremViolation.  The factor
+a -> a & b, and a table they break is a TheoremViolation.  That compatibility
+pass, _induced_tables, runs once per (algebra, congruence): a bounded cache
+keeps its read-only tables, which quotient reuses.  The factor
 complement of the congruence of the up-set of b is that of the up-set of !b,
 and the simple factors are the quotients by the up-sets of the atoms of the
 open elements.  Both are checked by one product check, _multiplied: the
@@ -16,7 +18,8 @@ quotients.  Without a box table every element counts as open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 
 from .algebra import BINARY, FiniteAlgebra, canonical_relabeling, serial_key
 from .errors import TheoremViolation
@@ -84,9 +87,12 @@ class Congruence:
         return all(((i, j) in pairs) == ((k, l) in pairs) for i, l in pairs for k, j in pairs)
 
 
-def _induced_tables(alg: FiniteAlgebra, theta: Congruence) -> dict:
+@lru_cache(maxsize=256)
+def _induced_tables(alg: FiniteAlgebra, theta: Congruence) -> MappingProxyType:
     """Tables induced on the blocks of theta, by field name, in one pass per table;
-    TheoremViolation as soon as a table maps related arguments to unrelated values."""
+    TheoremViolation as soon as a table maps related arguments to unrelated values.
+    Cached per (algebra, congruence), so the check and quotient share one pass; a
+    violation is not cached, so it is raised again on every call."""
     cls, k = theta.class_of, len(theta.blocks)
     out = {}
     for name, t in alg.unary_tables().items():
@@ -103,7 +109,7 @@ def _induced_tables(alg: FiniteAlgebra, theta: Congruence) -> dict:
                 if row.setdefault(cls[b], cls[ta[b]]) != cls[ta[b]]:
                     raise TheoremViolation(f"partition not compatible with {name}")
         out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
-    return out
+    return MappingProxyType(out)
 
 
 # -- filters -----------------------------------------------------------------

@@ -147,13 +147,21 @@ def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     """Greedy generators: repeatedly add the element whose closure, grown outward
-    from the set closed so far, is largest; the first such element on ties."""
+    from the set closed so far, is largest; the first such element on ties.  A
+    candidate inside the closure of an earlier one in the same round is skipped:
+    its closure is a subset of that one, so it cannot be the first largest."""
     closed = subalgebra_closure(alg, ())
     gens: list[int] = []
     while len(closed) < alg.size:
-        grown = [(x, _grown(alg, closed, [x])) for x in alg.elements if x not in closed]
-        best, closed = max(grown, key=lambda c: len(c[1]))
+        covered, best, best_closure = set(closed), None, closed
+        for x in alg.elements:
+            if x not in covered:
+                grown = _grown(alg, closed, [x])
+                covered |= grown
+                if len(grown) > len(best_closure):
+                    best, best_closure = x, grown
         gens.append(best)
+        closed = best_closure
     return tuple(gens)
 
 

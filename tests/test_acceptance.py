@@ -2,8 +2,9 @@
 
 Each test prints a single `[acceptance N] PASS/FAIL` line (visible with -s)
 and enforces the stated runtime budget.  The catalogs cover the decorated
-discriminator classes up to size 8; size-1 entries are skipped wherever an
-operation requires a nontrivial algebra.
+discriminator classes up to size 8, and up to size 10 for the theorem checks
+of criteria 1, 2, 6 and 8; size-1 entries are skipped wherever an operation
+requires a nontrivial algebra.
 """
 
 import itertools
@@ -16,11 +17,17 @@ from finheyt import decision as dc
 from finheyt import morphism as mr
 from finheyt import terms as tm
 from finheyt.algebra import element_profile, discriminator_eval
-from finheyt.catalog import enum_distributive_lattices
+from finheyt.catalog import build_catalog, enum_distributive_lattices
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import two_element
 from finheyt.terms import CONST0, CONST1, DefiningPair, parse_term
 from term_oracle import eval_term
+
+
+@pytest.fixture(scope="module")
+def nontrivial_algebras_10(catalogs):
+    """Every nontrivial catalog algebra of every acceptance class, sizes 2..10."""
+    return [a for cls in catalogs for a in build_catalog(cls, 10).algebras if a.nontrivial]
 
 
 def _report(num, name, failures, elapsed, budget=None):
@@ -32,41 +39,44 @@ def _report(num, name, failures, elapsed, budget=None):
     assert not over, f"criterion {num} exceeded its {budget}s budget: {elapsed:.1f}s"
 
 
-def test_criterion_01_four_way_equivalence(nontrivial_algebras):
+def test_criterion_01_four_way_equivalence(nontrivial_algebras_10):
     t0 = time.perf_counter()
     failures = []
-    for alg in nontrivial_algebras:
+    for alg in nontrivial_algebras_10:
         try:
             dc.decide_projective_finite(alg)
         except TheoremViolation as e:
             failures.append((alg.name, str(e)))
-    _report(1, f"four-criterion equivalence on {len(nontrivial_algebras)} algebras",
+    _report(1, f"four-criterion equivalence on {len(nontrivial_algebras_10)} algebras",
             failures, time.perf_counter() - t0, budget=120)
 
 
-def test_criterion_02_factor_congruences(nontrivial_algebras):
+def test_criterion_02_factor_congruences(nontrivial_algebras_10):
     t0 = time.perf_counter()
     failures = []
-    for alg in nontrivial_algebras:
-        complements = {}
+
+    def verdict(alg, theta):
+        pair = cg.factor_complement(alg, theta)
+        if pair is None:
+            return "no complement"
+        ok = (
+            pair.theta.meet(pair.theta_prime).is_identity
+            and pair.theta.join(pair.theta_prime).is_total
+            and pair.theta.permutes_with(pair.theta_prime)
+            and pair.iso.onto
+            and pair.iso.injective
+        )
+        return None if ok else "complement not verified"
+
+    for alg in nontrivial_algebras_10:
+        verdicts = {}  # one complement, verified once, per distinct principal congruence
         for a in alg.elements:
             for b in alg.elements:
                 theta = cg.principal_congruence(alg, a, b)
-                if theta.blocks not in complements:
-                    complements[theta.blocks] = cg.factor_complement(alg, theta)
-                pair = complements[theta.blocks]
-                if pair is None:
-                    failures.append((alg.name, a, b, "no complement"))
-                    continue
-                ok = (
-                    pair.theta.meet(pair.theta_prime).is_identity
-                    and pair.theta.join(pair.theta_prime).is_total
-                    and pair.theta.permutes_with(pair.theta_prime)
-                    and pair.iso.onto
-                    and pair.iso.injective
-                )
-                if not ok:
-                    failures.append((alg.name, a, b, "complement not verified"))
+                if theta.blocks not in verdicts:
+                    verdicts[theta.blocks] = verdict(alg, theta)
+                if verdicts[theta.blocks] is not None:
+                    failures.append((alg.name, a, b, verdicts[theta.blocks]))
     _report(2, "principal congruences have verified factor complements",
             failures, time.perf_counter() - t0, budget=60)
 
@@ -153,10 +163,10 @@ def test_criterion_05_filter_generation(catalog_algebras):
             failures, time.perf_counter() - t0)
 
 
-def test_criterion_06_boolean_projection(nontrivial_algebras):
+def test_criterion_06_boolean_projection(nontrivial_algebras_10):
     t0 = time.perf_counter()
     failures = []
-    for alg in nontrivial_algebras:
+    for alg in nontrivial_algebras_10:
         bp, _ = cg.boolean_projection(alg)
         if not bp.boolean_h_reduct:
             failures.append((alg.name, "projection not Boolean"))
@@ -198,11 +208,11 @@ def test_criterion_07_operation_collapses(catalog_algebras):
             failures, time.perf_counter() - t0)
 
 
-def test_criterion_08_discriminator_property(nontrivial_algebras):
+def test_criterion_08_discriminator_property(nontrivial_algebras_10):
     t0 = time.perf_counter()
     failures = []
     simples = 0
-    for alg in nontrivial_algebras:
+    for alg in nontrivial_algebras_10:
         if not element_profile(alg).simple:
             continue
         simples += 1

@@ -415,9 +415,26 @@ def test_decompose_raises_when_the_projections_are_not_a_bijection(monkeypatch):
 
 
 def test_congruence_of_a_generator_that_is_not_open_is_a_theorem_violation():
-    # the fibres of a -> a & 1 in C3 put 1 with the top but not box 1 = 0 with box 2 = 2
-    with pytest.raises(TheoremViolation):
-        cg._congruence_of(c3_simple(), 1)
+    # the fibres of a -> a & 1 in C3 put 1 with the top but not box 1 = 0 with box 2 = 2;
+    # the compatibility pass caches no violation, so a repeated call raises again
+    for _ in range(2):
+        with pytest.raises(TheoremViolation):
+            cg._congruence_of(c3_simple(), 1)
+
+
+def test_induced_tables_are_cached_per_congruence_and_read_only():
+    alg = product(c3_simple(), b4_prod())
+    cg._induced_tables.cache_clear()
+    for a, b in itertools.product(alg.elements, repeat=2):
+        principal_congruence(alg, a, b)
+    info = cg._induced_tables.cache_info()
+    assert len(alg.open_set) == 8 and (info.misses, info.hits) == (8, 136)  # one pass per open element
+    theta = principal_congruence(alg, 0, 1)
+    tables = cg._induced_tables(alg, theta)
+    assert quotient(alg, theta)[0].size == len(theta.blocks)
+    assert cg._induced_tables.cache_info().misses == 8  # quotient reused the pass
+    with pytest.raises(TypeError):
+        tables["meet"] = ()
 
 
 def test_heyting_congruences_without_box():

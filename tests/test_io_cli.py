@@ -1,7 +1,10 @@
 import importlib.util
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -191,6 +194,24 @@ def test_cli_homs_cap_below_one_exits_2(files, capsys, cap):
                              "--count", "--cap", cap)
     assert code == 2 and out == ""
     assert "cap must be at least 1" in err and "Traceback" not in err
+
+
+def test_cli_parser_is_built_once_and_reused_after_errors(files, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    valid = ["homs", files["B4prod"], files["TwoWS5"], "--count", "--json"]
+    alone = subprocess.run(
+        [sys.executable, "-m", "finheyt.cli", *map(str, valid)],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+    )
+    assert alone.returncode == 0 and json.loads(alone.stdout) == {
+        "command": "homs", "count": 2, "truncated": False}
+    assert run_cli(capsys, "homs", files["B4prod"], files["B4prod"], "--count", "--cap", "0")[0] == 2
+    with pytest.raises(SystemExit) as rejected:
+        run_cli(capsys, "quotient", files["B4prod"])  # --filter is required
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *valid) == (0, alone.stdout.strip(), "")
 
 
 @pytest.mark.parametrize("cap", ["0", "1"])

@@ -25,6 +25,7 @@ from finheyt.fixtures import (
 from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
+    _grown,
     _retract_via_factor_pair,
     _search,
     generating_set,
@@ -453,6 +454,20 @@ def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
         assert subalgebra_closure(alg, ()) == round_closure(alg, ())
         for x in alg.elements:
             assert subalgebra_closure(alg, (x,)) == round_closure(alg, (x,)), (alg.name, x)
+    # Every candidate of every greedy round, grown from that round's closed set, on
+    # two products whose greedy takes two and four rounds; a candidate inside an
+    # earlier candidate's closure has no larger closure, which is why the greedy
+    # skips it.
+    c3, two = c3_simple(), two_ws5()
+    for alg in (product(product(c3, c3), c3), product(product(two, b4_prod()), b4_prod())):
+        closed = round_closure(alg, ())
+        for g in generating_set(alg):
+            grown = {x: _grown(alg, closed, [x]) for x in alg.elements if x not in closed}
+            for x, closure in grown.items():
+                assert closure == round_closure(alg, closed | {x}), (alg.name, x)
+                assert all(closure <= grown[y] for y in grown if y < x and x in grown[y])
+            closed = grown[g]
+        assert len(closed) == alg.size
 
 
 def test_search_yields_maps_in_ascending_generator_key_order(catalogs):
