@@ -169,6 +169,11 @@ class FiniteAlgebra:
     def rename(self, name: str) -> "FiniteAlgebra":
         return replace(self, name=name)
 
+    def __hash__(self):  # cached: algebras key caches, and each hash reads every table
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(serial_key(self)))
+        return self._hash
+
     def __repr__(self):
         tag = self.name or f"{self.cls}/{self.size}"
         return f"FiniteAlgebra<{tag}>"

@@ -281,72 +281,25 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     return Homomorphism(a, b, tuple(back[y] for y in pa))
 
 
-def is_retract(p: FiniteAlgebra, b: FiniteAlgebra, factor_pair=None) -> RetractWitness | None:
+def is_retract(p: FiniteAlgebra, b: FiniteAlgebra) -> RetractWitness | None:
     """A retraction p -> b with an injection b -> p inverse to it, or None.
 
     When p and b are isomorphic the witness is an isomorphism and its inverse.
     Otherwise it is the first onto map phi of the hom search p -> b, in search
     order, that has a section, together with its lexicographically least
     section: a hom b -> p found by the same search with the images of each v
-    restricted to phi's fibre over v.  Cross-checked against the product
-    construction when a FactorPair presenting p as a product is supplied."""
+    restricted to phi's fibre over v."""
     _table_pairs(p, b)  # raises unless p and b share their class and tables
     if b.size > p.size:
         raise ValueError("retract cannot be larger than the algebra")
-
-    witness = None
     iso = isomorphic(p, b)
     if iso is not None:
-        witness = RetractWitness(retraction=iso, injection=iso.inverse())
-    else:
-        for m in _search(p, b):
-            if len(set(m)) != b.size:
-                continue
-            fibres = [[x for x in p.elements if m[x] == v] for v in b.elements]
-            section = min(_search(b, p, fibres), default=None)
-            if section is not None:
-                witness = RetractWitness(Homomorphism(p, b, m), Homomorphism(b, p, section))
-                break
-
-    if factor_pair is not None:
-        applicable, other = _retract_via_factor_pair(p, b, factor_pair)
-        if applicable and (other is None) != (witness is None):
-            raise TheoremViolation(
-                f"direct retract search ({witness is not None}) disagrees with the "
-                f"product-construction route ({other is not None}) for {b!r} in {p!r}"
-            )
-    return witness
-
-
-def _retract_via_factor_pair(p, b, fp) -> tuple[bool, RetractWitness | None]:
-    """Retract witness per the product theorem construction psi(x) = (x, chi(x)).
-
-    Returns (applicable, witness): applicable is False when b is isomorphic to
-    neither quotient, in which case the theorem route says nothing.
-    """
-    quotients = (fp.quotient_a, fp.quotient_b)
-    coords = [divmod(v, fp.quotient_b.size) for v in fp.iso.map]
-    verdicts = []
-    witness = None
-    for i, mine in enumerate(quotients):
-        sigma = isomorphic(b, mine)
-        if sigma is None:
+        return RetractWitness(retraction=iso, injection=iso.inverse())
+    for m in _search(p, b):
+        if len(set(m)) != b.size:
             continue
-        chi = homs(mine, quotients[1 - i], "any")
-        verdicts.append(chi is not None)
-        if chi is None or witness is not None:
-            continue
-        # psi(y) is the x whose coordinate i is sigma(y) and whose other one is chi of it
-        sigma_inv = sigma.inverse().map
-        psi = {sigma_inv[c[i]]: x for x, c in enumerate(coords) if chi.map[c[i]] == c[1 - i]}
-        witness = RetractWitness(
-            retraction=Homomorphism(p, b, tuple(sigma_inv[c[i]] for c in coords)),
-            injection=Homomorphism(b, p, tuple(psi[y] for y in b.elements)),
-        )
-    if not verdicts:
-        return False, None
-    if witness is None and any(verdicts):
-        raise TheoremViolation("hom exists but the product construction built no witness")
-    if len(set(verdicts)) > 1:
-        raise TheoremViolation("the two product orientations disagree about retractness")
-    return True, witness
+        fibres = [[x for x in p.elements if m[x] == v] for v in b.elements]
+        section = min(_search(b, p, fibres), default=None)
+        if section is not None:
+            return RetractWitness(Homomorphism(p, b, m), Homomorphism(b, p, section))
+    return None

@@ -407,9 +407,12 @@ TABLE_OF = {Meet: "meet", Join: "join", Impl: "impl", Dimpl: "dimpl", Neg: "neg"
 """The FiniteAlgebra table each operation node reads; a Diamond is read as ![]!."""
 
 _MEMO_ENTRIES = 1 << 14
-"""The most memo entries one satisfying_assignment call stores over all levels;
-rarely repeating keys would keep about one per outer assignment (200 MB for the
-presentation in MAX_PRESENTATION_VARS).  alpha at 36 elements stores 1,800."""
+"""The floor of the memo entries one satisfying_assignment call stores over all
+levels; the budget is the larger of it and q * n**2 for q quantifiers over n
+elements, polynomial in the input.  Rarely repeating keys would keep about one
+per outer assignment (200 MB for the presentation in MAX_PRESENTATION_VARS).
+alpha's levels are keyed on slots of at most n**2 values: it stores 1,824
+entries at 36 elements and 84,515 at 256, under budgets of 16,384 and 327,680."""
 
 
 @dataclass(frozen=True)
@@ -644,7 +647,8 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     same values a fresh search would, so the assignment is the lex-first one.
     Every table the formula reads is bound before the search starts, so a
     missing operation raises TermEvalError whatever the values.  Past
-    _MEMO_ENTRIES stored entries, the memos stop storing and levels recompute.
+    max(_MEMO_ENTRIES, q * n**2) stored entries, for q quantifiers over n
+    elements, the memos stop storing and levels recompute.
     A prefix longer than MAX_QUANTIFIERS raises TermEvalError.
     """
     if len(formula.prefix) > MAX_QUANTIFIERS:
@@ -659,7 +663,7 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     for s, key in enumerate(plan.slots):
         if key[0] == "const":
             val[s] = 0 if key[1] == 0 else alg.top
-    inner, room = None, [_MEMO_ENTRIES]
+    inner, room = None, [max(_MEMO_ENTRIES, len(plan.names) * alg.size ** 2)]
     for d in reversed(range(len(plan.names))):
         inner = plan.factories[d + 1](val, inner, alg.size, *tables)
         if plan.frontier[d] is not None:

@@ -21,6 +21,7 @@ from finheyt.catalog import build_catalog, enum_distributive_lattices
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import two_element
 from finheyt.terms import CONST0, CONST1, DefiningPair, parse_term
+from retract_oracle import retract_via_factor_pair
 from term_oracle import eval_term
 
 
@@ -116,10 +117,13 @@ def test_criterion_04_retract_theorem(catalogs):
                 theta = cg.to_congruence(p, kernel)
                 fp = cg.factor_complement(p, theta)
                 try:
-                    witness = mr.is_retract(p, b, factor_pair=fp)
+                    applicable, via = retract_via_factor_pair(p, b, fp)
                 except TheoremViolation as e:
                     failures.append((b.name, c.name, str(e)))
                     continue
+                witness = mr.is_retract(p, b)
+                if not applicable or (via is None) != (witness is None):
+                    failures.append((b.name, c.name, "retract search vs product construction"))
                 via_hom = mr.homs(b, c, "any") is not None
                 if (witness is not None) != via_hom:
                     failures.append((b.name, c.name, "retract search vs hom existence"))

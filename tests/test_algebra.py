@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from finheyt.terms import Var, discriminator_term
 from term_oracle import eval_term
 
+from finheyt import algebra
 from finheyt.algebra import (
     LEVELED,
     FiniteAlgebra,
@@ -229,6 +230,19 @@ def test_validate_matches_triple_loop_oracle(catalog_algebras):
         seen.update(axiom for axiom, _ in report.violations)
     assert {"meet-associative", "join-associative", "distributive", "residuation",
             "dual-residuation"} <= seen
+
+
+def test_hash_follows_equality_and_is_stored(monkeypatch):
+    a = b4_prod()
+    b = FiniteAlgebra(a.size, a.cls, a.meet, a.join, a.impl, box=a.box)  # built separately
+    renamed = a.rename("other")
+    assert b is not a and b == a == renamed
+    assert hash(a) == hash(b) == hash(renamed) != hash(b4_disc())
+    # a second hash reads the stored value instead of the tables
+    monkeypatch.setattr(algebra, "serial_key", None)
+    assert hash(a) == hash(b) == hash(renamed)
+    with pytest.raises(TypeError):
+        hash(replace(a))
 
 
 def test_variety_class_parsing():

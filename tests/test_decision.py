@@ -63,6 +63,7 @@ from finheyt.terms import (
     satisfying_assignment,
 )
 from term_oracle import eval_term, quasiidentity_oracle, satisfy_atoms_oracle
+from test_terms import _near_star
 
 
 def naive_eval(alg, formula, start=0, env=None):
@@ -521,6 +522,20 @@ def test_alpha_witness_is_the_lex_first_pair():
     assert satisfying_assignment(b4_disc(), alpha) is None
 
 
+def memo_rooms(monkeypatch) -> list:
+    """(room, budget) of each satisfying_assignment call from now on: room[0] is
+    the entries it has left to store, so budget - room[0] is the entries stored."""
+    rooms, memoised = [], terms._memoised
+
+    def counted(search, frontier, val, room):
+        if not any(r is room for r, _ in rooms):
+            rooms.append((room, room[0]))
+        return memoised(search, frontier, val, room)
+
+    monkeypatch.setattr(terms, "_memoised", counted)
+    return rooms
+
+
 def test_memo_budget_keeps_the_answers(monkeypatch):
     # Past the budget a level recomputes instead of looking up; the answers
     # and witnesses stay those of the brute force.
@@ -531,6 +546,25 @@ def test_memo_budget_keeps_the_answers(monkeypatch):
     for alg in (two_ws5(), c3_simple()):
         holds, witness = quasiidentity_oracle(alg, rho())
         assert check_quasiidentity(alg, rho()) == QuasiCheck(holds, witness), alg.name
+    # The 10-variable near star outgrows its budget of 10 * 2**2 entries.
+    rooms = memo_rooms(monkeypatch)
+    pair = _near_star(10)
+    assert satisfy_atoms(two_ws5(), pair) == satisfy_atoms_oracle(two_ws5(), pair)
+    [(room, budget)] = rooms
+    assert (budget, room[0]) == (40, 0)
+
+
+def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
+    # alpha's levels are keyed on slots of at most n**2 values, so the budget
+    # of q * n**2 entries (5 * 36**2 here) stores them all, floor or not.
+    monkeypatch.setattr(terms, "_MEMO_ENTRIES", 100)
+    rooms = memo_rooms(monkeypatch)
+    alg = reduce(product, [b4_disc(), c3_simple(), c3_simple()])
+    two = two_element(alg.cls)
+    found = satisfying_assignment(alg, diagram_alpha(two))
+    assert (found is not None) == (homs(alg, two, "any_onto") is not None)
+    [(room, budget)] = rooms
+    assert (budget, budget - room[0]) == (5 * 36**2, 1824)
 
 
 @pytest.mark.parametrize("factors", [

@@ -10,7 +10,6 @@ import pytest
 from finheyt.algebra import FiniteAlgebra, VarietyClass, canonical_form, relabel
 from finheyt.catalog import build_catalog
 from finheyt.congruence import factor_complement, principal_congruence, product, to_congruence
-from finheyt.errors import TheoremViolation
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -26,7 +25,6 @@ from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
     _grown,
-    _retract_via_factor_pair,
     _search,
     generating_set,
     homs,
@@ -36,6 +34,7 @@ from finheyt.morphism import (
     minimal_subalgebras,
     subalgebra_closure,
 )
+from retract_oracle import retract_via_factor_pair
 
 
 def bruteforce_homs(dom, cod):
@@ -220,16 +219,24 @@ def test_is_retract_examples():
     assert is_retract(b4_disc(), two_ws5()) is None
 
 
+def agrees_with_product_construction(p, b, pair):
+    """is_retract(p, b), checked against the product construction on pair."""
+    applicable, via = retract_via_factor_pair(p, b, pair)
+    w = is_retract(p, b)
+    assert applicable and (via is None) == (w is None), (p, b)
+    return via, w
+
+
 def test_is_retract_cross_checks_factor_pair():
     p = product(two_ws5(), c3_simple())
     pair = factor_complement(p, principal_congruence(p, 0, 2))
     assert pair is not None
-    w = is_retract(p, two_ws5(), factor_pair=pair)
+    _, w = agrees_with_product_construction(p, two_ws5(), pair)
     assert w is not None
     # both quotients of C3 x C3 are C3 and the identity is a hom between them
     p2 = product(c3_simple(), c3_simple())
     pair2 = factor_complement(p2, principal_congruence(p2, 0, 1))
-    w2 = is_retract(p2, c3_simple(), factor_pair=pair2)
+    _, w2 = agrees_with_product_construction(p2, c3_simple(), pair2)
     assert w2 is not None
 
 
@@ -238,10 +245,7 @@ def test_retract_via_factor_pair_reads_the_second_quotient():
     p = product(two_ws5(), c3_simple())
     pair = factor_complement(p, to_congruence(p, frozenset(p.upset[2])))
     assert (pair.quotient_a, pair.quotient_b) == (canonical_form(c3_simple()), two_ws5())
-    applicable, via = _retract_via_factor_pair(p, two_ws5(), pair)
-    w = is_retract(p, two_ws5(), factor_pair=pair)
-    assert applicable
-    for witness in (via, w):
+    for witness in agrees_with_product_construction(p, two_ws5(), pair):
         assert (witness.retraction.map, witness.injection.map) == ((0, 0, 0, 1, 1, 1), (0, 5))
 
 
@@ -250,8 +254,7 @@ def test_retract_via_factor_pair_agrees_on_a_negative_case():
     p = product(c3_simple(), b4_disc())
     pair = factor_complement(p, to_congruence(p, frozenset(p.upset[8])))
     assert pair.quotient_a == canonical_form(c3_simple())
-    assert _retract_via_factor_pair(p, c3_simple(), pair) == (True, None)
-    assert is_retract(p, c3_simple(), factor_pair=pair) is None
+    assert agrees_with_product_construction(p, c3_simple(), pair) == (None, None)
 
 
 def test_retract_of_self_is_identity_like():
