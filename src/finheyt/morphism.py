@@ -1,8 +1,10 @@
 """Homomorphism enumeration, subalgebras, isomorphism testing, retract detection.
 
-Homomorphisms come from a depth-first search with closure propagation over the
-images of greedy generators, each candidate's subuniverse grown outward from the set
-closed so far, in ascending order of their values on the generators.  Isomorphisms
+Homomorphisms come from a depth-first search over the values of greedy generators,
+in ascending order of those values; each generator is the element whose subuniverse,
+grown outward from the set closed so far, is largest.  A branch grows the graph of
+its partial map, the subalgebra of dom x cod generated by the pairs (g, m(g)), with
+the worklist that grows a subuniverse, and is pruned on a clash.  Isomorphisms
 are read off the canonical forms (`algebra.canonical_relabeling`), a complete
 invariant.  Retract sections come from the same search, each element's images
 restricted to its fibre under the onto map: the retract witness is the first onto
@@ -168,7 +170,10 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
 def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     """Yield operation-preserving maps dom->cod as tuples, deterministic DFS order.
 
-    Partial maps are extended by closure propagation and pruned on table conflicts.
+    Each branch grows the graph of its partial map m as _grown grows a subuniverse:
+    the assigned elements, in the order reached, are each combined once with
+    themselves and those before them under every table, a forced value fills an
+    unassigned element, and a clash prunes the branch.
     images[x], an ascending sequence of cod's elements, restricts the values x may
     take (every element of cod by default): a branch that forces a value outside
     it is pruned, and a generator tries only its allowed values.  So the search
@@ -176,60 +181,53 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     """
     unary, binary = _table_pairs(dom, cod)
     unary, binary = list(unary.values()), list(binary.values())
-    n = dom.size
     if images is None:
-        images = [range(cod.size)] * n
+        images = [range(cod.size)] * dom.size
 
-    def close(m, queue):
-        while queue:
-            x = queue.pop()
+    def grow(m, order, i):
+        """Grow the graph of m from order[i:]; False on a clash."""
+        while i < len(order):
+            x = order[i]
+            i += 1
             mx = m[x]
-            for ta, tb in unary:
-                e, v = ta[x], tb[mx]
+            forced = [(ta[x], tb[mx]) for ta, tb in unary]
+            for ta, tb in binary:
+                row_a, row_b = ta[x], tb[mx]
+                for y in order[:i]:
+                    my = m[y]
+                    forced.append((row_a[y], row_b[my]))
+                    forced.append((ta[y][x], tb[my][mx]))
+            for e, v in forced:
                 # a forced value outside images[e] fails the elif below
                 if m[e] == -1 and v in images[e]:
                     m[e] = v
-                    queue.append(e)
+                    order.append(e)
                 elif m[e] != v:
                     return False
-            for ta, tb in binary:
-                row_a, row_b = ta[x], tb[mx]
-                for y in range(n):
-                    my = m[y]
-                    if my == -1:
-                        continue
-                    for e, v in ((row_a[y], row_b[my]), (ta[y][x], tb[my][mx])):
-                        if m[e] == -1 and v in images[e]:
-                            m[e] = v
-                            queue.append(e)
-                        elif m[e] != v:
-                            return False
         return True
 
     gens = generating_set(dom)
-    m0 = [-1] * n
+    m0 = [-1] * dom.size
     m0[0], m0[dom.top] = 0, cod.top  # m0[0] is cod.top when dom is trivial
     if m0[0] != 0 or 0 not in images[0] or cod.top not in images[dom.top]:
         return
-    if not close(m0, [0, dom.top] if dom.top != 0 else [0]):
+    order0 = [0, dom.top] if dom.top != 0 else [0]
+    if not grow(m0, order0, 0):
         return
 
-    def rec(i, m):
+    def rec(i, m, order):
         if i == len(gens):
             assert all(v != -1 for v in m)
             yield tuple(m)
             return
         g = gens[i]
-        if m[g] != -1:
-            yield from rec(i + 1, m)
-            return
         for v in images[g]:
-            m2 = m.copy()
+            m2, order2 = m.copy(), [*order, g]
             m2[g] = v
-            if close(m2, [g]):
-                yield from rec(i + 1, m2)
+            if grow(m2, order2, len(order)):
+                yield from rec(i + 1, m2, order2)
 
-    yield from rec(0, m0)
+    yield from rec(0, m0, order0)
 
 
 def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | None = None):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from finheyt.algebra import FiniteAlgebra, VarietyClass, canonical_form, relabel
+from finheyt.algebra import FiniteAlgebra, VarietyClass, canonical_form, element_profile, relabel
 from finheyt.catalog import build_catalog
 from finheyt.congruence import factor_complement, principal_congruence, product, to_congruence
 from finheyt.fixtures import (
@@ -296,9 +296,12 @@ def test_prod_retract_agrees_with_hom_existence_on_fixtures():
 
 
 def search_pairs():
-    """Same-class (dom, cod) pairs of the fixtures and the engine algebras."""
+    """Same-class (dom, cod) pairs of the fixtures and the engine algebras, and
+    the fixture products of at most 16 elements, one per isomorphism type, as
+    domains whose graphs grow over several rounds."""
     algebras = [*catalog_fixtures(), *engine_algebras()]
-    return [(a, b) for a in algebras for b in algebras if a.cls == b.cls]
+    products = dict.fromkeys(map(canonical_form, fixture_products(16)))
+    return [(a, b) for a in [*algebras, *products] for b in algebras if a.cls == b.cls]
 
 
 def test_search_images_keep_exactly_the_respecting_maps_in_order():
@@ -485,3 +488,27 @@ def test_search_yields_maps_in_ascending_generator_key_order(catalogs):
             keys = [tuple(m[g] for g in gens) for m in _search(dom, cod)]
             assert all(a < b for a, b in zip(keys, keys[1:])), (dom.name, cod.name)
     assert pairs == 1001
+
+
+def test_hom_counts_follow_the_product_laws():
+    # A hom into A x B is the pair of its components.  A hom from A x B into a
+    # simple T has a maximal kernel, and in a congruence-distributive variety every
+    # congruence of A x B is a product of congruences (Fraser and Horn, Proc. AMS
+    # 26, 1970), so the hom factors through exactly one of the two projections.
+    @functools.cache
+    def count(dom, cod):
+        return sum(1 for _ in _search(dom, cod))
+
+    into = from_ = 0
+    for cls in ("ws5", "hri", "hdp:1", "dht:2"):
+        algebras = [a for a in build_catalog(VarietyClass.parse(cls), 5).algebras if a.nontrivial]
+        simples = [t for t in algebras if element_profile(t).simple]
+        for a, b in itertools.combinations_with_replacement(algebras, 2):
+            ab = product(a, b)
+            for c in algebras:
+                into += 1
+                assert count(c, ab) == count(c, a) * count(c, b), (c.name, a.name, b.name)
+            for t in simples:
+                from_ += 1
+                assert count(ab, t) == count(a, t) + count(b, t), (a.name, b.name, t.name)
+    assert (into, from_) == (755, 648)
