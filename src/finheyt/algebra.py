@@ -92,13 +92,9 @@ class FiniteAlgebra:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "meet", _tup2(self.meet))
-        object.__setattr__(self, "join", _tup2(self.join))
-        object.__setattr__(self, "impl", _tup2(self.impl))
-        object.__setattr__(self, "dimpl", _tup2(self.dimpl))
-        object.__setattr__(self, "box", _tup1(self.box))
-        object.__setattr__(self, "invol", _tup1(self.invol))
-        object.__setattr__(self, "dualneg", _tup1(self.dualneg))
+        for name in TABLES:
+            tup = _tup2 if name in BINARY else _tup1
+            object.__setattr__(self, name, tup(getattr(self, name)))
 
     @property
     def top(self) -> int:
@@ -521,18 +517,8 @@ def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
 
 
 def serial_key(alg: FiniteAlgebra):
-    return (
-        alg.size,
-        alg.cls.kind,
-        alg.cls.level or 0,
-        alg.meet,
-        alg.join,
-        alg.impl,
-        alg.box or (),
-        alg.invol or (),
-        alg.dualneg or (),
-        alg.dimpl or (),
-    )
+    return (alg.size, alg.cls.kind, alg.cls.level or 0,
+            *(getattr(alg, name) or () for name in TABLES))
 
 
 def least_meet_relabeling(meet, tail=None):
@@ -638,9 +624,18 @@ def least_meet_relabeling(meet, tail=None):
     return best[0], best[1]
 
 
+@lru_cache(maxsize=1024)
+def _cached_relabeling(alg: FiniteAlgebra):
+    """canonical_relabeling, with the name of the first equal algebra it saw."""
+    def tail(perm, ext):
+        return relabeled_tables(alg, ext, perm, _TAIL)
+
+    _, perm = least_meet_relabeling(alg.meet, tail)
+    return perm, relabel(alg, perm)
+
+
 # Quotient naming, isomorphic and the tests call this; the catalog enumeration
 # searches its lattices with least_meet_relabeling directly.
-@lru_cache(maxsize=1024)
 def canonical_relabeling(alg: FiniteAlgebra):
     """(perm, algebra) with the least serial_key over linear-extension relabelings.
 
@@ -650,13 +645,13 @@ def canonical_relabeling(alg: FiniteAlgebra):
     are determined by meet, so extensions that tie on the least meet table tie
     on them too, and least_meet_relabeling compares only their relabeled box,
     invol, dualneg and dimpl (the rest of serial_key, in its order).  alg must
-    be a valid algebra; the whole algebra is relabeled once, at the end.
+    be a valid algebra; the whole algebra is relabeled once, at the end.  The
+    result is cached on algebra equality, which ignores names, so the relabeled
+    algebra is renamed to alg's name when a differently named equal algebra
+    filled the cache.
     """
-    def tail(perm, ext):
-        return relabeled_tables(alg, ext, perm, _TAIL)
-
-    _, perm = least_meet_relabeling(alg.meet, tail)
-    return perm, relabel(alg, perm)
+    perm, canon = _cached_relabeling(alg)
+    return perm, canon if canon.name == alg.name else canon.rename(alg.name)
 
 
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:

@@ -15,10 +15,12 @@ are the automorphisms of the lattice, and the least of its box and invol tables
 under them gives its canonical form without a search.  One backtrack over
 lattice maps finds both those automorphisms and the dual automorphisms, whose
 involutive members are the invol tables of the hri candidates; the ws5
-candidates come from the lattice's Boolean sublattices.  The ws5 and hri
-candidates share one tail: validate, canonicalise, dedupe, sort.  The leveled
-classes' c -< a is the join of the join-irreducibles below c and not below a,
-so every automorphism fixes it and those decorations are canonical as built.
+candidates come from the lattice's Boolean sublattices.  The leveled classes'
+c -< a is the join of the join-irreducibles below c and not below a, so every
+automorphism fixes it and those decorations are canonical as built.  Each
+class yields only its defining tables, and every candidate of every class goes
+through one tail: derive_operations completes and checks it, then canonicalise,
+dedupe, sort.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .algebra import (
+    LEVELED,
     FiniteAlgebra,
     VarietyClass,
     derive_operations,
@@ -34,9 +37,8 @@ from .algebra import (
     least_meet_relabeling,
     relabeled_tables,
     serial_key,
-    validate,
 )
-from .errors import TheoremViolation
+from .errors import InvalidAlgebraError, MalformedAlgebraError, TheoremViolation
 
 MAX_LATTICE_SIZE = 12  # documented desk-scale bound
 
@@ -159,28 +161,6 @@ def _antitone_involutions(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
     return [s for s in _automorphisms(lat, dual=True) if all(s[s[a]] == a for a in lat.elements)]
 
 
-def _canonical_decorations(lat: FiniteAlgebra, candidates) -> list[FiniteAlgebra]:
-    """The candidates, canonical, deduplicated and sorted by serial key.
-
-    The relabelings that reach the lattice's own, least, meet table are exactly
-    its automorphisms; each extends the order, since the labels do, and fixes
-    meet, join and impl.  So the canonical form of a decoration is its least
-    relabeling over Aut(lat), and only box and invol are relabeled and compared.
-    Every candidate is valid by construction; one that is not raises.
-    """
-    found, autos = {}, None
-    for cand in candidates:
-        bad = validate(cand).violations
-        if bad:
-            name, witness = bad[0]
-            raise TheoremViolation(f"{cand.cls} candidate on {lat!r} fails {name} at {witness}")
-        autos = autos or [(sorted(lat.elements, key=s.__getitem__), s) for s in _automorphisms(lat)]
-        box, invol = min(relabeled_tables(cand, old, s, ("box", "invol")) for old, s in autos)
-        canon = replace(cand, box=box, invol=invol)
-        found.setdefault(serial_key(canon), canon)
-    return [found[k] for k in sorted(found)]
-
-
 def _boolean_atom_sets(lat: FiniteAlgebra):
     """Sets of pairwise disjoint nonzero elements that join to the top.
 
@@ -216,12 +196,9 @@ def _ws5_candidates(lat: FiniteAlgebra):
 
 def _hri_candidates(lat: FiniteAlgebra):
     for inv in _antitone_involutions(lat):
-        if any(inv[lat.neg[a]] != lat.neg[lat.neg[a]] for a in lat.elements):
-            continue
-        box = tuple(lat.neg[inv[a]] for a in lat.elements)
-        yield FiniteAlgebra(
-            lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl, box=box, invol=inv
-        )
+        if all(inv[lat.neg[a]] == lat.neg[lat.neg[a]] for a in lat.elements):
+            yield FiniteAlgebra(lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl,
+                                invol=inv)
 
 
 def _co_implication(lat: FiniteAlgebra):
@@ -248,35 +225,51 @@ def _co_implication(lat: FiniteAlgebra):
     return lambda c: tuple(join_of(below[c] & ~below[a]) for a in range(n))
 
 
-def _decorate_leveled(lat: FiniteAlgebra, cls: VarietyClass) -> list[FiniteAlgebra]:
-    """The hdp or dht decoration of lat if its level fits: dualneg a is 1 -< a,
+def _leveled_candidates(lat: FiniteAlgebra, cls: VarietyClass):
+    """The hdp or dht candidate on lat if its level fits: dualneg a is 1 -< a,
     and only dht builds the whole table c -< a."""
     co_impl = _co_implication(lat)
     cand = FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, dualneg=co_impl(lat.top))
     level = inferred_level(cand)
-    if level is None or level > cls.level:
-        return []
-    if cls.kind == "dht":
-        cand = replace(cand, dimpl=tuple(map(co_impl, lat.elements)))
-    return [derive_operations(cand)]  # fills box; raises if an axiom breaks
+    if level is not None and level <= cls.level:
+        yield cand if cls.kind == "hdp" else replace(cand, dimpl=tuple(map(co_impl, lat.elements)))
 
 
 def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
     """All decorations of a Heyting algebra in the given class, up to isomorphism, canonical.
 
-    lat must be a canonical form, as enum_distributive_lattices yields: each
-    decoration is canonicalised through the automorphisms of lat, which fix its
-    meet, join and impl, instead of by a canonical-form search.
+    Each candidate carries its class's defining tables only; derive_operations
+    completes and checks it, and since every candidate is valid by construction,
+    one it rejects raises TheoremViolation.  lat must be a canonical form, as
+    enum_distributive_lattices yields: the relabelings that reach its own,
+    least, meet table are exactly its automorphisms, which extend the order,
+    since the labels do, and fix meet, join, impl and c -< a.  So a ws5 or hri
+    decoration's canonical form is its least box and invol over Aut(lat), and
+    an hdp or dht decoration is canonical as built.
     """
     if lat.cls.kind != "heyting":
         raise ValueError("decorate expects a plain Heyting algebra")
     if cls.kind == "heyting":
         return [lat]
-    if cls.kind == "ws5":
-        return _canonical_decorations(lat, _ws5_candidates(lat))
-    if cls.kind == "hri":
-        return _canonical_decorations(lat, _hri_candidates(lat))
-    return _decorate_leveled(lat, cls)
+    if cls.kind in LEVELED:
+        candidates = _leveled_candidates(lat, cls)
+    else:
+        candidates = _ws5_candidates(lat) if cls.kind == "ws5" else _hri_candidates(lat)
+    found, autos = {}, None
+    for cand in candidates:
+        try:
+            cand = derive_operations(cand)
+        except (InvalidAlgebraError, MalformedAlgebraError) as e:
+            name, witness = (e.report.violations[0] if isinstance(e, InvalidAlgebraError)
+                             else ("structure", e))
+            raise TheoremViolation(f"{cls} candidate on {lat!r} fails {name} at {witness}") from e
+        if cls.kind not in LEVELED:
+            autos = autos or [(sorted(lat.elements, key=s.__getitem__), s)
+                              for s in _automorphisms(lat)]
+            box, invol = min(relabeled_tables(cand, old, s, ("box", "invol")) for old, s in autos)
+            cand = replace(cand, box=box, invol=invol)
+        found.setdefault(serial_key(cand), cand)
+    return [found[k] for k in sorted(found)]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from finheyt.algebra import (
     validate,
 )
 from finheyt.catalog import build_catalog
-from finheyt.congruence import product
+from finheyt.congruence import decompose_simples, product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
 from finheyt.fixtures import (
     b4_disc,
@@ -530,6 +530,16 @@ def test_canonical_relabeling_breaks_ties_by_the_first_extension():
     tied = [ext for ext in linear_extensions(alg) if relabel(alg, extension_perm(ext)) == canon]
     assert len(tied) == 6
     assert perm == extension_perm(tied[0]) == (0, 1, 2, 3, 6, 4, 5, 7)
+
+
+def test_canonical_form_keeps_the_input_name():
+    # equality ignores names, so each name below meets a cached equal algebra
+    # canonicalised under another name
+    alg = product(c3_simple(), b4_disc())
+    for name in ("first", "second"):
+        assert [f.name for f in decompose_simples(alg.rename(name))] == [f"{name}/theta"] * 2
+    assert canonical_form(c3_simple().rename("X")).name == "X"
+    assert canonical_relabeling(c3_simple()) == canonical_relabeling(c3_simple().rename("X"))
 
 
 def test_canonical_relabeling_compares_box_at_tied_leaves():

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from finheyt import catalog
+from finheyt import catalog, cli
 from finheyt.algebra import (
     FiniteAlgebra,
     VarietyClass,
@@ -175,14 +175,53 @@ def test_decorate_rejects_decorated_input():
         decorate(VarietyClass("ws5"), c3_simple())
 
 
-def test_invalid_decoration_candidate_raises(monkeypatch):
-    chain = enum_distributive_lattices(3)[0]
-    # the identity box makes the middle element open without a complement
-    identity = FiniteAlgebra(3, VarietyClass("ws5"), chain.meet, chain.join, chain.impl,
-                             box=(0, 1, 2))
-    monkeypatch.setattr(catalog, "_ws5_candidates", lambda lat: [identity])
-    with pytest.raises(TheoremViolation, match=r"heyting_n3_00.* open-elements-boolean at \(1,\)"):
-        decorate(VarietyClass("ws5"), chain)
+def _identity_box_candidate(lat):
+    """A ws5 candidate whose identity box makes every element open."""
+    return [FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl,
+                          box=tuple(lat.elements))]
+
+
+def _short_box_candidate(lat):
+    """A ws5 candidate whose box misses the top."""
+    return [FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl,
+                          box=tuple(lat.elements)[:-1])]
+
+
+def _top_co_implication(lat):
+    """A broken c -< a: the top for every c and a."""
+    return lambda c: (lat.top,) * lat.size
+
+
+# Each patch breaks one class's candidates; derive_operations rejects the
+# candidate and decorate reports its first violation.
+@pytest.mark.parametrize("cls, size, index, patch, match", [
+    # the middle element of the 3-chain is open without a complement
+    ("ws5", 3, 0, ("_ws5_candidates", _identity_box_candidate),
+     r"heyting_n3_00.* open-elements-boolean at \(1,\)"),
+    # a malformed table has no witness; the message says what is wrong
+    ("ws5", 3, 0, ("_ws5_candidates", _short_box_candidate),
+     r"heyting_n3_00.* fails structure at box: expected 3 entries, got 2"),
+    # a regular involution of the 4-chain that is not antitone
+    ("hri", 4, 1, ("_antitone_involutions", lambda lat: [(3, 1, 2, 0)]),
+     r"heyting_n4_01.* fails invol-de-morgan at \(1, 2\)"),
+    # 0 <= 0 | 0, but 0 -< 0 = 1 is not below 0
+    ("dht:2", 2, 0, ("_co_implication", _top_co_implication),
+     r"heyting_n2_00.* fails dual-residuation at \(0, 0, 0\)"),
+], ids=["ws5", "ws5-malformed", "hri", "dht:2"])
+def test_invalid_decoration_candidate_raises(monkeypatch, cls, size, index, patch, match):
+    monkeypatch.setattr(catalog, *patch)
+    with pytest.raises(TheoremViolation, match=match):
+        decorate(VarietyClass.parse(cls), enum_distributive_lattices(size)[index])
+
+
+def test_catalog_command_exits_3_on_a_rejected_decoration(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(catalog, "_co_implication", _top_co_implication)
+    # build_catalog keeps the catalogs it built; the uncached build sees the patch
+    monkeypatch.setattr(cli, "build_catalog", catalog.build_catalog.__wrapped__)
+    code = cli.main(["catalog", "--class", "dht:2", "--max-size", "3", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "theorem violation: dht:2 candidate on" in err
 
 
 def test_catalog_invariants(catalogs):
