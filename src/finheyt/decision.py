@@ -90,8 +90,9 @@ class ProjectivityVerdict:
 
 
 def decide_projective_finite(alg: FiniteAlgebra) -> ProjectivityVerdict:
-    """Evaluate all four equivalent criteria and demand agreement.  Only the
-    classes with a box table are decided: ws5, hri, hdp:N and dht:N."""
+    """Evaluate all four equivalent criteria and demand agreement, and that the onto
+    homs to 2 are the maps x -> [b <= x] for the open atoms b (b & x takes two values).
+    Only the classes with a box table are decided: ws5, hri, hdp:N and dht:N."""
     if alg.box is None:
         raise ValueError(
             f"projectivity of a finite algebra is decided for the classes ws5, hri, hdp:N "
@@ -112,6 +113,10 @@ def decide_projective_finite(alg: FiniteAlgebra) -> ProjectivityVerdict:
     if len(values) > 1:
         raise TheoremViolation(f"projectivity criteria disagree on {alg!r}: {criteria}")
     verdict = values.pop()
+    onto_two = [tuple(int(v == b) for v in alg.meet[b])
+                for b in sorted(alg.open_set) if len(set(alg.meet[b])) == 2]
+    if verdict != bool(onto_two) or (verdict and hom.map not in onto_two):
+        raise TheoremViolation(f"the onto homs to 2 of {alg!r} are not {onto_two}")
     return ProjectivityVerdict(verdict, criteria, hom if verdict else bad)
 
 

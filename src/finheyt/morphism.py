@@ -1,11 +1,11 @@
 """Homomorphism enumeration, subalgebras, isomorphism testing, retract detection.
 
-Homomorphisms come from a depth-first search over the values of greedy generators,
-in ascending order of those values; each generator is the element whose subuniverse,
-grown outward from the set closed so far, is largest.  A branch grows the graph of
-its partial map, the subalgebra of dom x cod generated by the pairs (g, m(g)), with
-the worklist that grows a subuniverse, and is pruned on a clash.  Isomorphisms
-are read off the canonical forms (`algebra.canonical_relabeling`), a complete
+Homomorphisms come from a depth-first search over the values of greedy generators, in
+ascending order of those values; each generator is the element whose subuniverse, an
+int mask grown from the set closed so far by one `|=` per pair of elements from rows
+built once per call, is largest.  A branch grows the graph of its partial map, the
+subalgebra of dom x cod generated by the pairs (g, m(g)), with the same worklist, and
+is pruned on a clash.  Isomorphisms are read off the canonical forms, a complete
 invariant.  Retract sections come from the same search, each element's images
 restricted to its fibre under the onto map: the retract witness is the first onto
 map in search order that has a section, with its lexicographically least section.
@@ -14,6 +14,9 @@ map in search order that has a section, with its lexicographically least section
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, islice
+from operator import or_
 
 from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
 from .errors import TheoremViolation
@@ -95,29 +98,41 @@ class HomsResult:
     truncated: bool = False
 
 
-def _grown(alg: FiniteAlgebra, closed, new) -> frozenset:
-    """Least subuniverse containing the subuniverse closed and the elements new: each
-    element is combined once, with itself and those before it, under every table."""
-    members = [*closed, *set(new).difference(closed)]
-    seen = set(members)
-    i = len(closed)
+def _rows(alg: FiniteAlgebra) -> list[list[int]]:
+    """rows[x][y]: the mask of every binary table's value on (x, y) and (y, x), and on
+    the diagonal also of x's unary values; one flat pass per table and transpose."""
+    n, bits = alg.size, [1 << v for v in alg.elements]
+    masks = [map(bits.__getitem__, chain.from_iterable(t)) for t in alg.binary_tables().values()]
+    flat = list(reduce(lambda a, b: map(or_, a, b), masks))
+    for t in alg.unary_tables().values():
+        flat[::n + 1] = map(or_, flat[::n + 1], map(bits.__getitem__, t))
+    flat = list(map(or_, flat, chain.from_iterable(flat[y::n] for y in range(n))))
+    return [flat[x:x + n] for x in range(0, n * n, n)]
+
+
+def _grown(rows: list[list[int]], members: list[int], i: int) -> int:
+    """Mask of the least subuniverse containing members, whose first i form one; each later
+    member ors in its row at itself and at each member before it; members grows in place."""
+    seen = sum(1 << x for x in members)
     while i < len(members):
-        x = members[i]
+        row = rows[members[i]]
         i += 1
-        before = members[:i]
-        produced = {t[x] for t in alg.unary_tables().values()}
-        for t in alg.binary_tables().values():
-            produced.update([t[x][y] for y in before])
-            produced.update([t[y][x] for y in before])
-        fresh = produced - seen
+        produced = 0
+        for y in members[:i]:
+            produced |= row[y]
+        fresh = produced & ~seen
         seen |= fresh
-        members += fresh
-    return frozenset(seen)
+        while fresh:
+            members.append((fresh & -fresh).bit_length() - 1)
+            fresh &= fresh - 1
+    return seen
 
 
 def subalgebra_closure(alg: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse containing seed; the constants 0 and top are always included."""
-    return _grown(alg, (), (0, alg.top, *seed))
+    members = list(dict.fromkeys((0, alg.top, *seed)))
+    _grown(_rows(alg), members, 0)
+    return frozenset(members)
 
 
 def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -148,32 +163,32 @@ def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """Greedy generators: repeatedly add the element whose closure, grown outward
-    from the set closed so far, is largest; the first such element on ties.  A
-    candidate inside the closure of an earlier one in the same round is skipped:
-    its closure is a subset of that one, so it cannot be the first largest."""
-    closed = subalgebra_closure(alg, ())
-    gens: list[int] = []
-    while len(closed) < alg.size:
-        covered, best, best_closure = set(closed), None, closed
+    """Greedy generators: repeatedly add the element whose closure, a mask grown from
+    the set closed so far with the rows built once per call, is largest; the first on
+    ties.  A candidate inside the closure of an earlier one in the same round is
+    skipped: its closure is a subset of that one, so it cannot be the first largest."""
+    rows, members = _rows(alg), list(dict.fromkeys((0, alg.top)))
+    closed, gens = _grown(rows, members, 0), []
+    while len(members) < alg.size:
+        covered, best = closed, (None, closed, members)
         for x in alg.elements:
-            if x not in covered:
-                grown = _grown(alg, closed, [x])
-                covered |= grown
-                if len(grown) > len(best_closure):
-                    best, best_closure = x, grown
-        gens.append(best)
-        closed = best_closure
+            if not covered >> x & 1:
+                grown = [*members, x]
+                covered |= (mask := _grown(rows, grown, len(members)))
+                if len(grown) > len(best[2]):
+                    best = x, mask, grown
+        g, closed, members = best
+        gens.append(g)
     return tuple(gens)
 
 
 def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     """Yield operation-preserving maps dom->cod as tuples, deterministic DFS order.
 
-    Each branch grows the graph of its partial map m as _grown grows a subuniverse:
-    the assigned elements, in the order reached, are each combined once with
-    themselves and those before them under every table, a forced value fills an
-    unassigned element, and a clash prunes the branch.
+    Each branch grows the graph of its partial map m as _grown grows a subuniverse, but
+    with values, not masks: the assigned elements, in the order reached, are each
+    combined once with themselves and those before them under every table, a forced
+    value fills an unassigned element, and a clash prunes the branch.
     images[x], an ascending sequence of cod's elements, restricts the values x may
     take (every element of cod by default): a branch that forces a value outside
     it is pruned, and a generator tries only its allowed values.  So the search
@@ -248,13 +263,8 @@ def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | N
     if kind == "any":
         m = next(found, None)
         return None if m is None else Homomorphism(dom, cod, m)
-    maps, truncated = [], False
-    for m in found:
-        if cap is not None and len(maps) == cap:
-            truncated = True
-            break
-        maps.append(m)
-    maps.sort()
+    maps = sorted(islice(found, cap))
+    truncated = next(found, None) is not None
     return HomsResult(tuple(Homomorphism(dom, cod, m) for m in maps), truncated)
 
 

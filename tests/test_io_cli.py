@@ -6,11 +6,12 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
 from finheyt import cli, decision, io
-from finheyt.algebra import VarietyClass, validate
+from finheyt.algebra import FiniteAlgebra, VarietyClass, validate
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
@@ -271,6 +272,23 @@ def test_cli_projective(files, tmp_path, capsys):
     assert code == 0 and json.loads(out)["assignment"] == {"x": 0}
     code, _, err = run_cli(capsys, "projective", "--class", "ws5")
     assert code == 2
+
+
+def _onto_two_above_the_top(alg, two, mode):
+    # onto 2, but x -> [x = top] is not x -> [b <= x] for either open atom b of B4prod
+    return types.SimpleNamespace(map=tuple(int(x == alg.top) for x in alg.elements))
+
+
+@pytest.mark.parametrize("target, name, patch", [
+    (decision.morphism, "homs", _onto_two_above_the_top),
+    (FiniteAlgebra, "open_set", property(lambda alg: frozenset({0, alg.top}))),
+], ids=["witness-not-an-open-atom", "no-open-atom"])
+def test_cli_projective_exits_3_when_the_onto_homs_to_two_miss_the_open_atoms(
+        files, capsys, monkeypatch, target, name, patch):
+    monkeypatch.setattr(target, name, patch)
+    code, out, err = run_cli(capsys, "projective", "--class", "ws5", files["B4prod"], "--json")
+    assert (code, out) == (3, "")
+    assert "theorem violation: the onto homs to 2 of" in err
 
 
 def test_cli_rho_alpha(files, capsys):

@@ -25,6 +25,7 @@ from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
     _grown,
+    _rows,
     _search,
     generating_set,
     homs,
@@ -454,12 +455,25 @@ def fixture_products(max_size=36):
     ]
 
 
+def grown_from(alg, closed, x):
+    """The set _grown reaches from the subuniverse closed and the element x; its mask
+    holds exactly the members it lists."""
+    members = [*closed, x]
+    mask = _grown(_rows(alg), members, len(closed))
+    assert mask == sum(1 << y for y in members), (alg.name, x)
+    return frozenset(members)
+
+
 def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
     for alg in [*catalog_algebras, *fixture_products()]:
         assert generating_set(alg) == greedy_from_scratch(alg), alg.name
         assert subalgebra_closure(alg, ()) == round_closure(alg, ())
         for x in alg.elements:
             assert subalgebra_closure(alg, (x,)) == round_closure(alg, (x,)), (alg.name, x)
+    for alg in [*(a for a in catalog_algebras if a.size <= 6), *fixture_products(16)]:
+        for seed in itertools.combinations(alg.elements, 2):
+            assert subalgebra_closure(alg, seed) == round_closure(alg, seed), (alg.name, seed)
+    assert subalgebra_closure(functools.reduce(product, [b4_prod()] * 4), ()) == {0, 255}
     # Every candidate of every greedy round, grown from that round's closed set, on
     # two products whose greedy takes two and four rounds; a candidate inside an
     # earlier candidate's closure has no larger closure, which is why the greedy
@@ -468,12 +482,22 @@ def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
     for alg in (product(product(c3, c3), c3), product(product(two, b4_prod()), b4_prod())):
         closed = round_closure(alg, ())
         for g in generating_set(alg):
-            grown = {x: _grown(alg, closed, [x]) for x in alg.elements if x not in closed}
+            grown = {x: grown_from(alg, closed, x) for x in alg.elements if x not in closed}
             for x, closure in grown.items():
                 assert closure == round_closure(alg, closed | {x}), (alg.name, x)
                 assert all(closure <= grown[y] for y in grown if y < x and x in grown[y])
             closed = grown[g]
         assert len(closed) == alg.size
+
+
+@pytest.mark.parametrize("parts, gens", [
+    ([b4_prod()] * 4, (1, 2, 4, 8, 16, 32, 64)),
+    ([b4_disc()] * 3 + [c3_simple()], (22, 51)),
+    ([c3_simple()] * 2 + [b4_disc()] * 2, (23, 49)),
+], ids=["B4prod^4", "B4disc^3xC3simple", "C3simple^2xB4disc^2"])
+def test_generating_set_of_large_products(parts, gens):
+    # 256, 192 and 144 elements: too large for greedy_from_scratch
+    assert generating_set(functools.reduce(product, parts)) == gens
 
 
 def test_search_yields_maps_in_ascending_generator_key_order(catalogs):
