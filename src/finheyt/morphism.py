@@ -3,12 +3,13 @@
 Homomorphisms come from a depth-first search over the values of greedy generators, in
 ascending order of those values; each generator is the element whose subuniverse, an
 int mask grown from the set closed so far by one `|=` per pair of elements from rows
-built once per call, is largest.  A branch grows the graph of its partial map, the
-subalgebra of dom x cod generated by the pairs (g, m(g)), with the same worklist, and
-is pruned on a clash.  Isomorphisms are read off the canonical forms, a complete
-invariant.  Retract sections come from the same search, each element's images
-restricted to its fibre under the onto map: the retract witness is the first onto
-map in search order that has a section, with its lexicographically least section.
+built once per call, is largest.  The graph of a hom is the subalgebra of dom x cod
+generated by the pairs (g, m(g)), so a branch extends its partial map over each
+round's members in the order the greedy reached them, and is pruned on a clash.
+Isomorphisms are read off the canonical forms, a complete invariant.  Retract sections
+come from the same search, each element's images restricted to its fibre under the
+onto map: the retract witness is the first onto map in search order that has a
+section, with its lexicographically least section.
 """
 
 from __future__ import annotations
@@ -150,45 +151,55 @@ def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tupl
 
 
 def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
-    """The constant-generated subalgebra, verified two-element.  It is the least
-    subalgebra: every closure contains it, and the constants generate all of it.
-    A two-element algebra has only the identity relabeling, so the check is
-    equality with the two-element algebra rather than an isomorphism search."""
+    """The subalgebra {0, top}, verified two-element: the least one, as every subalgebra
+    holds the constants.  They are closed in a valid algebra; induced_subalgebra raises
+    ValueError when they are not.  A two-element algebra has only the identity
+    relabeling, so the check is equality with it rather than an isomorphism search."""
     if not alg.nontrivial:
         raise ValueError("trivial algebra has no minimal subalgebra")
-    sub, _ = induced_subalgebra(alg, subalgebra_closure(alg, ()))
+    sub, _ = induced_subalgebra(alg, (0, alg.top))
     if sub != two_element(alg.cls):
         raise TheoremViolation(f"minimal subalgebra of {alg!r} is not the two-element algebra")
     return [sub]
 
 
-def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """Greedy generators: repeatedly add the element whose closure, a mask grown from
-    the set closed so far with the rows built once per call, is largest; the first on
-    ties.  A candidate inside the closure of an earlier one in the same round is
-    skipped: its closure is a subset of that one, so it cannot be the first largest."""
+def _rounds(alg: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """The greedy generators' rounds as (members, ends): members is the universe in the
+    order _grown reached it, round i's subuniverse is members[:ends[i]] (round 0 is the
+    constants' closure), and members[ends[i]] is the generator that starts round i + 1:
+    the element whose closure, grown with the rows built once per call, is largest; the
+    first on ties.  A candidate inside the closure of an earlier one in the same round
+    is skipped: its closure is a subset of that one, so it cannot be the first largest."""
     rows, members = _rows(alg), list(dict.fromkeys((0, alg.top)))
-    closed, gens = _grown(rows, members, 0), []
+    closed = _grown(rows, members, 0)
+    ends = [len(members)]
     while len(members) < alg.size:
-        covered, best = closed, (None, closed, members)
+        covered, best = closed, (closed, members)
         for x in alg.elements:
             if not covered >> x & 1:
                 grown = [*members, x]
                 covered |= (mask := _grown(rows, grown, len(members)))
-                if len(grown) > len(best[2]):
-                    best = x, mask, grown
-        g, closed, members = best
-        gens.append(g)
-    return tuple(gens)
+                if len(grown) > len(best[1]):
+                    best = mask, grown
+        closed, members = best
+        ends.append(len(members))
+    return members, ends
+
+
+def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """Greedy generators: the element that starts each round after the constants'."""
+    members, ends = _rounds(alg)
+    return tuple(members[e] for e in ends[:-1])
 
 
 def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     """Yield operation-preserving maps dom->cod as tuples, deterministic DFS order.
 
-    Each branch grows the graph of its partial map m as _grown grows a subuniverse, but
-    with values, not masks: the assigned elements, in the order reached, are each
-    combined once with themselves and those before them under every table, a forced
-    value fills an unassigned element, and a clash prunes the branch.
+    A branch that sets the generator of a round of _rounds(dom) extends m over that
+    round's members, in the order _grown reached them: each is combined once with itself
+    and the members before it under every table, a forced value fills an unassigned
+    element, and a clash prunes the branch.  _grown reached each member after the
+    generator from those same pairs, so it is assigned before its turn.
     images[x], an ascending sequence of cod's elements, restricts the values x may
     take (every element of cod by default): a branch that forces a value outside
     it is pruned, and a generator tries only its allowed values.  So the search
@@ -198,17 +209,16 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     unary, binary = list(unary.values()), list(binary.values())
     if images is None:
         images = [range(cod.size)] * dom.size
+    members, ends = _rounds(dom)
 
-    def grow(m, order, i):
-        """Grow the graph of m from order[i:]; False on a clash."""
-        while i < len(order):
-            x = order[i]
-            i += 1
+    def grow(m, start, end):
+        """Extend m over members[start:end]; False on a clash."""
+        for i, x in enumerate(members[start:end], start):
             mx = m[x]
             forced = [(ta[x], tb[mx]) for ta, tb in unary]
             for ta, tb in binary:
                 row_a, row_b = ta[x], tb[mx]
-                for y in order[:i]:
+                for y in members[:i + 1]:
                     my = m[y]
                     forced.append((row_a[y], row_b[my]))
                     forced.append((ta[y][x], tb[my][mx]))
@@ -216,33 +226,26 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
                 # a forced value outside images[e] fails the elif below
                 if m[e] == -1 and v in images[e]:
                     m[e] = v
-                    order.append(e)
                 elif m[e] != v:
                     return False
         return True
 
-    gens = generating_set(dom)
-    m0 = [-1] * dom.size
-    m0[0], m0[dom.top] = 0, cod.top  # m0[0] is cod.top when dom is trivial
-    if m0[0] != 0 or 0 not in images[0] or cod.top not in images[dom.top]:
-        return
-    order0 = [0, dom.top] if dom.top != 0 else [0]
-    if not grow(m0, order0, 0):
-        return
-
-    def rec(i, m, order):
-        if i == len(gens):
+    def rec(i, m):
+        if i == len(ends) - 1:
             assert all(v != -1 for v in m)
             yield tuple(m)
             return
-        g = gens[i]
+        g = members[ends[i]]
         for v in images[g]:
-            m2, order2 = m.copy(), [*order, g]
+            m2 = m.copy()
             m2[g] = v
-            if grow(m2, order2, len(order)):
-                yield from rec(i + 1, m2, order2)
+            if grow(m2, ends[i], ends[i + 1]):
+                yield from rec(i + 1, m2)
 
-    yield from rec(0, m0, order0)
+    m0 = [-1] * dom.size
+    m0[0], m0[dom.top] = 0, cod.top  # m0[0] is cod.top when dom is trivial
+    if m0[0] == 0 and 0 in images[0] and cod.top in images[dom.top] and grow(m0, 0, ends[0]):
+        yield from rec(0, m0)
 
 
 def homs(dom: FiniteAlgebra, cod: FiniteAlgebra, mode: str = "any", cap: int | None = None):

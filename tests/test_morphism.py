@@ -7,9 +7,23 @@ from dataclasses import replace
 
 import pytest
 
-from finheyt.algebra import FiniteAlgebra, VarietyClass, canonical_form, element_profile, relabel
+from finheyt.algebra import (
+    FiniteAlgebra,
+    VarietyClass,
+    canonical_form,
+    element_profile,
+    relabel,
+    serial_key,
+)
 from finheyt.catalog import build_catalog
-from finheyt.congruence import factor_complement, principal_congruence, product, to_congruence
+from finheyt.congruence import (
+    decompose_simples,
+    factor_complement,
+    principal_congruence,
+    product,
+    to_congruence,
+)
+from finheyt.decision import decide_projective_finite
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -25,6 +39,7 @@ from finheyt.morphism import (
     Homomorphism,
     RetractWitness,
     _grown,
+    _rounds,
     _rows,
     _search,
     generating_set,
@@ -88,6 +103,9 @@ def test_minimal_subalgebras_examples():
         subs = minimal_subalgebras(alg)
         assert len(subs) == 1
         assert subs[0] == two_element(alg.cls)
+    # box top = m: the constants generate the whole chain, so {0, top} is not closed
+    with pytest.raises(ValueError, match="not closed"):
+        minimal_subalgebras(replace(c3_simple(), box=(0, 0, 1)))
 
 
 def test_homs_examples():
@@ -466,10 +484,25 @@ def grown_from(alg, closed, x):
 
 def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
     for alg in [*catalog_algebras, *fixture_products()]:
-        assert generating_set(alg) == greedy_from_scratch(alg), alg.name
+        gens = generating_set(alg)
+        assert gens == greedy_from_scratch(alg), alg.name
         assert subalgebra_closure(alg, ()) == round_closure(alg, ())
         for x in alg.elements:
             assert subalgebra_closure(alg, (x,)) == round_closure(alg, (x,)), (alg.name, x)
+        # The rounds: members lists the universe, round i is the closure of the first
+        # i generators, and every member after ends[0] that starts no round is a table
+        # value on an earlier member x and a member at or before x, or a unary value of
+        # x, so _search's grow has assigned it before it reaches it.
+        members, ends = _rounds(alg)
+        assert sorted(members) == list(alg.elements) and len(ends) == len(gens) + 1
+        for i, end in enumerate(ends):
+            assert set(members[:end]) == round_closure(alg, gens[:i]), (alg.name, i)
+        produced = set()
+        for p, x in enumerate(members):
+            assert p < ends[0] or p in ends or x in produced, (alg.name, p)
+            produced.update(t[x] for t in alg.unary_tables().values())
+            produced.update(v for t in alg.binary_tables().values()
+                            for y in members[:p + 1] for v in (t[x][y], t[y][x]))
     for alg in [*(a for a in catalog_algebras if a.size <= 6), *fixture_products(16)]:
         for seed in itertools.combinations(alg.elements, 2):
             assert subalgebra_closure(alg, seed) == round_closure(alg, seed), (alg.name, seed)
@@ -490,14 +523,17 @@ def test_grown_closure_matches_the_round_based_oracle(catalog_algebras):
         assert len(closed) == alg.size
 
 
-@pytest.mark.parametrize("parts, gens", [
-    ([b4_prod()] * 4, (1, 2, 4, 8, 16, 32, 64)),
-    ([b4_disc()] * 3 + [c3_simple()], (22, 51)),
-    ([c3_simple()] * 2 + [b4_disc()] * 2, (23, 49)),
+@pytest.mark.parametrize("parts, gens, ends", [
+    # each atom of B4prod^4 = 2^8 doubles the Boolean subalgebra
+    ([b4_prod()] * 4, (1, 2, 4, 8, 16, 32, 64), [2, 4, 8, 16, 32, 64, 128, 256]),
+    ([b4_disc()] * 3 + [c3_simple()], (22, 51), [2, 48, 192]),
+    ([c3_simple()] * 2 + [b4_disc()] * 2, (23, 49), [2, 48, 144]),
 ], ids=["B4prod^4", "B4disc^3xC3simple", "C3simple^2xB4disc^2"])
-def test_generating_set_of_large_products(parts, gens):
+def test_generating_set_of_large_products(parts, gens, ends):
     # 256, 192 and 144 elements: too large for greedy_from_scratch
-    assert generating_set(functools.reduce(product, parts)) == gens
+    alg = functools.reduce(product, parts)
+    assert generating_set(alg) == gens
+    assert _rounds(alg)[1] == ends
 
 
 def test_search_yields_maps_in_ascending_generator_key_order(catalogs):
@@ -519,9 +555,18 @@ def test_hom_counts_follow_the_product_laws():
     # simple T has a maximal kernel, and in a congruence-distributive variety every
     # congruence of A x B is a product of congruences (Fraser and Horn, Proc. AMS
     # 26, 1970), so the hom factors through exactly one of the two projections.
+    # So A x B maps onto 2 exactly when A or B does, and its simple factors are
+    # those of A together with those of B.
     @functools.cache
     def count(dom, cod):
         return sum(1 for _ in _search(dom, cod))
+
+    @functools.cache
+    def projective(alg):
+        return decide_projective_finite(alg).projective
+
+    def factors(*algs):
+        return sorted(serial_key(canonical_form(f)) for a in algs for f in decompose_simples(a))
 
     into = from_ = 0
     for cls in ("ws5", "hri", "hdp:1", "dht:2"):
@@ -529,6 +574,8 @@ def test_hom_counts_follow_the_product_laws():
         simples = [t for t in algebras if element_profile(t).simple]
         for a, b in itertools.combinations_with_replacement(algebras, 2):
             ab = product(a, b)
+            assert projective(ab) == (projective(a) or projective(b)), (a.name, b.name)
+            assert factors(ab) == factors(a, b), (a.name, b.name)
             for c in algebras:
                 into += 1
                 assert count(c, ab) == count(c, a) * count(c, b), (c.name, a.name, b.name)
