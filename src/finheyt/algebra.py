@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import (
@@ -214,6 +215,12 @@ def check_structure(alg: FiniteAlgebra) -> None:
         for i, row in enumerate(rows):
             chk1(f"{name}[{i}]", row)
 
+    def fits(t, binary):
+        """Whether t is a well-formed table, decided in C; chk1 and chk2 say why not."""
+        cells = list(chain.from_iterable(t)) if binary else t
+        return (len(t) == n and (not binary or set(map(len, t)) == {n})
+                and set(map(type, cells)) <= {int} and set(cells) <= set(range(n)))
+
     # Besides the Heyting tables a class may carry the tables it lists here,
     # and needs the last, from which derive_operations fills the others: box
     # for hri and hdp, box and dualneg for dht.
@@ -232,7 +239,7 @@ def check_structure(alg: FiniteAlgebra) -> None:
                 raise MalformedAlgebraError(f"class {alg.cls} requires table {name}")
         elif name not in allowed:
             raise MalformedAlgebraError(f"table {name} not part of class {alg.cls}")
-        else:
+        elif not fits(t, name in BINARY):
             (chk2 if name in BINARY else chk1)(name, t)
 
 
@@ -289,6 +296,10 @@ def _byte_rows(rows, n):
     return rows, [r + pad for r in rows]
 
 
+# _IS[x] is the translate table sending x to 1 and every other byte to 0
+_IS = [bytes(x) + b"\1" + bytes(255 - x) for x in range(256)]
+
+
 def validate(alg: FiniteAlgebra) -> ValidationReport:
     """Check structure, then lattice, residuation and class axioms; collect every
     violation."""
@@ -299,13 +310,15 @@ def validate(alg: FiniteAlgebra) -> ValidationReport:
 def _axioms(alg: FiniteAlgebra) -> ValidationReport:
     """The axiom pass of validate, on an algebra whose structure is checked.
 
-    The axioms in three variables are checked a row at a time: for fixed
-    (a, b), each side of an axiom is a row over c, and a row such as
-    c -> meet[a][meet[b][c]] is one bytes.translate of the meet row of b.  A
-    pair whose rows all agree is done; any other pair runs the per-c loop,
-    which is the only place a violation is reported, so the violations and
-    their order are those of the plain triple loop.  bytes hold labels up to
-    255 only, so above 256 elements every pair runs the per-c loop.
+    Each loop over a is first decided a chunk of rows a (about 64 KB of a
+    three-variable table) at a time: both sides of every axiom it checks are
+    built as bytes over all (b, c), or all b, and compared; meet[a][meet[b][c]]
+    is a bytes.translate of the flat meet table per a, meet[meet[a][b]][c] a
+    gather of meet rows through it.  A chunk whose comparisons all hold has no
+    violation.  The loop runs on the other chunks' rows and alone reports
+    violations, so the report is that of the plain loops; in it a pair (a, b)
+    whose rows over c agree skips the loop over c.  bytes hold labels up to 255
+    only, so above 256 elements every row runs the plain loops.
     """
     n, top = alg.size, alg.top
     meet, join, impl = alg.meet, alg.join, alg.impl
@@ -315,14 +328,48 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         return meet[a][b] == a
 
     rowwise = n <= 256
+    step = max(1, (1 << 16) // (n * n))  # rows of about 64 KB of a three-variable table
+    chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def unsettled(holds):
+        """The rows of the chunks whose comparisons do not all hold; holds gets a
+        chunk's rows and their slice of a flat n x n table."""
+        return [a for rows in chunks
+                if not (rowwise and holds(rows, slice(rows.start * n, rows.stop * n)))
+                for a in rows]
+
     if rowwise:
         M, Mt = _byte_rows(meet, n)
         J, Jt = _byte_rows(join, n)
         I = [bytes(r) for r in impl]
+        FM, FJ, FI = b"".join(M), b"".join(J), b"".join(I)
         # leq[x][y] = 1 when x <= y
-        leq, leqt = _byte_rows([[le(x, y) for y in range(n)] for x in range(n)], n)
+        leq, leqt = _byte_rows([M[x].translate(_IS[x]) for x in range(n)], n)
 
-    for a in range(n):
+    def lattice_holds(rows, s):
+        fm, fj, each = FM[s], FJ[s], b"".join(bytes((a,)) * n for a in rows)
+
+        def distributed(a):  # one translate per distinct meet[a][b], which pays above 40
+            row = {x: M[a].translate(Jt[x]) for x in set(M[a])}
+            return b"".join(map(row.__getitem__, M[a]))
+
+        return (all(meet[a][a] == a and join[a][a] == a and meet[0][a] == 0
+                    and join[a][top] == top for a in rows)
+                and fm == b"".join(FM[c::n] for c in rows)
+                and fj == b"".join(FJ[c::n] for c in rows)
+                and b"".join([J[a].translate(Mt[a]) for a in rows]) == each
+                and b"".join([M[a].translate(Jt[a]) for a in rows]) == each
+                and b"".join(map(M.__getitem__, fm))
+                == b"".join([FM.translate(Mt[a]) for a in rows])
+                and b"".join(map(J.__getitem__, fj))
+                == b"".join([FJ.translate(Jt[a]) for a in rows])
+                and b"".join([FJ.translate(Mt[a]) for a in rows])
+                == (b"".join(map(distributed, rows)) if n > 40 else
+                    b"".join([M[a].translate(Jt[x]) for a in rows for x in M[a]]))
+                and b"".join(map(leq.__getitem__, fm))
+                == b"".join([FI.translate(leqt[a]) for a in rows]))
+
+    for a in unsettled(lattice_holds):
         if meet[a][a] != a:
             bad.append(("meet-idempotent", (a,)))
         if join[a][a] != a:
@@ -361,7 +408,14 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
 
     if alg.invol is not None:
         inv, neg = alg.invol, alg.neg
-        for a in range(n):
+
+        def invol_holds(rows, s):
+            [INV], [INVt] = _byte_rows([inv], n)
+            return (all(inv[inv[a]] == a and inv[neg[a]] == neg[neg[a]] for a in rows)
+                    and FJ[s].translate(INVt)
+                    == b"".join([INV.translate(Mt[inv[a]]) for a in rows]))
+
+        for a in unsettled(invol_holds):
             if inv[inv[a]] != a:
                 bad.append(("invol-involutive", (a,)))
             if inv[neg[a]] != neg[neg[a]]:
@@ -376,17 +430,24 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
 
     dualneg = alg.dualneg
     if kind == "dht":
-        if rowwise:
-            # geq[y][x] = 1 when x <= y; dimpl_t[a][c] = dimpl[c][a]
-            geq, geqt = _byte_rows(zip(*leq), n)
-            dimpl_t = [bytes(r) for r in zip(*alg.dimpl)]
-        for a in range(n):
-            for b in range(n):
-                if rowwise and geq[join[a][b]] == dimpl_t[a].translate(geqt[b]):
-                    continue
-                for c in range(n):
-                    if le(c, join[a][b]) != le(alg.dimpl[c][a], b):
-                        bad.append(("dual-residuation", (a, b, c)))
+        def dual_holds(rows, _):  # rows of c, taken in (c, a, b) order
+            dimpl = b"".join(bytes(alg.dimpl[c]) for c in rows)
+            return (b"".join([FJ.translate(leqt[c]) for c in rows])
+                    == b"".join(map(leq.__getitem__, dimpl)))
+
+        # a failing chunk of c runs the loop over every (a, b)
+        if unsettled(dual_holds):
+            if rowwise:
+                # geq[y][x] = 1 when x <= y; dimpl_t[a][c] = dimpl[c][a]
+                geq, geqt = _byte_rows(zip(*leq), n)
+                dimpl_t = [bytes(r) for r in zip(*alg.dimpl)]
+            for a in range(n):
+                for b in range(n):
+                    if rowwise and geq[join[a][b]] == dimpl_t[a].translate(geqt[b]):
+                        continue
+                    for c in range(n):
+                        if le(c, join[a][b]) != le(alg.dimpl[c][a], b):
+                            bad.append(("dual-residuation", (a, b, c)))
         derived_dn = derived_dualneg_dht(alg)
         if dualneg is not None:
             for a in range(n):
@@ -395,7 +456,11 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         dualneg = derived_dn
 
     if dualneg is not None:
-        for a in range(n):
+        def dualneg_holds(rows, s):
+            return (FJ[s].translate(_IS[top])
+                    == b"".join([leq[dualneg[a]] for a in rows]))
+
+        for a in unsettled(dualneg_holds):
             for b in range(n):
                 if (join[a][b] == top) != le(dualneg[a], b):
                     bad.append(("dual-pseudocomplement", (a, b)))
@@ -419,7 +484,16 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         if box[top] != top:
             bad.append(("box-top", (top,)))
         opens = [a for a in range(n) if box[a] == a]
-        for a in range(n):
+
+        def box_holds(rows, s):
+            [B], [Bt] = _byte_rows([box], n)
+            return (all(le(box[a], a) and box[box[a]] == box[a] for a in rows)
+                    and FM[s].translate(Bt)
+                    == b"".join([B.translate(Mt[box[a]]) for a in rows])
+                    and b"".join([B.translate(Jt[a]) for a in rows]).translate(Bt)
+                    == b"".join([B.translate(Jt[box[a]]) for a in rows]))
+
+        for a in unsettled(box_holds):
             if not le(box[a], a):
                 bad.append(("box-decreasing", (a,)))
             if box[box[a]] != box[a]:

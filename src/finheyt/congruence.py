@@ -13,10 +13,18 @@ and the simple factors are the quotients by the up-sets of the atoms of the
 open elements.  Both are checked by one product check, _multiplied: the
 projections must multiply back to a bijection onto the product of the
 quotients.  Without a box table every element counts as open.
+
+A Congruence meets, joins and permutes on block labels: the meet groups the
+elements on their pair of labels, and the join and the permutability test
+share one union-find over the labels of the first partition.  Two partitions
+permute exactly when their composite is their join, i.e. when within each
+join block every block of one meets every block of the other, which is a
+count of the block pairs that meet.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
@@ -34,11 +42,8 @@ class Congruence:
     size: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0])),
-        )
+        # disjoint blocks sort as their least elements do
+        object.__setattr__(self, "blocks", tuple(sorted(map(tuple, map(sorted, self.blocks)))))
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
@@ -56,35 +61,48 @@ class Congruence:
     def is_total(self) -> bool:
         return len(self.blocks) == 1
 
-    def meet(self, other: "Congruence") -> "Congruence":
-        keys = {}
-        for a in range(self.size):
-            keys.setdefault((self.class_of[a], other.class_of[a]), []).append(a)
-        return Congruence(tuple(tuple(v) for v in keys.values()), self.size)
+    def _same_size(self, other: "Congruence") -> None:
+        if other.size != self.size:
+            raise ValueError(f"partitions of {self.size} and {other.size} elements")
 
-    def join(self, other: "Congruence") -> "Congruence":
-        parent = list(range(self.size))
+    def _roots(self, other: "Congruence") -> list[int]:
+        """The join's block of each self-block label: a union-find over the labels in
+        which each other-block merges the self-blocks it meets."""
+        self._same_size(other)
+        parent, cls = list(range(len(self.blocks))), self.class_of
 
         def find(x):
             while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
+                parent[x] = x = parent[parent[x]]
             return x
 
-        for blocks in (self.blocks, other.blocks):
-            for block in blocks:
-                for a in block[1:]:
-                    parent[find(a)] = find(block[0])
+        for block in other.blocks:
+            r = find(cls[block[0]])
+            for a in block[1:]:
+                parent[find(cls[a])] = r
+        return [find(i) for i in range(len(parent))]
+
+    def meet(self, other: "Congruence") -> "Congruence":
+        self._same_size(other)
         groups = {}
-        for a in range(self.size):
-            groups.setdefault(find(a), []).append(a)
-        return Congruence(tuple(tuple(v) for v in groups.values()), self.size)
+        for a, key in enumerate(zip(self.class_of, other.class_of)):
+            groups.setdefault(key, []).append(a)
+        return Congruence(tuple(map(tuple, groups.values())), self.size)
+
+    def join(self, other: "Congruence") -> "Congruence":
+        groups = {}
+        for r, block in zip(self._roots(other), self.blocks):
+            groups.setdefault(r, []).extend(block)
+        return Congruence(tuple(map(tuple, groups.values())), self.size)
 
     def permutes_with(self, other: "Congruence") -> bool:
-        """self o other relates a to c exactly when the self-block of a meets the
-        other-block of c, so both composites are read off the block pairs that meet."""
-        pairs = set(zip(self.class_of, other.class_of))
-        return all(((i, j) in pairs) == ((k, l) in pairs) for i, l in pairs for k, j in pairs)
+        """Whether the block pairs that meet number, summed over the join blocks, the
+        self-blocks times the other-blocks in each (see the module docstring)."""
+        roots = self._roots(other)
+        mine = Counter(roots)
+        theirs = Counter(roots[self.class_of[block[0]]] for block in other.blocks)
+        pairs = len(set(zip(self.class_of, other.class_of)))
+        return pairs == sum(k * theirs[r] for r, k in mine.items())
 
 
 @lru_cache(maxsize=256)

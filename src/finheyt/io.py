@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, derive_operations
@@ -42,11 +43,12 @@ def _table(data: dict, key: str, binary: bool, where: str, required: bool = Fals
     rows = value if binary else [value]
     if not all(isinstance(row, list) for row in rows):
         raise MalformedAlgebraError(f"{where}: table {key!r} must be a list of lists")
-    for row in rows:
-        for cell in row:
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise MalformedAlgebraError(f"{where}: table {key!r} holds {cell!r}, "
-                                            "not an integer")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:  # a bool is no int here
+        for row in rows:
+            for cell in row:
+                if not isinstance(cell, int) or isinstance(cell, bool):
+                    raise MalformedAlgebraError(f"{where}: table {key!r} holds {cell!r}, "
+                                                "not an integer")
     return value
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 
@@ -284,6 +285,22 @@ def test_validate_collects_every_violation():
     report = validate(FiniteAlgebra(2, VarietyClass("ws5"), meet, ((0, 1), (1, 1)),
                                     ((1, 1), (0, 1)), box=(0, 1)))
     assert len(report.violations) > 1
+
+
+def test_validate_reports_a_broken_256_element_product_in_loop_order():
+    """B4prod^4 is decided a chunk of rows at a time; with one meet cell broken, the
+    chunks that fail run the loops, which report in the order of the triple loop."""
+    alg = reduce(product, [b4_prod()] * 4)
+    assert validate(alg).valid
+    meet = [list(row) for row in alg.meet]
+    assert meet[5][3] == 1
+    meet[5][3] = 0
+    bad = validate(replace(alg, meet=meet)).violations
+    assert len(bad) == 1780
+    assert Counter(axiom for axiom, _ in bad) == {
+        "meet-associative": 1394, "distributive": 256, "residuation": 128, "meet-commutative": 2}
+    assert bad[:3] == (("meet-associative", (1, 5, 3)), ("meet-commutative", (3, 5)),
+                       ("meet-associative", (3, 5, 3)))
 
 
 def test_residuation_exhaustive_on_fixtures():

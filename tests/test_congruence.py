@@ -172,6 +172,27 @@ def permutes_oracle(theta, phi):
     return compose(theta, phi) == compose(phi, theta)
 
 
+def meet_oracle(theta, phi):
+    """The non-empty pairwise intersections of the blocks."""
+    cuts = (set(p) & set(q) for p in theta.blocks for q in phi.blocks)
+    return Congruence(tuple(tuple(c) for c in cuts if c), theta.size)
+
+
+def join_oracle(theta, phi):
+    """The transitive closure of the union of the two relations (Warshall)."""
+    n = theta.size
+    rel = [[False] * n for _ in range(n)]
+    for block in (*theta.blocks, *phi.blocks):
+        for a in block:
+            for c in block:
+                rel[a][c] = True
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                rel[i] = [x or y for x, y in zip(rel[i], rel[k])]
+    return _partition([rel[a].index(True) for a in range(n)])
+
+
 def split_oracle(alg):
     """Split along the first proper congruence that has a complement, recursively."""
     for f in all_congruence_filters(alg):
@@ -367,6 +388,8 @@ def test_permutes_with_matches_relational_composition(labels):
     """Random partitions, most of them not congruences of any algebra."""
     theta, phi = map(_partition, labels)
     assert theta.permutes_with(phi) == permutes_oracle(theta, phi)
+    assert theta.meet(phi) == meet_oracle(theta, phi)
+    assert theta.join(phi) == join_oracle(theta, phi)
     # comparable equivalences always permute
     assert theta.permutes_with(theta.join(phi)) and theta.meet(phi).permutes_with(phi)
 
@@ -378,8 +401,18 @@ def test_permutes_with_matches_oracle_on_every_pair_of_partitions_of_4():
     for theta, phi in itertools.product(parts, repeat=2):
         verdict = theta.permutes_with(phi)
         assert verdict == permutes_oracle(theta, phi), (theta, phi)
+        assert theta.meet(phi) == meet_oracle(theta, phi), (theta, phi)
+        assert theta.join(phi) == join_oracle(theta, phi), (theta, phi)
         permuting += verdict
     assert permuting == 117
+
+
+def test_binary_operations_reject_partitions_of_different_sizes():
+    three, four = _partition([0, 0, 1]), _partition([0, 1, 1, 2])
+    for op in (Congruence.meet, Congruence.join, Congruence.permutes_with):
+        for x, y in ((three, four), (four, three)):
+            with pytest.raises(ValueError, match=f"partitions of {x.size} and {y.size} elements"):
+                op(x, y)
 
 
 def test_decompose_examples():
