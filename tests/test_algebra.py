@@ -223,6 +223,9 @@ def test_validate_matches_triple_loop_oracle(catalog_algebras):
     inputs = [*catalog_algebras, *heyting, *catalog_fixtures(), c3_identity_box()]
     products = small_fixture_products(36)
     assert max(p.size for p in products) == 36
+    # decided in four chunks of 16 rows, of which a mutant fails one
+    dht4 = next(a for a in build_catalog(VarietyClass("dht", 2), 4).algebras if a.size == 4)
+    products.append(reduce(product, [dht4] * 3))
     mutants = [m for alg in (*inputs, *products) for m in single_cell_mutants(alg, rng, 1)]
     seen = set()
     for alg in (*inputs, *products, *mutants):
