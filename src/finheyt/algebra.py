@@ -206,7 +206,7 @@ def check_structure(alg: FiniteAlgebra) -> None:
         if len(row) != n:
             raise MalformedAlgebraError(f"{name}: expected {n} entries, got {len(row)}")
         for i, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:  # as fits: a bool is no cell
                 raise MalformedAlgebraError(f"{name}[{i}] = {v!r} out of range 0..{n - 1}")
 
     def chk2(name, rows):
@@ -590,11 +590,12 @@ def serial_key(alg: FiniteAlgebra):
 
 
 def least_meet_relabeling(meet, tail=None):
-    """(rows, perm): the least relabeled meet table over linear-extension
-    relabelings, and the old->new permutation of the first extension reaching
-    it whose tail(perm, ext) is least, ext being the extension as a new->old
-    list.  tail gives the tables compared after meet at tied leaves; without it
-    every tie is a lattice automorphism.
+    """(rows, perm, autos): the least relabeled meet table over linear-extension
+    relabelings, the old->new permutation of the first extension reaching it
+    whose tail(perm, ext) is least, ext being the extension as a new->old list,
+    and the old->old automorphisms that tied leaves gave.  tail gives the
+    tables compared after meet at tied leaves; without it every tie is a
+    lattice automorphism.
 
     Branch and bound: the extension grows one element at a time, and the
     remaining elements stay sorted by the labels of their meets with the placed
@@ -605,7 +606,9 @@ def least_meet_relabeling(meet, tail=None):
     Extensions that tie on the least meet table and on tail give an
     automorphism, and a candidate that an automorphism fixing the prefix maps
     onto an earlier sibling is skipped, since its subtree repeats the sibling's
-    keys on later extensions.
+    keys on later extensions.  As in the individualization-refinement search
+    of McKay and Piperno, the automorphisms so found generate the whole group
+    of meet and tail.
     """
     n = len(meet)
     tail = tail or (lambda perm, ext: ())
@@ -689,7 +692,7 @@ def least_meet_relabeling(meet, tail=None):
         return changed
 
     search([list(range(n))], True)
-    return best[0], best[1]
+    return best[0], best[1], autos
 
 
 @lru_cache(maxsize=1024)
@@ -698,7 +701,7 @@ def _cached_relabeling(alg: FiniteAlgebra):
     def tail(perm, ext):
         return relabeled_tables(alg, ext, perm, _TAIL)
 
-    _, perm = least_meet_relabeling(alg.meet, tail)
+    _, perm, _ = least_meet_relabeling(alg.meet, tail)
     return perm, relabel(alg, perm)
 
 

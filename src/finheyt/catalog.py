@@ -12,15 +12,16 @@ in canonical label order from the downsets.
 Every enumerated lattice is thus a canonical form, and a decoration keeps its
 meet, join and impl tables.  So the relabelings that canonicalise a decoration
 are the automorphisms of the lattice, and the least of its box and invol tables
-under them gives its canonical form without a search.  One backtrack over
-lattice maps finds both those automorphisms and the dual automorphisms, whose
-involutive members are the invol tables of the hri candidates; the ws5
-candidates come from the lattice's Boolean sublattices.  The leveled classes'
-c -< a is the join of the join-irreducibles below c and not below a, so every
-automorphism fixes it and those decorations are canonical as built.  Each
-class yields only its defining tables, and every candidate of every class goes
-through one tail: derive_operations completes and checks it, then canonicalise,
-dedupe, sort.
+under them gives its canonical form without a search.  The enumeration's own
+search finds generators of that group at its tied leaves.  A self-dual
+lattice's dual automorphisms, whose regular involutive members are the hri
+invol tables, are each automorphism followed by the perm of one more search,
+on the join table.  The ws5 candidates come from the Boolean sublattices.  The
+leveled classes' c -< a is the join of the join-irreducibles below c and not
+below a, so every automorphism fixes it and those decorations are canonical as
+built.  Each class yields only its defining tables, and every candidate of
+every class goes through one tail: derive_operations completes and checks it,
+then canonicalise, dedupe, sort.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _grown_posets(n: int):
     if n == 1:
         yield (), [0]
     for m in range(1, n):
-        for below, _, masks in _posets_with_downsets(m):
+        for below, _, masks, _ in _posets_with_downsets(m):
             new = 1 << len(below)
             for d in masks:
                 up = [s | new for s in masks if s & d == d]
@@ -90,75 +91,69 @@ def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteA
 
 @lru_cache(maxsize=None)
 def _posets_with_downsets(n: int) -> tuple:
-    """(poset, canonical downset lattice, downsets) for every poset with n downsets,
-    up to iso; element i of the lattice is the i-th downset.
+    """(poset, canonical downset lattice, downsets, automorphisms) for every
+    poset with n downsets, up to iso; element i of the lattice is the i-th downset.
 
     Each grown poset is deduplicated on the least relabeling of its meet table;
-    only a new lattice has its tables built, in that canonical label order.
+    only a new lattice has its tables built, in that canonical label order, and
+    keeps the generators of its group that its search found, in those labels.
     """
     found = {}
     for grown, masks in _grown_posets(n):
         idx = {s: i for i, s in enumerate(masks)}
-        rows, perm = least_meet_relabeling([[idx[a & b] for b in masks] for a in masks])
+        rows, perm, autos = least_meet_relabeling([[idx[a & b] for b in masks] for a in masks])
         if rows not in found:
             ordered = [0] * n
             for old, new in enumerate(perm):
                 ordered[new] = masks[old]
-            found[rows] = (grown, _lattice_in_order(grown, ordered, rows), tuple(ordered))
+            gens = tuple(tuple(perm[g[idx[s]]] for s in ordered) for g in autos)
+            found[rows] = (grown, _lattice_in_order(grown, ordered, rows), tuple(ordered), gens)
     return tuple(found.values())
+
+
+@lru_cache(maxsize=None)
+def _lattice_groups(n: int) -> dict:
+    """The automorphism group of each lattice of size n by its meet table, sorted:
+    the closure of the automorphisms its enumeration search found."""
+    groups = {}
+    for _, lat, _, gens in _posets_with_downsets(n):
+        group = [tuple(range(n))]
+        for g in group:  # the loop reads what it appends
+            group += {tuple(h[x] for x in g) for h in gens}.difference(group)
+        groups[lat.meet] = sorted(group)
+    return groups
 
 
 def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
     """All Heyting algebras of size n up to isomorphism, canonical and sorted."""
     if not 1 <= n <= MAX_LATTICE_SIZE:
         raise ValueError(f"size must be within 1..{MAX_LATTICE_SIZE}, got {n}")
-    lattices = sorted((lat for _, lat, _ in _posets_with_downsets(n)), key=serial_key)
+    lattices = sorted((lat for _, lat, _, _ in _posets_with_downsets(n)), key=serial_key)
     return [alg.rename(f"heyting_n{n}_{i:02d}") for i, alg in enumerate(lattices)]
 
 
 # -- decorations --------------------------------------------------------------
 
 def _automorphisms(lat: FiniteAlgebra, dual: bool = False) -> list[tuple[int, ...]]:
-    """Every automorphism of a lattice whose labels extend its order, old->new;
-    with dual, every dual automorphism (a bijection sending meets to joins).
+    """Every automorphism of an enumerated lattice, old->new, in lexicographic
+    order; with dual, every dual automorphism (a bijection sending meets to joins).
 
-    An automorphism maps the downset and the upset of a onto those of its image,
-    and a dual one maps them onto the upset and the downset, so sigma[a] = v is
-    tried only when (|down v|, |up v|) is (|down a|, |up a|), or (|up a|,
-    |down a|) with dual.  Elements are assigned in label order, and a meet of a
-    with a smaller label is below it, so it is assigned before a is checked.
-    Values are tried in ascending order, so the maps come in lexicographic order.
+    A dual automorphism swaps the sizes of the downset and the upset of a, so
+    there is none unless those pairs, swapped, are the same multiset.  Else the
+    canonical search on the join table, the dual lattice's meet table, reaches
+    the canonical meet table exactly when the lattice is self-dual, and then its
+    perm d sends joins to meets; the dual automorphisms are d after each one.
     """
-    n, meet = lat.size, lat.meet
-    image = lat.join if dual else meet
-    down = [sum(meet[x][a] == x for x in range(n)) for a in range(n)]
-    up = [sum(meet[a][x] == a for x in range(n)) for a in range(n)]
-    shape = list(zip(down, up))
-    want = list(zip(up, down)) if dual else shape
-    sigma = [-1] * n
-    used = [False] * n
-    out = []
-
-    def rec(a):
-        if a == n:
-            out.append(tuple(sigma))
-            return
-        for v in range(n):
-            if used[v] or shape[v] != want[a]:
-                continue
-            sigma[a] = v
-            if all(sigma[meet[a][b]] == image[v][sigma[b]] for b in range(a)):
-                used[v] = True
-                rec(a + 1)
-                used[v] = False
-
-    rec(0)
-    return out
-
-
-def _antitone_involutions(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All unary tables that are involutive order anti-automorphisms, in lexicographic order."""
-    return [s for s in _automorphisms(lat, dual=True) if all(s[s[a]] == a for a in lat.elements)]
+    if lat.size > MAX_LATTICE_SIZE or lat.meet not in (groups := _lattice_groups(lat.size)):
+        raise ValueError(f"{lat!r} is not an enumerated lattice")
+    if not dual:
+        return groups[lat.meet]
+    shape = [(sum(m == x for x, m in enumerate(row)), len(up))
+             for row, up in zip(lat.meet, lat.upset)]
+    if sorted(shape) != sorted(s[::-1] for s in shape):
+        return []
+    rows, d, _ = least_meet_relabeling(lat.join)
+    return sorted(tuple(d[x] for x in g) for g in groups[lat.meet]) if rows == lat.meet else []
 
 
 def _boolean_atom_sets(lat: FiniteAlgebra):
@@ -195,8 +190,9 @@ def _ws5_candidates(lat: FiniteAlgebra):
 
 
 def _hri_candidates(lat: FiniteAlgebra):
-    for inv in _antitone_involutions(lat):
-        if all(inv[lat.neg[a]] == lat.neg[lat.neg[a]] for a in lat.elements):
+    """Each dual automorphism with inv inv a = a and inv !a = !!a, as an invol table."""
+    for inv in _automorphisms(lat, dual=True):
+        if all(inv[inv[a]] == a and inv[lat.neg[a]] == lat.neg[lat.neg[a]] for a in lat.elements):
             yield FiniteAlgebra(lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl,
                                 invol=inv)
 
@@ -244,18 +240,20 @@ def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
     enum_distributive_lattices yields: the relabelings that reach its own,
     least, meet table are exactly its automorphisms, which extend the order,
     since the labels do, and fix meet, join, impl and c -< a.  So a ws5 or hri
-    decoration's canonical form is its least box and invol over Aut(lat), and
-    an hdp or dht decoration is canonical as built.
+    decoration's canonical form is its least box and invol over Aut(lat), the
+    group the enumeration's search generated (ValueError for a lattice it did
+    not yield), and an hdp or dht decoration is canonical as built.
     """
     if lat.cls.kind != "heyting":
         raise ValueError("decorate expects a plain Heyting algebra")
     if cls.kind == "heyting":
         return [lat]
     if cls.kind in LEVELED:
-        candidates = _leveled_candidates(lat, cls)
+        candidates, autos = _leveled_candidates(lat, cls), []
     else:
         candidates = _ws5_candidates(lat) if cls.kind == "ws5" else _hri_candidates(lat)
-    found, autos = {}, None
+        autos = [(sorted(lat.elements, key=s.__getitem__), s) for s in _automorphisms(lat)]
+    found = {}
     for cand in candidates:
         try:
             cand = derive_operations(cand)
@@ -263,9 +261,7 @@ def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
             name, witness = (e.report.violations[0] if isinstance(e, InvalidAlgebraError)
                              else ("structure", e))
             raise TheoremViolation(f"{cls} candidate on {lat!r} fails {name} at {witness}") from e
-        if cls.kind not in LEVELED:
-            autos = autos or [(sorted(lat.elements, key=s.__getitem__), s)
-                              for s in _automorphisms(lat)]
+        if autos:
             box, invol = min(relabeled_tables(cand, old, s, ("box", "invol")) for old, s in autos)
             cand = replace(cand, box=box, invol=invol)
         found.setdefault(serial_key(cand), cand)

@@ -282,6 +282,16 @@ def test_validate_structural_error_distinct_from_axioms():
                                ((1, 1), (0, 1))))  # ws5 without box
 
 
+def test_check_structure_rejects_bool_cells():
+    # True == 1 and bool subclasses int, but a bool is no table cell; io rejects it too
+    with pytest.raises(MalformedAlgebraError, match=r"box\[1\] = True"):
+        check_structure(replace(b4_prod(), box=(0, True, 2, 3)))
+    meet = [list(row) for row in b4_prod().meet]
+    meet[1][0] = False
+    with pytest.raises(MalformedAlgebraError, match=r"meet\[1\]\[0\] = False"):
+        validate(replace(b4_prod(), meet=meet))
+
+
 def test_validate_collects_every_violation():
     # meet table broken in two spots: expect more than one violation reported
     meet = ((0, 1), (0, 1))
@@ -524,7 +534,8 @@ def test_least_meet_relabeling_matches_canonical_relabeling(catalog_algebras):
     for alg in catalog_algebras:
         for x in (alg, random_relabeling(alg, rng)):
             canon = relabel(x, canonical_relabeling(x)[0])
-            assert least_meet_relabeling(x.meet)[0] == canon.meet, x
+            rows, perm, _ = least_meet_relabeling(x.meet)
+            assert rows == canon.meet == relabel(x, perm).meet, x
 
 
 def test_canonical_form_of_64_element_product_is_relabeling_invariant():

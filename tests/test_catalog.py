@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import pathlib
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -9,17 +10,22 @@ import pytest
 
 from finheyt import catalog, cli
 from finheyt.algebra import (
+    BINARY,
+    TABLES,
     FiniteAlgebra,
     VarietyClass,
     canonical_form,
     derive_operations,
+    element_profile,
+    least_meet_relabeling,
+    relabel,
+    relabeled_tables,
     serial_key,
     validate,
 )
 from finheyt.catalog import (
     MAX_LATTICE_SIZE,
     Catalog,
-    _antitone_involutions,
     _automorphisms,
     _boolean_atom_sets,
     _co_implication,
@@ -28,6 +34,7 @@ from finheyt.catalog import (
     decorate,
     enum_distributive_lattices,
 )
+from finheyt.congruence import product
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import b4_disc, b4_prod, c3_simple
 
@@ -126,7 +133,7 @@ def lattice_of_downsets_oracle(below):
 def test_enumerated_lattices_match_canonical_form_oracle():
     total = 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
-        for below, lat, masks in _posets_with_downsets(n):
+        for below, lat, masks, _ in _posets_with_downsets(n):
             want = lattice_of_downsets_oracle(below)
             assert lat.size == n
             # the stored downsets are the poset's, element i of lat the i-th
@@ -173,6 +180,11 @@ def test_decorate_ws5_of_diamond_gives_both_fixtures():
 def test_decorate_rejects_decorated_input():
     with pytest.raises(ValueError):
         decorate(VarietyClass("ws5"), c3_simple())
+    # ws5 and hri read the automorphism group of an enumerated lattice
+    reversed_chain = relabel(enum_distributive_lattices(3)[0], (2, 1, 0))
+    for cls in ("ws5", "hri"):
+        with pytest.raises(ValueError, match="not an enumerated lattice"):
+            decorate(VarietyClass(cls), reversed_chain)
 
 
 def _identity_box_candidate(lat):
@@ -185,6 +197,13 @@ def _short_box_candidate(lat):
     """A ws5 candidate whose box misses the top."""
     return [FiniteAlgebra(lat.size, VarietyClass("ws5"), lat.meet, lat.join, lat.impl,
                           box=tuple(lat.elements)[:-1])]
+
+
+def _non_antitone_invol_candidate(lat):
+    """An hri candidate on the 4-chain whose regular involution swaps 0 and 3 and
+    fixes 1 < 2, so is not antitone."""
+    return [FiniteAlgebra(lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl,
+                          invol=(3, 1, 2, 0))]
 
 
 def _top_co_implication(lat):
@@ -202,7 +221,7 @@ def _top_co_implication(lat):
     ("ws5", 3, 0, ("_ws5_candidates", _short_box_candidate),
      r"heyting_n3_00.* fails structure at box: expected 3 entries, got 2"),
     # a regular involution of the 4-chain that is not antitone
-    ("hri", 4, 1, ("_antitone_involutions", lambda lat: [(3, 1, 2, 0)]),
+    ("hri", 4, 1, ("_hri_candidates", _non_antitone_invol_candidate),
      r"heyting_n4_01.* fails invol-de-morgan at \(1, 2\)"),
     # 0 <= 0 | 0, but 0 -< 0 = 1 is not below 0
     ("dht:2", 2, 0, ("_co_implication", _top_co_implication),
@@ -369,7 +388,7 @@ def test_antitone_involutions_match_unpruned_search():
     total = 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
         for lat in enum_distributive_lattices(n):
-            found = list(_antitone_involutions(lat))
+            found = [s for s in _automorphisms(lat, dual=True) if all(s[s[a]] == a for a in s)]
             assert found == list(antitone_involutions_oracle(lat)), lat.name
             total += len(found)
     assert total == 102
@@ -405,6 +424,54 @@ def test_automorphisms_match_unpruned_search():
             assert autos == automorphisms_oracle(lat), lat.name
             orders[len(autos)] += 1
     assert orders == {1: 41, 2: 41, 4: 20, 6: 6, 8: 1}  # group orders of the 109 lattices
+
+
+def group_closure(gens, n):
+    """The permutations of range(n) that are products of gens, by squaring up."""
+    group = {tuple(range(n)), *map(tuple, gens)}
+    while True:
+        grown = {tuple(g[x] for x in h) for g in group for h in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+def preserves(alg, g):
+    """Whether the permutation g of alg's elements maps every table to itself."""
+    for name, t in alg.tables().items():
+        if name in BINARY:
+            if any(g[t[a][b]] != t[g[a]][g[b]] for a in alg.elements for b in alg.elements):
+                return False
+        elif any(g[t[a]] != t[g[a]] for a in alg.elements):
+            return False
+    return True
+
+
+def test_canonical_search_automorphisms_generate_the_group(catalog_algebras):
+    # The automorphisms least_meet_relabeling finds at tied leaves, on the meet
+    # table alone and with the remaining tables as its tail, generate the group
+    # of the lattice and of the whole algebra; every catalog algebra, relabeled too
+    rng = random.Random(20140601)
+    for alg in catalog_algebras:
+        perm = list(alg.elements)
+        rng.shuffle(perm)
+        group = automorphisms_oracle(alg)  # whose labels must extend the order
+        conjugate = [tuple(perm[g[old]] for old in sorted(alg.elements, key=perm.__getitem__))
+                     for g in group]
+        for x, lattice in ((alg, group), (relabel(alg, perm), conjugate)):
+            _, _, autos = least_meet_relabeling(x.meet)
+            assert group_closure(autos, x.size) == set(lattice), x
+            _, _, autos = least_meet_relabeling(
+                x.meet, lambda new, old: relabeled_tables(x, old, new, TABLES[3:]))
+            assert all(preserves(x, g) for g in autos), x
+            assert group_closure(autos, x.size) == {g for g in lattice if preserves(x, g)}, x
+    orders = Counter()
+    for n in range(1, MAX_LATTICE_SIZE + 1):
+        for lat in enum_distributive_lattices(n):
+            group = group_closure(least_meet_relabeling(lat.meet)[2], n)
+            assert sorted(group) == _automorphisms(lat), lat.name
+            orders[len(group)] += 1
+    assert orders == {1: 114, 2: 129, 4: 61, 6: 15, 8: 15, 12: 8}  # the 342 lattices to 12
 
 
 def dual_automorphisms_oracle(lat):
@@ -507,7 +574,7 @@ def decorate_oracle(cls, lat):
             )
             cands.append(FiniteAlgebra(lat.size, cls, lat.meet, lat.join, lat.impl, box=box))
     elif cls.kind == "hri":
-        for inv in _antitone_involutions(lat):
+        for inv in antitone_involutions_oracle(lat):
             if any(inv[lat.neg[a]] != lat.neg[lat.neg[a]] for a in lat.elements):
                 continue
             box = tuple(lat.neg[inv[a]] for a in lat.elements)
@@ -539,3 +606,30 @@ def test_decorate_matches_canonical_form_search(cls):
             assert found == decorate_oracle(cls, lat), lat.name
             if cls.kind in ("hdp", "dht"):
                 assert all(canonical_form(a) == a for a in found)
+
+
+@pytest.mark.parametrize("cls, composite", [
+    ("ws5", 17), ("hri", 11), ("hdp:1", 14), ("hdp:2", 14), ("dht:1", 14), ("dht:2", 14),
+])
+def test_non_simple_members_are_the_products_of_simple_ones(cls, composite):
+    # A finite algebra of a discriminator variety is a product of simple ones,
+    # unique up to iso and order: at each size the nontrivial non-simple members
+    # are the canonical forms of the products of two or more simple members
+    cat = build_catalog(VarietyClass.parse(cls), MAX_LATTICE_SIZE)
+    simple = [a for a in cat.algebras if element_profile(a).simple]
+    products = {n: [] for n in range(2, MAX_LATTICE_SIZE + 1)}
+
+    def grow(alg, start, factors):
+        if factors >= 2:
+            products[alg.size].append(serial_key(canonical_form(alg)))
+        for i in range(start, len(simple)):
+            if alg.size * simple[i].size <= MAX_LATTICE_SIZE:
+                grow(product(alg, simple[i]), i, factors + 1)
+
+    for i, a in enumerate(simple):
+        grow(a, i, 1)
+    for n, keys in products.items():
+        assert len(set(keys)) == len(keys), (cls, n)
+        members = {serial_key(a) for a in cat.of_size(n) if not element_profile(a).simple}
+        assert members == set(keys), (cls, n)
+    assert sum(map(len, products.values())) == composite
