@@ -9,19 +9,20 @@ its downset lattice alone, the posets are deduplicated on the least relabeled
 meet table, and only a new lattice has its join and impl tables built, directly
 in canonical label order from the downsets.
 
-Every enumerated lattice is thus a canonical form, and a decoration keeps its
-meet, join and impl tables.  So the relabelings that canonicalise a decoration
-are the automorphisms of the lattice, and the least of its box and invol tables
-under them gives its canonical form without a search.  The enumeration's own
-search finds generators of that group at its tied leaves.  A self-dual
-lattice's dual automorphisms, whose regular involutive members are the hri
-invol tables, are each automorphism followed by the perm of one more search,
-on the join table.  The ws5 candidates come from the Boolean sublattices.  The
-leveled classes' c -< a is the join of the join-irreducibles below c and not
-below a, so every automorphism fixes it and those decorations are canonical as
-built.  Each class yields only its defining tables, and every candidate of
-every class goes through one tail: derive_operations completes and checks it,
-then canonicalise, dedupe, sort.
+Every enumerated lattice is thus a canonical form, and its record keeps its
+poset, its downsets and its automorphism group, the closure of the generators
+the enumeration's own search finds at its tied leaves.  A decoration keeps the
+meet, join and impl tables, so the relabelings that canonicalise it are the
+automorphisms of the lattice, and the least of its box and invol tables under
+them gives its canonical form without a search.  A self-dual lattice's dual
+automorphisms, whose regular involutive members are the hri invol tables, are
+each automorphism followed by the perm of one more search, on the join table.
+The ws5 candidates come from the Boolean sublattices.  The leveled classes'
+c -< a is the downset generated by the points in c and not in a, so every
+automorphism fixes it and those decorations are canonical as built.  Each
+class yields only its defining tables, and every candidate of every class goes
+through one tail: derive_operations completes and checks it, then
+canonicalise, dedupe, sort.
 """
 
 from __future__ import annotations
@@ -58,12 +59,25 @@ def _grown_posets(n: int):
     if n == 1:
         yield (), [0]
     for m in range(1, n):
-        for below, _, masks, _ in _posets_with_downsets(m):
+        for below, _, masks, _ in _posets_with_downsets(m).values():
             new = 1 << len(below)
             for d in masks:
                 up = [s | new for s in masks if s & d == d]
                 if m + len(up) == n:
                     yield below + (d,), [*masks, *up]
+
+
+def _union_of(sets):
+    """The function x -> the union of sets[p] over the points p in x, memoised."""
+    union = {0: 0}
+
+    def of(x):
+        if x not in union:
+            low = x & -x
+            union[x] = of(x ^ low) | sets[low.bit_length() - 1]
+        return union[x]
+
+    return of
 
 
 def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteAlgebra:
@@ -75,28 +89,21 @@ def _lattice_in_order(below: tuple[int, ...], masks: list[int], meet) -> FiniteA
     idx = {s: i for i, s in enumerate(masks)}
     join = [[idx[a | b] for b in masks] for a in masks]
     k = len(below)
-    up = [sum(1 << p for p in range(k) if below[p] >> q & 1) | 1 << q for q in range(k)]
-    outside = {0: (1 << k) - 1}
-
-    def outside_upset(x):
-        """The points outside the upset of the points in x."""
-        if x not in outside:
-            low = x & -x
-            outside[x] = outside_upset(x ^ low) & ~up[low.bit_length() - 1]
-        return outside[x]
-
-    impl = [[idx[outside_upset(a & ~b)] for b in masks] for a in masks]
+    upset = _union_of([sum(1 << p for p in range(k) if below[p] >> q & 1) | 1 << q
+                       for q in range(k)])
+    impl = [[idx[(1 << k) - 1 & ~upset(a & ~b)] for b in masks] for a in masks]
     return FiniteAlgebra(len(masks), VarietyClass("heyting"), meet, join, impl)
 
 
 @lru_cache(maxsize=None)
-def _posets_with_downsets(n: int) -> tuple:
-    """(poset, canonical downset lattice, downsets, automorphisms) for every
-    poset with n downsets, up to iso; element i of the lattice is the i-th downset.
+def _posets_with_downsets(n: int) -> dict:
+    """(poset, canonical downset lattice, downsets, sorted automorphism group)
+    by canonical meet table for every poset with n downsets, up to iso; element
+    i of the lattice is the i-th downset.
 
     Each grown poset is deduplicated on the least relabeling of its meet table;
     only a new lattice has its tables built, in that canonical label order, and
-    keeps the generators of its group that its search found, in those labels.
+    its group closed from the generators its search found, in those labels.
     """
     found = {}
     for grown, masks in _grown_posets(n):
@@ -106,37 +113,41 @@ def _posets_with_downsets(n: int) -> tuple:
             ordered = [0] * n
             for old, new in enumerate(perm):
                 ordered[new] = masks[old]
-            gens = tuple(tuple(perm[g[idx[s]]] for s in ordered) for g in autos)
-            found[rows] = (grown, _lattice_in_order(grown, ordered, rows), tuple(ordered), gens)
-    return tuple(found.values())
-
-
-@lru_cache(maxsize=None)
-def _lattice_groups(n: int) -> dict:
-    """The automorphism group of each lattice of size n by its meet table, sorted:
-    the closure of the automorphisms its enumeration search found."""
-    groups = {}
-    for _, lat, _, gens in _posets_with_downsets(n):
-        group = [tuple(range(n))]
-        for g in group:  # the loop reads what it appends
-            group += {tuple(h[x] for x in g) for h in gens}.difference(group)
-        groups[lat.meet] = sorted(group)
-    return groups
+            gens = {tuple(perm[g[idx[s]]] for s in ordered) for g in autos}
+            group = [tuple(range(n))]
+            for g in group:  # the loop reads what it appends
+                group += {tuple(h[x] for x in g) for h in gens}.difference(group)
+            found[rows] = (grown, _lattice_in_order(grown, ordered, rows), tuple(ordered),
+                           sorted(group))
+    return found
 
 
 def enum_distributive_lattices(n: int) -> list[FiniteAlgebra]:
     """All Heyting algebras of size n up to isomorphism, canonical and sorted."""
     if not 1 <= n <= MAX_LATTICE_SIZE:
         raise ValueError(f"size must be within 1..{MAX_LATTICE_SIZE}, got {n}")
-    lattices = sorted((lat for _, lat, _, _ in _posets_with_downsets(n)), key=serial_key)
+    lattices = sorted((lat for _, lat, _, _ in _posets_with_downsets(n).values()),
+                      key=serial_key)
     return [alg.rename(f"heyting_n{n}_{i:02d}") for i, alg in enumerate(lattices)]
 
 
 # -- decorations --------------------------------------------------------------
 
-def _automorphisms(lat: FiniteAlgebra, dual: bool = False) -> list[tuple[int, ...]]:
-    """Every automorphism of an enumerated lattice, old->new, in lexicographic
-    order; with dual, every dual automorphism (a bijection sending meets to joins).
+def _record(lat: FiniteAlgebra) -> tuple:
+    """The enumeration's record of lat; ValueError for a lattice it did not yield."""
+    record = lat.size <= MAX_LATTICE_SIZE and _posets_with_downsets(lat.size).get(lat.meet)
+    if not record:
+        raise ValueError(f"{lat!r} is not an enumerated lattice")
+    return record
+
+
+def _automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Every automorphism of an enumerated lattice, old->new, in lexicographic order."""
+    return _record(lat)[3]
+
+
+def _dual_automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Every dual automorphism (a bijection sending meets to joins), likewise.
 
     A dual automorphism swaps the sizes of the downset and the upset of a, so
     there is none unless those pairs, swapped, are the same multiset.  Else the
@@ -144,16 +155,13 @@ def _automorphisms(lat: FiniteAlgebra, dual: bool = False) -> list[tuple[int, ..
     the canonical meet table exactly when the lattice is self-dual, and then its
     perm d sends joins to meets; the dual automorphisms are d after each one.
     """
-    if lat.size > MAX_LATTICE_SIZE or lat.meet not in (groups := _lattice_groups(lat.size)):
-        raise ValueError(f"{lat!r} is not an enumerated lattice")
-    if not dual:
-        return groups[lat.meet]
+    group = _automorphisms(lat)
     shape = [(sum(m == x for x, m in enumerate(row)), len(up))
              for row, up in zip(lat.meet, lat.upset)]
     if sorted(shape) != sorted(s[::-1] for s in shape):
         return []
     rows, d, _ = least_meet_relabeling(lat.join)
-    return sorted(tuple(d[x] for x in g) for g in groups[lat.meet]) if rows == lat.meet else []
+    return sorted(tuple(d[x] for x in g) for g in group) if rows == lat.meet else []
 
 
 def _boolean_atom_sets(lat: FiniteAlgebra):
@@ -191,7 +199,7 @@ def _ws5_candidates(lat: FiniteAlgebra):
 
 def _hri_candidates(lat: FiniteAlgebra):
     """Each dual automorphism with inv inv a = a and inv !a = !!a, as an invol table."""
-    for inv in _automorphisms(lat, dual=True):
+    for inv in _dual_automorphisms(lat):
         if all(inv[inv[a]] == a and inv[lat.neg[a]] == lat.neg[lat.neg[a]] for a in lat.elements):
             yield FiniteAlgebra(lat.size, VarietyClass("hri"), lat.meet, lat.join, lat.impl,
                                 invol=inv)
@@ -200,25 +208,14 @@ def _hri_candidates(lat: FiniteAlgebra):
 def _co_implication(lat: FiniteAlgebra):
     """The row of c -< a over a, as a function of c: the least b with c <= a | b.
 
-    A join-irreducible is below a | b exactly when it is below a or below b, so
-    c -< a is the join of the join-irreducibles below c and not below a.  An
-    element is join-irreducible when the elements strictly below it, which the
-    labels list before it, join to less.
+    In the enumeration's record an element is a downset of join-irreducibles,
+    and a point is in a | b exactly when it is in a or in b.  So c -< a is the
+    downset generated by the points in c and not in a.
     """
-    n, meet, join = lat.size, lat.meet, lat.join
-    irr = [j for j in range(n)
-           if reduce(lambda x, y: join[x][y], (x for x in range(j) if meet[x][j] == x), 0) != j]
-    below = [sum(1 << i for i, j in enumerate(irr) if meet[j][c] == j) for c in range(n)]
-    joined = {0: 0}
-
-    def join_of(x):
-        """The join of the join-irreducibles in x."""
-        if x not in joined:
-            low = x & -x
-            joined[x] = join[join_of(x ^ low)][irr[low.bit_length() - 1]]
-        return joined[x]
-
-    return lambda c: tuple(join_of(below[c] & ~below[a]) for a in range(n))
+    below, _, masks, _ = _record(lat)
+    idx = {s: i for i, s in enumerate(masks)}
+    downset = _union_of([b | 1 << p for p, b in enumerate(below)])
+    return lambda c: tuple(idx[downset(masks[c] & ~a)] for a in masks)
 
 
 def _leveled_candidates(lat: FiniteAlgebra, cls: VarietyClass):
@@ -240,9 +237,10 @@ def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
     enum_distributive_lattices yields: the relabelings that reach its own,
     least, meet table are exactly its automorphisms, which extend the order,
     since the labels do, and fix meet, join, impl and c -< a.  So a ws5 or hri
-    decoration's canonical form is its least box and invol over Aut(lat), the
-    group the enumeration's search generated (ValueError for a lattice it did
-    not yield), and an hdp or dht decoration is canonical as built.
+    decoration's canonical form is its least box and invol over Aut(lat), and
+    an hdp or dht decoration is canonical as built.  Every class but heyting
+    reads the enumeration's record of lat: ValueError for a lattice it did not
+    yield.
     """
     if lat.cls.kind != "heyting":
         raise ValueError("decorate expects a plain Heyting algebra")

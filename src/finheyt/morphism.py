@@ -44,10 +44,8 @@ class Homomorphism:
     def inverse(self) -> "Homomorphism":
         if not (self.onto and self.injective):
             raise ValueError("only bijections invert")
-        inv = [0] * self.cod.size
-        for a, b in enumerate(self.map):
-            inv[b] = a
-        return Homomorphism(self.cod, self.dom, tuple(inv))
+        inv = sorted(range(self.dom.size), key=self.map.__getitem__)
+        return Homomorphism(self.cod, self.dom, inv)
 
 
 def _table_pairs(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[dict, dict]:
@@ -286,9 +284,7 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     (pa, ca), (pb, cb) = canonical_relabeling(a), canonical_relabeling(b)
     if serial_key(ca) != serial_key(cb):
         return None
-    back = [0] * b.size
-    for x, y in enumerate(pb):
-        back[y] = x
+    back = sorted(range(b.size), key=pb.__getitem__)
     return Homomorphism(a, b, tuple(back[y] for y in pa))
 
 

@@ -29,6 +29,7 @@ from finheyt.catalog import (
     _automorphisms,
     _boolean_atom_sets,
     _co_implication,
+    _dual_automorphisms,
     _posets_with_downsets,
     build_catalog,
     decorate,
@@ -133,7 +134,7 @@ def lattice_of_downsets_oracle(below):
 def test_enumerated_lattices_match_canonical_form_oracle():
     total = 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
-        for below, lat, masks, _ in _posets_with_downsets(n):
+        for below, lat, masks, _ in _posets_with_downsets(n).values():
             want = lattice_of_downsets_oracle(below)
             assert lat.size == n
             # the stored downsets are the poset's, element i of lat the i-th
@@ -180,11 +181,12 @@ def test_decorate_ws5_of_diamond_gives_both_fixtures():
 def test_decorate_rejects_decorated_input():
     with pytest.raises(ValueError):
         decorate(VarietyClass("ws5"), c3_simple())
-    # ws5 and hri read the automorphism group of an enumerated lattice
+    # every decoration reads the enumeration's record of the lattice: ws5 and hri
+    # its automorphism group, hdp and dht its poset of join-irreducibles
     reversed_chain = relabel(enum_distributive_lattices(3)[0], (2, 1, 0))
-    for cls in ("ws5", "hri"):
+    for cls in ("ws5", "hri", "hdp:1", "dht:2"):
         with pytest.raises(ValueError, match="not an enumerated lattice"):
-            decorate(VarietyClass(cls), reversed_chain)
+            decorate(VarietyClass.parse(cls), reversed_chain)
 
 
 def _identity_box_candidate(lat):
@@ -388,7 +390,7 @@ def test_antitone_involutions_match_unpruned_search():
     total = 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
         for lat in enum_distributive_lattices(n):
-            found = [s for s in _automorphisms(lat, dual=True) if all(s[s[a]] == a for a in s)]
+            found = [s for s in _dual_automorphisms(lat) if all(s[s[a]] == a for a in s)]
             assert found == list(antitone_involutions_oracle(lat)), lat.name
             total += len(found)
     assert total == 102
@@ -502,7 +504,7 @@ def test_dual_automorphisms_match_unpruned_search():
     counts, self_dual, total = Counter(), 0, 0
     for n in range(1, MAX_LATTICE_SIZE + 1):
         for lat in enum_distributive_lattices(n):
-            duals = _automorphisms(lat, dual=True)
+            duals = _dual_automorphisms(lat)
             if n <= 10:
                 assert duals == dual_automorphisms_oracle(lat), lat.name
                 counts[len(duals)] += 1

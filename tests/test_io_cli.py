@@ -9,6 +9,8 @@ import time
 import types
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from finheyt import cli, decision, io
 from finheyt.algebra import FiniteAlgebra, VarietyClass, validate
@@ -30,6 +32,7 @@ from finheyt.terms import (
     CONST0,
     CONST1,
     MAX_PRESENTATION_VARS,
+    MAX_QUANTIFIERS,
     Var,
     discriminator_term,
     print_term,
@@ -594,3 +597,102 @@ def test_cli_malformed_incomplete_algebra_exits_2(tmp_path, capsys, base, edit, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
     assert message in err
+
+
+# -- the exit-code contract on mutated files ------------------------------------
+
+# what a mutation writes in place of an entry: ill-typed values, huge ints, and
+# term-like strings for the presentations' lhs and rhs; a fixed alphabet spares
+# hypothesis its one-off unicode table
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(alphabet='a "\\{}:,\x00\u00e9', max_size=6),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.integers(2**63, 2**100), st.integers(-2**100, -2**63),
+    st.text(alphabet="xyz01|&!~+()[]<>-", max_size=12),
+)
+_CONTRACT_ALGEBRAS = {"ws5": two_ws5, "hri": c3_hri, "hdp:1": c3_hdp, "dht:2": _dht2_member}
+_PRESENTATION = {"vars": ["x", "y"], "atoms": [{"lhs": "x | y", "rhs": "1"},
+                                               {"lhs": "[]x & y", "rhs": "0"}]}
+
+
+def _entries(value, path=()):
+    """The path to every entry of a JSON value, below the top."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, entry in items:
+        yield (*path, key)
+        if isinstance(entry, (dict, list)):
+            yield from _entries(entry, (*path, key))
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """(argv, files): a command over a file, "A", whose JSON had one to three
+    entries removed or replaced by junk, and the file it came from, "G"."""
+    if draw(st.booleans()):
+        cls = draw(st.sampled_from(sorted(_CONTRACT_ALGEBRAS)))
+        data = io.algebra_to_dict(_CONTRACT_ALGEBRAS[cls]())
+        argv = draw(st.sampled_from([
+            ["validate", "A"], ["profile", "A"], ["decompose", "A"], ["rho", "A"],
+            ["alpha", "A"], ["boolproj", "A"], ["primitive", "A", "G"],
+            ["quotient", "--filter", str(data["size"] - 1), "A"],
+            ["projective", "--class", cls, "A"], ["homs", "--onto", "A", "G"],
+            ["homs", "--count", "G", "A"], ["retract", "A", "G"],
+        ]))
+    else:
+        cls = draw(st.sampled_from(["ws5", "hri", "hdp:1", "dht:2", "hdp:1000000000"]))
+        data = json.loads(json.dumps(_PRESENTATION))
+        argv = ["projective", "--class", cls, "--presentation", "A"]
+    files = {"G": json.dumps(data)}
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_entries(data))
+        if not paths:
+            break
+        tops = [p for p in paths if len(p) == 1 or p[0] == "class"]  # keys, class, size
+        *where, key = draw(st.sampled_from(tops) | st.sampled_from(paths))
+        parent = data
+        for k in where:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    files["A"] = json.dumps(data)
+    return argv, files
+
+
+def _hri_without_box(**edits):
+    return json.dumps({k: v for k, v in {**io.algebra_to_dict(c3_hri()), **edits}.items()
+                       if k != "box"})
+
+
+def _wide_presentation(k):
+    names = [f"v{i}" for i in range(k)]
+    return json.dumps({"vars": names, "atoms": [{"lhs": " & ".join(names), "rhs": "1"}]})
+
+
+@given(case=_mutated_inputs())
+@example(case=(["validate", "A"], {"A": "[" * 100_000 + "]" * 100_000}))
+@example(case=(["projective", "--class", "ws5", "--presentation", "A"],
+               {"A": _wide_presentation(MAX_PRESENTATION_VARS + 1)}))
+@example(case=(["projective", "--class", "ws5", "--presentation", "A"],
+               {"A": _wide_presentation(MAX_QUANTIFIERS + 1)}))
+@example(case=(["projective", "--class", "ws5", "--presentation", "A"],
+               {"A": json.dumps({"vars": ["x"], "atoms": [{"lhs": "x", "rhs": "!x"},
+                                                          {"lhs": "~x", "rhs": "x"}]})}))
+@example(case=(["projective", "--class", "hdp:1000000000", "--presentation", "A"],
+               {"A": json.dumps(_PRESENTATION)}))
+@example(case=(["quotient", "--filter", "3,99", "A"],
+               {"A": json.dumps(io.algebra_to_dict(b4_prod()))}))
+@example(case=(["profile", "A"], {"A": _hri_without_box(invol=[2, 99, 0])}))
+@example(case=(["projective", "--class", "hri", "A"], {"A": _hri_without_box(invol=[2, 1])}))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_code_contract_on_mutated_files(tmp_path, capsys, case):
+    """Every command ends in 0, 1 or 2 on any mutation of a valid algebra or
+    presentation file, and an error is a message, never a traceback."""
+    argv, files = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run_cli(capsys, *(tmp_path / a if a in files else a for a in argv))
+    assert code in (0, 1, 2), (argv, files["A"][:300], err)
+    assert "Traceback" not in err
