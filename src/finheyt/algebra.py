@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -289,13 +290,6 @@ def inferred_level(alg: FiniteAlgebra) -> int | None:
     return None
 
 
-def _byte_rows(rows, n):
-    """Each row as bytes, and as a 256-byte translate table padded with zeros."""
-    rows = [bytes(r) for r in rows]
-    pad = bytes(256 - n)
-    return rows, [r + pad for r in rows]
-
-
 # _IS[x] is the translate table sending x to 1 and every other byte to 0
 _IS = [bytes(x) + b"\1" + bytes(255 - x) for x in range(256)]
 
@@ -310,114 +304,104 @@ def validate(alg: FiniteAlgebra) -> ValidationReport:
 def _axioms(alg: FiniteAlgebra) -> ValidationReport:
     """The axiom pass of validate, on an algebra whose structure is checked.
 
-    Each loop over a is first decided a chunk of rows a (about 64 KB of a
-    three-variable table) at a time: both sides of every axiom it checks are
-    built as bytes over all (b, c), or all b, and compared; meet[a][meet[b][c]]
-    is a bytes.translate of the flat meet table per a, meet[meet[a][b]][c] a
-    gather of meet rows through it.  A chunk whose comparisons all hold has no
-    violation.  The loop runs on the other chunks' rows and alone reports
-    violations, so the report is that of the plain loops; in it a pair (a, b)
-    whose rows over c agree skips the loop over c.  bytes hold labels up to 255
-    only, so above 256 elements every row runs the plain loops.
+    Each identity in two or three variables is stated once, as its two sides
+    over its cells in row-major order: all (a, b) at once, and (a, b, c) a
+    chunk of rows a at a time, about 64 KB of the three-variable table.  A
+    side like (a, b, c) -> a & (b & c) is one translate of the flat meet table
+    per a, and (a, b, c) -> (a & b) & c a gather of meet rows through the flat
+    meet table.  differ compares the two sides; where they differ, it finds the
+    runs of n cells that differ, then the cells in them.  report sorts each
+    section's violations into the order of the plain nested loops over a, b
+    and c (kept in tests/test_algebra.py as the oracle): by cell, a tuple
+    sorting before its extensions, so (a,) comes before (a, b) and (a, b)
+    before (a, b, c).  The sort is stable, so violations at one cell keep the
+    order in which their identities are stated here.  Up to 256 elements the
+    sides are bytes and a map is a 256-byte translate table; above, they are
+    tuples and a map is applied by itemgetter.  Checks on one element are
+    plain loops.
     """
     n, top = alg.size, alg.top
     meet, join, impl = alg.meet, alg.join, alg.impl
     bad = []
 
-    def le(a, b):
-        return meet[a][b] == a
+    # A sequence x + pad is a map: tr(s, x + pad) is [x[i] for i in s].
+    if n <= 256:  # every label fits in a byte
+        seq, cat, tr, pad, IS = bytes, b"".join, bytes.translate, bytes(256 - n), _IS
+    else:
+        seq, pad = tuple, ()
+        IS = [tuple([int(y == x) for y in range(n)]) for x in range(n)]
 
-    rowwise = n <= 256
+        def cat(parts):
+            return tuple(chain.from_iterable(parts))
+
+        def tr(s, t):
+            return itemgetter(*s)(t)
+
+    M, J = [seq(r) for r in meet], [seq(r) for r in join]
+    Mt, Jt = [r + pad for r in M], [r + pad for r in J]
+    FM, FJ, FI = cat(M), cat(J), cat(map(seq, impl))
+    leq = [tr(M[x], IS[x]) for x in range(n)]  # leq[x][y] = 1 when x <= y
+    leqt = [r + pad for r in leq]
     step = max(1, (1 << 16) // (n * n))  # rows of about 64 KB of a three-variable table
     chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    def unsettled(holds):
-        """The rows of the chunks whose comparisons do not all hold; holds gets a
-        chunk's rows and their slice of a flat n x n table."""
-        return [a for rows in chunks
-                if not (rowwise and holds(rows, slice(rows.start * n, rows.stop * n)))
-                for a in rows]
+    def differ(name, lhs, rhs, lo=None):
+        """(name, cell) for each cell where the sides differ: the cells (a, b) of
+        the n x n table, or with lo the cells (a, b, c) of the rows a from lo."""
+        if lhs == rhs:
+            return []
+        out, first = [], 0 if lo is None else lo * n
+        for s in range(0, len(lhs), n):
+            if lhs[s:s + n] != rhs[s:s + n]:
+                q = first + s // n
+                head = (q,) if lo is None else divmod(q, n)
+                out += [(name, (*head, c)) for c in range(n) if lhs[s + c] != rhs[s + c]]
+        return out
 
-    if rowwise:
-        M, Mt = _byte_rows(meet, n)
-        J, Jt = _byte_rows(join, n)
-        I = [bytes(r) for r in impl]
-        FM, FJ, FI = b"".join(M), b"".join(J), b"".join(I)
-        # leq[x][y] = 1 when x <= y
-        leq, leqt = _byte_rows([M[x].translate(_IS[x]) for x in range(n)], n)
-        # the involution and the box, empty where the algebra has none
-        [INV, B], [INVt, Bt] = _byte_rows([alg.invol or (), alg.box or ()], n)
+    def report(found):
+        bad.extend(sorted(found, key=itemgetter(1)))
 
-    def lattice_holds(rows, s):
-        fm, fj, each = FM[s], FJ[s], b"".join(bytes((a,)) * n for a in rows)
-        return (all(meet[a][a] == a and join[a][a] == a and meet[0][a] == 0
-                    and join[a][top] == top for a in rows)
-                and fm == b"".join(FM[c::n] for c in rows)
-                and fj == b"".join(FJ[c::n] for c in rows)
-                and b"".join([J[a].translate(Mt[a]) for a in rows]) == each
-                and b"".join([M[a].translate(Jt[a]) for a in rows]) == each
-                and b"".join(map(M.__getitem__, fm))
-                == b"".join([FM.translate(Mt[a]) for a in rows])
-                and b"".join(map(J.__getitem__, fj))
-                == b"".join([FJ.translate(Jt[a]) for a in rows])
-                and b"".join([FJ.translate(Mt[a]) for a in rows])
-                == b"".join([M[a].translate(Jt[x]) for a in rows for x in M[a]])
-                and b"".join(map(leq.__getitem__, fm))
-                == b"".join([FI.translate(leqt[a]) for a in rows]))
-
-    for a in unsettled(lattice_holds):
+    found = []
+    for a in range(n):
         if meet[a][a] != a:
-            bad.append(("meet-idempotent", (a,)))
+            found.append(("meet-idempotent", (a,)))
         if join[a][a] != a:
-            bad.append(("join-idempotent", (a,)))
+            found.append(("join-idempotent", (a,)))
         if meet[0][a] != 0:
-            bad.append(("bottom-least", (a,)))
+            found.append(("bottom-least", (a,)))
         if join[a][top] != top:
-            bad.append(("top-greatest", (a,)))
-        for b in range(n):
-            if meet[a][b] != meet[b][a]:
-                bad.append(("meet-commutative", (a, b)))
-            if join[a][b] != join[b][a]:
-                bad.append(("join-commutative", (a, b)))
-            if meet[a][join[a][b]] != a:
-                bad.append(("absorption-meet-join", (a, b)))
-            if join[a][meet[a][b]] != a:
-                bad.append(("absorption-join-meet", (a, b)))
-            if rowwise:
-                ab, jab = meet[a][b], join[a][b]
-                if (M[ab] == M[b].translate(Mt[a])
-                        and J[jab] == J[b].translate(Jt[a])
-                        and J[b].translate(Mt[a]) == M[a].translate(Jt[ab])
-                        and leq[ab] == I[b].translate(leqt[a])):
-                    continue
-            for c in range(n):
-                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-                    bad.append(("meet-associative", (a, b, c)))
-                if join[join[a][b]][c] != join[a][join[b][c]]:
-                    bad.append(("join-associative", (a, b, c)))
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    bad.append(("distributive", (a, b, c)))
-                if le(meet[a][b], c) != le(a, impl[b][c]):
-                    bad.append(("residuation", (a, b, c)))
+            found.append(("top-greatest", (a,)))
+    A = cat([seq((a,)) * n for a in range(n)])  # a over every (a, b)
+    found += differ("meet-commutative", FM, cat([FM[a::n] for a in range(n)]))
+    found += differ("join-commutative", FJ, cat([FJ[a::n] for a in range(n)]))
+    found += differ("absorption-meet-join", cat(map(tr, J, Mt)), A)
+    found += differ("absorption-join-meet", cat(map(tr, M, Jt)), A)
+    for rows in chunks:
+        lo = rows.start
+        fm, fj = FM[lo * n:rows.stop * n], FJ[lo * n:rows.stop * n]
+        found += differ("meet-associative", cat(map(M.__getitem__, fm)),
+                        cat([tr(FM, Mt[a]) for a in rows]), lo)
+        found += differ("join-associative", cat(map(J.__getitem__, fj)),
+                        cat([tr(FJ, Jt[a]) for a in rows]), lo)
+        found += differ("distributive", cat([tr(FJ, Mt[a]) for a in rows]),
+                        cat([tr(M[a], Jt[x]) for a in rows for x in M[a]]), lo)
+        found += differ("residuation", cat(map(leq.__getitem__, fm)),
+                        cat([tr(FI, leqt[a]) for a in rows]), lo)
+    report(found)
 
     kind, level = alg.cls.kind, alg.cls.level
 
     if alg.invol is not None:
         inv, neg = alg.invol, alg.neg
-
-        def invol_holds(rows, s):
-            return (all(inv[inv[a]] == a and inv[neg[a]] == neg[neg[a]] for a in rows)
-                    and FJ[s].translate(INVt)
-                    == b"".join([INV.translate(Mt[inv[a]]) for a in rows]))
-
-        for a in unsettled(invol_holds):
+        found = []
+        for a in range(n):
             if inv[inv[a]] != a:
-                bad.append(("invol-involutive", (a,)))
+                found.append(("invol-involutive", (a,)))
             if inv[neg[a]] != neg[neg[a]]:
-                bad.append(("invol-regular", (a,)))
-            for b in range(n):
-                if inv[join[a][b]] != meet[inv[a]][inv[b]]:
-                    bad.append(("invol-de-morgan", (a, b)))
+                found.append(("invol-regular", (a,)))
+        INV = seq(inv)
+        found += differ("invol-de-morgan", tr(FJ, INV + pad), cat([tr(INV, Mt[x]) for x in inv]))
+        report(found)
         if alg.box is not None:
             for a in range(n):
                 if alg.box[a] != neg[inv[a]]:
@@ -425,24 +409,12 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
 
     dualneg = alg.dualneg
     if kind == "dht":
-        def dual_holds(rows):  # rows of c, taken in (c, a, b) order
-            dimpl = b"".join(bytes(alg.dimpl[c]) for c in rows)
-            return (b"".join([FJ.translate(leqt[c]) for c in rows])
-                    == b"".join(map(leq.__getitem__, dimpl)))
-
-        # a failing chunk of c runs the loop over every (a, b)
-        if not (rowwise and all(map(dual_holds, chunks))):
-            if rowwise:
-                # geq[y][x] = 1 when x <= y; dimpl_t[a][c] = dimpl[c][a]
-                geq, geqt = _byte_rows(zip(*leq), n)
-                dimpl_t = [bytes(r) for r in zip(*alg.dimpl)]
-            for a in range(n):
-                for b in range(n):
-                    if rowwise and geq[join[a][b]] == dimpl_t[a].translate(geqt[b]):
-                        continue
-                    for c in range(n):
-                        if le(c, join[a][b]) != le(alg.dimpl[c][a], b):
-                            bad.append(("dual-residuation", (a, b, c)))
+        FD, found = cat(map(seq, alg.dimpl)), []
+        for rows in chunks:  # rows of c, taken in (c, a, b) order
+            lo = rows.start
+            found += differ("dual-residuation", cat([tr(FJ, leqt[c]) for c in rows]),
+                            cat(map(leq.__getitem__, FD[lo * n:rows.stop * n])), lo)
+        report([(name, (a, b, c)) for name, (c, a, b) in found])
         derived_dn = derived_dualneg_dht(alg)
         if dualneg is not None:
             for a in range(n):
@@ -451,14 +423,7 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         dualneg = derived_dn
 
     if dualneg is not None:
-        def dualneg_holds(rows, s):
-            return (FJ[s].translate(_IS[top])
-                    == b"".join([leq[dualneg[a]] for a in rows]))
-
-        for a in unsettled(dualneg_holds):
-            for b in range(n):
-                if (join[a][b] == top) != le(dualneg[a], b):
-                    bad.append(("dual-pseudocomplement", (a, b)))
+        report(differ("dual-pseudocomplement", tr(FJ, IS[top]), cat([leq[x] for x in dualneg])))
         if kind in LEVELED:
             # The images of boxdot^k stop shrinking within n steps; from there
             # boxdot permutes its image and each a stays fixed or moves for
@@ -478,25 +443,18 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         box = alg.box
         if box[top] != top:
             bad.append(("box-top", (top,)))
-        opens = [a for a in range(n) if box[a] == a]
-
-        def box_holds(rows, s):
-            return (all(le(box[a], a) and box[box[a]] == box[a] for a in rows)
-                    and FM[s].translate(Bt)
-                    == b"".join([B.translate(Mt[box[a]]) for a in rows])
-                    and b"".join([B.translate(Jt[a]) for a in rows]).translate(Bt)
-                    == b"".join([B.translate(Jt[box[a]]) for a in rows]))
-
-        for a in unsettled(box_holds):
-            if not le(box[a], a):
-                bad.append(("box-decreasing", (a,)))
+        B, found = seq(box), []
+        Bt = B + pad
+        for a in range(n):
+            if meet[box[a]][a] != box[a]:  # box[a] <= a
+                found.append(("box-decreasing", (a,)))
             if box[box[a]] != box[a]:
-                bad.append(("box-idempotent", (a,)))
-            for b in range(n):
-                if box[meet[a][b]] != meet[box[a]][box[b]]:
-                    bad.append(("box-meet", (a, b)))
-                if box[join[a][box[b]]] != join[box[a]][box[b]]:
-                    bad.append(("box-join-open", (a, b)))
+                found.append(("box-idempotent", (a,)))
+        found += differ("box-meet", tr(FM, Bt), cat([tr(B, Mt[x]) for x in box]))
+        found += differ("box-join-open", tr(cat([tr(B, t) for t in Jt]), Bt),
+                        cat([tr(B, Jt[x]) for x in box]))
+        report(found)
+        opens = [a for a in range(n) if box[a] == a]
         for a in opens:
             if not any(meet[a][g] == 0 and join[a][g] == top for g in opens):
                 bad.append(("open-elements-boolean", (a,)))

@@ -203,18 +203,31 @@ def validate_oracle(alg: FiniteAlgebra) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def with_cell_changed(alg: FiniteAlgebra, name: str, rng: random.Random) -> FiniteAlgebra:
+    """A copy of alg with one cell of its table name changed to another label."""
+    table = getattr(alg, name)
+    binary = isinstance(table[0], tuple)
+    rows = [list(r) for r in table] if binary else [list(table)]
+    row = rng.choice(rows)
+    i = rng.randrange(alg.size)
+    row[i] = rng.choice([v for v in alg.elements if v != row[i]])
+    return replace(alg, **{name: rows if binary else rows[0]})
+
+
 def single_cell_mutants(alg: FiniteAlgebra, rng: random.Random, per_table: int):
     """Copies of alg with one cell of one table changed to another label."""
     if alg.size < 2:
         return
-    for name, table in {**alg.binary_tables(), **alg.unary_tables()}.items():
-        binary = isinstance(table[0], tuple)
+    for name in {**alg.binary_tables(), **alg.unary_tables()}:
         for _ in range(per_table):
-            rows = [list(r) for r in table] if binary else [list(table)]
-            row = rng.choice(rows)
-            i = rng.randrange(alg.size)
-            row[i] = rng.choice([v for v in alg.elements if v != row[i]])
-            yield replace(alg, **{name: rows if binary else rows[0]})
+            yield with_cell_changed(alg, name, rng)
+
+
+def two_cell_mutant(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
+    """A copy of alg with one cell changed in each of two different tables, such as
+    meet and box: their violations interleave within and across the report's sections."""
+    first, second = rng.sample([*alg.binary_tables(), *alg.unary_tables()], 2)
+    return with_cell_changed(with_cell_changed(alg, first, rng), second, rng)
 
 
 def test_validate_matches_triple_loop_oracle(catalog_algebras):
@@ -227,6 +240,8 @@ def test_validate_matches_triple_loop_oracle(catalog_algebras):
     dht4 = next(a for a in build_catalog(VarietyClass("dht", 2), 4).algebras if a.size == 4)
     products.append(reduce(product, [dht4] * 3))
     mutants = [m for alg in (*inputs, *products) for m in single_cell_mutants(alg, rng, 1)]
+    pair_rng = random.Random(20170602)
+    mutants += [two_cell_mutant(alg, pair_rng) for alg in inputs if alg.size > 1]
     seen = set()
     for alg in (*inputs, *products, *mutants):
         report = validate(alg)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from finheyt import congruence as cg
 from finheyt.algebra import (
-    HEYTING,
+    VarietyClass,
     canonical_form,
     canonical_relabeling,
     element_profile,
@@ -207,7 +207,7 @@ def split_oracle(alg):
 
 def heyting(alg):
     """The plain Heyting algebra of a ws5 fixture: the same lattice without its box."""
-    return dataclasses.replace(alg, cls=HEYTING, box=None, name=f"{alg.name}-H")
+    return dataclasses.replace(alg, cls=VarietyClass("heyting"), box=None, name=f"{alg.name}-H")
 
 
 # -- filters -------------------------------------------------------------------
@@ -484,7 +484,7 @@ def oracle_algebras(catalogs):
     of the six acceptance classes and heyting up to size 6, and every same-class
     fixture product of at most 12 elements."""
     algebras = [a for cat in catalogs.values() for a in cat.algebras if a.size <= 6]
-    algebras += build_catalog(HEYTING, 6).algebras
+    algebras += build_catalog(VarietyClass("heyting"), 6).algebras
     for k in (2, 3):
         for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
             if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:
@@ -502,7 +502,7 @@ def test_filter_predicates_match_scan_oracle_on_every_subset(catalogs):
 
 def test_constructions_match_search_oracles(catalogs):
     algebras = [a for cat in catalogs.values() for a in cat.algebras if a.size <= 6]
-    algebras += build_catalog(HEYTING, 6).algebras
+    algebras += build_catalog(VarietyClass("heyting"), 6).algebras
     for k in (2, 3):
         for combo in itertools.combinations_with_replacement(catalog_fixtures(), k):
             if len({a.cls for a in combo}) == 1 and reduce(lambda n, a: n * a.size, combo, 1) <= 12:

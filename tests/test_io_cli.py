@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finheyt import cli, decision, io
-from finheyt.algebra import FiniteAlgebra, VarietyClass, validate
+from finheyt.algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, validate
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
 from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
@@ -696,3 +696,44 @@ def test_cli_exit_code_contract_on_mutated_files(tmp_path, capsys, case):
     code, _, err = run_cli(capsys, *(tmp_path / a if a in files else a for a in argv))
     assert code in (0, 1, 2), (argv, files["A"][:300], err)
     assert "Traceback" not in err
+
+
+# -- algebra_from_dict on any JSON value -----------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+_ROW = st.lists(st.integers(-1, 3), max_size=3)
+
+
+@st.composite
+def _algebra_like(draw):
+    """The keys of an algebra file with values of the right types, up to two of them
+    then replaced by any JSON value or removed."""
+    classes = [{"kind": k} for k in ("heyting", "ws5", "hri", "modal")]
+    classes += [{"kind": "dht", "level": level} for level in (-1, 1, True)]
+    data = draw(st.fixed_dictionaries(
+        {"class": st.sampled_from(classes), "size": st.integers(-1, 3),
+         **{name: st.lists(_ROW, max_size=3) for name in TABLES[:3]}},
+        optional={"name": st.text("ab", max_size=2),
+                  **{name: st.lists(_ROW, max_size=3) if name in BINARY else _ROW
+                     for name in TABLES[3:]}}))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(data)))
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_JSON)
+    return data
+
+
+@given(_algebra_like() | _JSON)
+@settings(max_examples=60, deadline=None)
+def test_algebra_from_dict_returns_an_algebra_or_raises_malformed(data):
+    try:
+        alg = io.algebra_from_dict(data)
+    except MalformedAlgebraError:
+        return
+    assert isinstance(alg, FiniteAlgebra)

@@ -1,5 +1,6 @@
 import itertools
 import re
+import string
 import tracemalloc
 
 import pytest
@@ -37,6 +38,7 @@ from finheyt.terms import (
     Meet,
     Neg,
     Quasiidentity,
+    Term,
     Var,
     check_quasiidentity,
     parse_term,
@@ -90,6 +92,23 @@ def test_parse_bounds_nesting_depth():
                 "!" * 5000 + "x"):
         with pytest.raises(TermParseError):
             parse_term(src)
+
+
+# the tokens of the term language, a few near misses, and blanks; a fixed alphabet,
+# with non-ASCII letters, digits and blanks, spares hypothesis its unicode table
+_TOKENS = st.sampled_from(["x", "y1", "_", "0", "1", "2", "&", "|", "->", "-<", "-", "<",
+                           "!", "~", "+", "[]", "[", "<>", "(", ")", " ", "\t"])
+_TEXT = st.text(string.printable + "\x00\u00a0\u2028\u3000\u00e9\u00df\u0663\u2227\u2192")
+
+
+@given(_TEXT | st.lists(_TOKENS, max_size=30).map("".join))
+@settings(max_examples=120, deadline=None)
+def test_parse_term_returns_a_term_or_raises_parse_error(src):
+    try:
+        term = parse_term(src)
+    except TermParseError:
+        return
+    assert isinstance(term, Term)
 
 
 _LEAVES = st.one_of(
