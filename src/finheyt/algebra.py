@@ -62,8 +62,6 @@ class VarietyClass:
         return self.kind if self.level is None else f"{self.kind}:{self.level}"
 
 
-HEYTING = VarietyClass("heyting")
-
 # Every table, in file and serial_key order: the Heyting tables, then the
 # optional ones of the discriminator classes.
 TABLES = ("meet", "join", "impl", "box", "invol", "dualneg", "dimpl")

@@ -15,7 +15,6 @@ from .fixtures import two_element
 from .terms import (
     CONST0,
     CONST1,
-    TABLE_OF,
     Box,
     DefiningPair,
     FirstOrderFormula,
@@ -122,7 +121,8 @@ def decide_projective_finite(alg: FiniteAlgebra) -> ProjectivityVerdict:
 
 # -- diagram formulas --------------------------------------------------------
 
-_NODE = {name: node for node, name in TABLE_OF.items()}
+_NODE = {c.table: c for c in (*terms.Unary.__subclasses__(), *terms.Binary.__subclasses__())
+         if c is not terms.Diamond}  # box is read by Box; <> is ![]!
 
 
 def diagram_beta(m: FiniteAlgebra) -> FirstOrderFormula:

@@ -14,6 +14,7 @@ section, with its lexicographically least section.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice
@@ -137,15 +138,15 @@ def subalgebra_closure(alg: FiniteAlgebra, seed) -> frozenset:
 def induced_subalgebra(alg: FiniteAlgebra, carrier) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Restrict to a subuniverse; returns (subalgebra, embedding new->old index)."""
     sub = sorted(carrier)
-    if subalgebra_closure(alg, sub) != frozenset(sub):
-        raise ValueError("carrier is not closed under the operations")
     pos = {old: new for new, old in enumerate(sub)}
-    out = FiniteAlgebra(
-        len(sub), alg.cls,
-        **dict(zip(TABLES, relabeled_tables(alg, sub, pos, TABLES))),
-        name=f"{alg.name}|{sub}" if alg.name else "",
-    )
-    return out, tuple(sub)
+    tables = None
+    if sub[:1] + sub[-1:] == [0, alg.top]:  # sorted: it holds the constants, in range
+        with suppress(KeyError):  # a value outside the carrier has no new index
+            tables = relabeled_tables(alg, sub, pos, TABLES)
+    if tables is None:
+        raise ValueError("carrier is not closed under the operations")
+    name = f"{alg.name}|{sub}" if alg.name else ""
+    return FiniteAlgebra(len(sub), alg.cls, **dict(zip(TABLES, tables)), name=name), tuple(sub)
 
 
 def minimal_subalgebras(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
@@ -291,17 +292,18 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
 def is_retract(p: FiniteAlgebra, b: FiniteAlgebra) -> RetractWitness | None:
     """A retraction p -> b with an injection b -> p inverse to it, or None.
 
-    When p and b are isomorphic the witness is an isomorphism and its inverse.
-    Otherwise it is the first onto map phi of the hom search p -> b, in search
-    order, that has a section, together with its lexicographically least
+    When p and b have the same size, an onto map p -> b is a bijection, so the
+    witness is an isomorphism and its inverse, or None when isomorphic finds
+    none.  Otherwise it is the first onto map phi of the hom search p -> b, in
+    search order, that has a section, together with its lexicographically least
     section: a hom b -> p found by the same search with the images of each v
     restricted to phi's fibre over v."""
     _table_pairs(p, b)  # raises unless p and b share their class and tables
     if b.size > p.size:
         raise ValueError("retract cannot be larger than the algebra")
-    iso = isomorphic(p, b)
-    if iso is not None:
-        return RetractWitness(retraction=iso, injection=iso.inverse())
+    if b.size == p.size:
+        iso = isomorphic(p, b)
+        return None if iso is None else RetractWitness(retraction=iso, injection=iso.inverse())
     for m in _search(p, b):
         if len(set(m)) != b.size:
             continue

@@ -1,12 +1,15 @@
 """Terms over the signature and first-order formulas over them: parsing,
 printing, the staged formula evaluator, quasiidentities and presentations.
 
-Concrete syntax (lowest to highest precedence):
-    ->  -<        right-associative
-    |
-    &
-    !  ~  +  []  <>   prefix
-    0  1  identifiers  ( ... )
+Each operation class declares its ``symbol``, the FiniteAlgebra ``table`` it
+reads and its ``prec``; the tokenizer, the parser, the printer, the evaluator
+and ``decision``'s diagrams read them there.  Concrete syntax, by ``prec``
+(lowest first):
+    1  ->  -<               right-associative
+    2  |                    left-associative
+    3  &                    left-associative
+    4  !  ~  +  []  <>      prefix
+       0  1  identifiers  ( ... )
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from operator import itemgetter
 
 from .algebra import FiniteAlgebra
@@ -40,58 +43,71 @@ CONST1 = Const(1)
 
 
 @dataclass(frozen=True)
-class Meet(Term):
+class Unary(Term):
+    """A prefix operation, binding tighter than every infix one."""
+
+    arg: Term
+    prec = 4
+
+
+@dataclass(frozen=True)
+class Binary(Term):
+    """An infix operation; those of prec 1 associate to the right, the others
+    to the left."""
+
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Join(Term):
-    left: Term
-    right: Term
+class Meet(Binary):
+    symbol, table, prec = "&", "meet", 3
 
 
 @dataclass(frozen=True)
-class Impl(Term):
-    left: Term
-    right: Term
+class Join(Binary):
+    symbol, table, prec = "|", "join", 2
 
 
 @dataclass(frozen=True)
-class Dimpl(Term):
-    left: Term
-    right: Term
+class Impl(Binary):
+    symbol, table, prec = "->", "impl", 1
 
 
 @dataclass(frozen=True)
-class Neg(Term):
-    arg: Term
+class Dimpl(Binary):
+    symbol, table, prec = "-<", "dimpl", 1
 
 
 @dataclass(frozen=True)
-class Invol(Term):
-    arg: Term
+class Neg(Unary):
+    symbol, table = "!", "neg"
 
 
 @dataclass(frozen=True)
-class Dualneg(Term):
-    arg: Term
+class Invol(Unary):
+    symbol, table = "~", "invol"
 
 
 @dataclass(frozen=True)
-class Box(Term):
-    arg: Term
+class Dualneg(Unary):
+    symbol, table = "+", "dualneg"
 
 
 @dataclass(frozen=True)
-class Diamond(Term):
-    arg: Term
+class Box(Unary):
+    symbol, table = "[]", "box"
 
 
-_BINARY = {Meet: "&", Join: "|", Impl: "->", Dimpl: "-<"}
-_PREFIX = {Neg: "!", Invol: "~", Dualneg: "+", Box: "[]", Diamond: "<>"}
+@dataclass(frozen=True)
+class Diamond(Unary):
+    symbol, table = "<>", "box"  # read as ![]!
 
-_TOKEN_RE = re.compile(r"\s*(->|-<|\[\]|<>|[|&!~+()01]|[A-Za-z_][A-Za-z0-9_]*)")
+
+_PREFIX_OF = {c.symbol: c for c in Unary.__subclasses__()}
+_INFIX_OF = {c.symbol: c for c in Binary.__subclasses__()}
+_TOKEN_RE = re.compile(r"\s*(%s|[()01]|[A-Za-z_][A-Za-z0-9_]*)" % "|".join(
+    map(re.escape, sorted(_PREFIX_OF | _INFIX_OF, key=len, reverse=True))))  # longest first
 
 
 def _tokenize(src: str):
@@ -136,9 +152,9 @@ def _height(t: Term) -> int:
     while stack:
         t, h = stack.pop()
         best = max(best, h)
-        if type(t) in _PREFIX:
+        if isinstance(t, Unary):
             stack.append((t.arg, h + 1))
-        elif type(t) in _BINARY:
+        elif isinstance(t, Binary):
             stack += [(t.left, h + 1), (t.right, h + 1)]
     return best
 
@@ -160,43 +176,26 @@ def parse_term(src: str) -> Term:
         depth -= 1
         return t
 
-    def peek():
-        return tokens[idx][0]
-
     def take():
         nonlocal idx
         tok = tokens[idx]
         idx += 1
         return tok
 
-    def parse_impl():
-        left = parse_join()
-        if peek() in ("->", "-<"):
-            op, pos = take()
-            right = nested(parse_impl, pos)
-            return Impl(left, right) if op == "->" else Dimpl(left, right)
-        return left
-
-    def parse_join():
-        t = parse_meet()
-        while peek() == "|":
-            take()
-            t = Join(t, parse_meet())
-        return t
-
-    def parse_meet():
+    def parse_infix(floor=1):
+        """The longest term from here whose infix operators all have prec >= floor;
+        a right operand of prec 1 is nested, the others loop."""
         t = parse_prefix()
-        while peek() == "&":
-            take()
-            t = Meet(t, parse_prefix())
+        while (op := _INFIX_OF.get(tokens[idx][0])) and op.prec >= floor:
+            pos = take()[1]
+            t = op(t, nested(parse_infix, pos) if op.prec == 1 else parse_infix(op.prec + 1))
         return t
 
     def parse_prefix():
         tok, pos = tokens[idx]
-        for cls, sym in _PREFIX.items():
-            if tok == sym:
-                take()
-                return cls(nested(parse_prefix, pos))
+        if tok in _PREFIX_OF:
+            take()
+            return _PREFIX_OF[tok](nested(parse_prefix, pos))
         return parse_atom()
 
     def parse_atom():
@@ -206,7 +205,7 @@ def parse_term(src: str) -> Term:
         if tok == "1":
             return CONST1
         if tok == "(":
-            inner = nested(parse_impl, pos)
+            inner = nested(parse_infix, pos)
             close, cpos = take()
             if close != ")":
                 raise TermParseError("expected ')'", cpos)
@@ -215,7 +214,7 @@ def parse_term(src: str) -> Term:
             return Var(tok)
         raise TermParseError(f"unexpected {'end of input' if tok is None else repr(tok)}", pos)
 
-    term = parse_impl()
+    term = parse_infix()
     tok, pos = tokens[idx]
     if tok is not None:
         raise TermParseError(f"trailing input {tok!r}", pos)
@@ -225,27 +224,23 @@ def parse_term(src: str) -> Term:
 
 
 def print_term(t: Term) -> str:
-    """Canonical printer; parse_term(print_term(t)) == t."""
+    """Canonical printer; parse_term(print_term(t)) == t.  An operand is
+    parenthesised when its operator binds more loosely than its place allows:
+    below prec + 1 on the side an operator does not associate to."""
 
-    def go(t, prec):
+    def go(t, floor):
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Const):
             return str(t.value)
-        cls = type(t)
-        if cls in _PREFIX:
-            return _wrap(f"{_PREFIX[cls]}{go(t.arg, 4)}", 4, prec)
-        if cls in (Impl, Dimpl):
-            s = f"{go(t.left, 2)} {_BINARY[cls]} {go(t.right, 1)}"
-            return _wrap(s, 1, prec)
-        if cls is Join:
-            return _wrap(f"{go(t.left, 2)} | {go(t.right, 3)}", 2, prec)
-        if cls is Meet:
-            return _wrap(f"{go(t.left, 3)} & {go(t.right, 4)}", 3, prec)
-        raise TypeError(f"not a term: {t!r}")
-
-    def _wrap(s, mine, outer):
-        return f"({s})" if mine < outer else s
+        if isinstance(t, Unary):
+            s = t.symbol + go(t.arg, t.prec)
+        elif isinstance(t, Binary):
+            right = t.prec == 1
+            s = f"{go(t.left, t.prec + right)} {t.symbol} {go(t.right, t.prec + (not right))}"
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        return f"({s})" if t.prec < floor else s
 
     return go(t, 1)
 
@@ -259,7 +254,7 @@ def term_vars(t: Term) -> tuple[str, ...]:
             seen.setdefault(t.name, None)
         elif isinstance(t, Const):
             pass
-        elif isinstance(t, (Neg, Invol, Dualneg, Box, Diamond)):
+        elif isinstance(t, Unary):
             walk(t.arg)
         else:
             walk(t.left)
@@ -289,11 +284,9 @@ class DefiningPair:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "atoms", tuple((l, r) for l, r in self.atoms))
-        declared = set(self.variables)
-        for l, r in self.atoms:
-            loose = (set(term_vars(l)) | set(term_vars(r))) - declared
-            if loose:
-                raise ValueError(f"atom uses undeclared variables {sorted(loose)}")
+        loose = set(chain.from_iterable(map(term_vars, chain(*self.atoms)))) - set(self.variables)
+        if loose:
+            raise ValueError(f"atom uses undeclared variables {sorted(loose)}")
 
 
 @dataclass(frozen=True)
@@ -306,11 +299,8 @@ class Quasiidentity:
         object.__setattr__(self, "conclusion", tuple(self.conclusion))
 
     def variables(self) -> tuple[str, ...]:
-        seen: dict = {}
-        for l, r in (*self.premises, self.conclusion):
-            for v in (*term_vars(l), *term_vars(r)):
-                seen.setdefault(v, None)
-        return tuple(seen)
+        sides = chain(*self.premises, self.conclusion)
+        return tuple(dict.fromkeys(chain.from_iterable(map(term_vars, sides))))
 
 
 @dataclass(frozen=True)
@@ -402,10 +392,6 @@ def formula_vars(f: Formula) -> set:
 # The quantifiers keep their brute-force semantics: prefix order, every
 # quantifier ranging over the whole universe.
 
-TABLE_OF = {Meet: "meet", Join: "join", Impl: "impl", Dimpl: "dimpl", Neg: "neg",
-            Box: "box", Invol: "invol", Dualneg: "dualneg"}
-"""The FiniteAlgebra table each operation node reads; a Diamond is read as ![]!."""
-
 _MEMO_ENTRIES = 1 << 14
 """The floor of the memo entries one satisfying_assignment call stores over all
 levels; the budget is the larger of it and q * n**2 for q quantifiers over n
@@ -467,18 +453,17 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         return slot_of[key]
 
     def term(t: Term) -> int:
-        if isinstance(t, Diamond):
-            symbols.setdefault("box", "<>")
-            t = Neg(Box(Neg(t.arg)))
         if isinstance(t, Var):
             return slot_of[("var", depth_of[t.name])]
         if isinstance(t, Const):
             return intern(("const", t.value), -1)
-        if type(t) not in TABLE_OF:
+        if not isinstance(t, (Unary, Binary)):
             raise TypeError(f"not a term: {t!r}")
-        symbols.setdefault(TABLE_OF[type(t)], (_PREFIX | _BINARY)[type(t)])
-        args = tuple(map(term, (t.arg,) if hasattr(t, "arg") else (t.left, t.right)))
-        return intern((TABLE_OF[type(t)], *args), max(slot_depth[a] for a in args))
+        symbols.setdefault(t.table, t.symbol)
+        if isinstance(t, Diamond):
+            return term(Neg(Box(Neg(t.arg))))
+        args = tuple(map(term, (t.arg,) if isinstance(t, Unary) else (t.left, t.right)))
+        return intern((t.table, *args), max(slot_depth[a] for a in args))
 
     def check(f: Formula):
         """(check, depth of its last variable, slots it reads); a check is

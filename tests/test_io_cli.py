@@ -16,7 +16,7 @@ from finheyt import cli, decision, io
 from finheyt.algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, validate
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
-from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
+from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError, TermParseError
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -33,6 +33,7 @@ from finheyt.terms import (
     CONST1,
     MAX_PRESENTATION_VARS,
     MAX_QUANTIFIERS,
+    DefiningPair,
     Var,
     discriminator_term,
     print_term,
@@ -737,3 +738,44 @@ def test_algebra_from_dict_returns_an_algebra_or_raises_malformed(data):
     except MalformedAlgebraError:
         return
     assert isinstance(alg, FiniteAlgebra)
+
+
+# -- read_presentation on any JSON value -----------------------------------------
+
+@st.composite
+def _presentation_like(draw):
+    """_PRESENTATION with up to three entries removed or replaced by any JSON value."""
+    data = json.loads(json.dumps(_PRESENTATION))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_entries(data))
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = data
+        for k in where:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JSON | _JUNK)
+    return data
+
+
+@given(_presentation_like() | _JSON)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_presentation_returns_a_pair_or_raises_a_reported_error(tmp_path, capsys, data):
+    """read_presentation gives a DefiningPair or raises MalformedAlgebraError,
+    TermParseError or the ValueError for an undeclared variable, and the CLI
+    exits 0, 1 or 2 on the file, without a traceback."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    try:
+        assert isinstance(io.read_presentation(path), DefiningPair)
+    except (MalformedAlgebraError, TermParseError):
+        pass
+    except ValueError as e:
+        assert str(e).startswith("atom uses undeclared variables"), e
+    code, _, err = run_cli(capsys, "projective", "--class", "ws5", "--presentation", path)
+    assert code in (0, 1, 2), (data, err)
+    assert "Traceback" not in err

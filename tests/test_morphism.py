@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from finheyt import morphism
 from finheyt.algebra import (
     FiniteAlgebra,
     VarietyClass,
@@ -88,6 +89,11 @@ def test_induced_subalgebra_validates_carrier():
     sub, embed = induced_subalgebra(b4_prod(), (0, 3))
     assert sub == two_ws5()
     assert embed == (0, 3)
+    # {3} is closed under every table of B4prod but lacks 0; a carrier must
+    # hold both constants and lie inside the universe
+    for carrier in ((3,), (), (0, 1, 2, 3, 4), (-1, 0, 3)):
+        with pytest.raises(ValueError, match="carrier is not closed under the operations"):
+            induced_subalgebra(b4_prod(), carrier)
 
 
 @pytest.mark.parametrize("cls", ["ws5", "hri", "hdp:1", "dht:2"])
@@ -280,6 +286,20 @@ def test_retract_of_self_is_identity_like():
     w = is_retract(b4_disc(), b4_disc())
     assert w is not None
     assert w.retraction.map == (0, 1, 2, 3)
+
+
+def test_is_retract_between_equal_sizes_is_isomorphism(monkeypatch):
+    # an onto map between algebras of one size is a bijection, so is_retract
+    # answers from isomorphic alone; the hom search must not run
+    def no_search(*args):
+        raise AssertionError("is_retract searched homs between algebras of one size")
+
+    monkeypatch.setattr(morphism, "_search", no_search)
+    cube = functools.reduce(product, [b4_prod()] * 3)
+    assert is_retract(cube, product(b4_disc(), product(b4_prod(), b4_prod()))) is None
+    swap = (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
+    w = is_retract(product(b4_disc(), b4_prod()), product(b4_prod(), b4_disc()))
+    assert (w.retraction.map, w.injection.map) == (swap, swap)
 
 
 def test_retract_preconditions():

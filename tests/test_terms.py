@@ -64,6 +64,54 @@ def test_parse_precedence_and_prefixes():
     assert parse_term("a & b & c") == Meet(Meet(Var("a"), Var("b")), Var("c"))
 
 
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
+
+
+@pytest.mark.parametrize("src, tree", [
+    ("x & y & z", Meet(Meet(_X, _Y), _Z)),
+    ("x & y | z", Join(Meet(_X, _Y), _Z)),
+    ("x & y -> z", Impl(Meet(_X, _Y), _Z)),
+    ("x & y -< z", Dimpl(Meet(_X, _Y), _Z)),
+    ("x | y & z", Join(_X, Meet(_Y, _Z))),
+    ("x | y | z", Join(Join(_X, _Y), _Z)),
+    ("x | y -> z", Impl(Join(_X, _Y), _Z)),
+    ("x | y -< z", Dimpl(Join(_X, _Y), _Z)),
+    ("x -> y & z", Impl(_X, Meet(_Y, _Z))),
+    ("x -> y | z", Impl(_X, Join(_Y, _Z))),
+    ("x -> y -> z", Impl(_X, Impl(_Y, _Z))),
+    ("x -> y -< z", Impl(_X, Dimpl(_Y, _Z))),
+    ("x -< y & z", Dimpl(_X, Meet(_Y, _Z))),
+    ("x -< y | z", Dimpl(_X, Join(_Y, _Z))),
+    ("x -< y -> z", Dimpl(_X, Impl(_Y, _Z))),
+    ("x -< y -< z", Dimpl(_X, Dimpl(_Y, _Z))),
+    ("!x & y", Meet(Neg(_X), _Y)),
+    ("~x -> y", Impl(Invol(_X), _Y)),
+    ("<>x | y", Join(Diamond(_X), _Y)),
+])
+def test_precedence_of_every_pair_of_infix_operators(src, tree):
+    # & binds tighter than |, | than -> and -<, which associate to the right
+    # with each other; a prefix binds tighter than every infix operator
+    assert parse_term(src) == tree
+    assert print_term(tree) == src
+
+
+@pytest.mark.parametrize("tree, text", [
+    (Impl(Impl(_X, _Y), _Z), "(x -> y) -> z"),
+    (Dimpl(Impl(_X, _Y), _Z), "(x -> y) -< z"),
+    (Meet(_X, Meet(_Y, _Z)), "x & (y & z)"),
+    (Join(_X, Join(_Y, _Z)), "x | (y | z)"),
+    (Meet(Join(_X, _Y), _Z), "(x | y) & z"),
+    (Join(Impl(_X, _Y), _Z), "(x -> y) | z"),
+    (Meet(_X, Impl(_Y, _Z)), "x & (y -> z)"),
+    (Neg(Meet(_X, _Y)), "!(x & y)"),
+    (Box(Impl(_X, _Y)), "[](x -> y)"),
+    (Diamond(Neg(Join(_X, _Y))), "<>!(x | y)"),
+])
+def test_print_parenthesises_only_against_precedence(tree, text):
+    assert print_term(tree) == text
+    assert parse_term(text) == tree
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(TermParseError) as e:
         parse_term("x &")
