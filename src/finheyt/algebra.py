@@ -558,7 +558,11 @@ def least_meet_relabeling(meet, tail=None):
     ones, because any other order makes a placed row of the relabeled meet
     table larger.  So the placed rows are fixed at each node, the next element
     is a minimal element of the first block of that order whose new row is
-    least, and a node whose rows exceed the best meet table found is cut.
+    least, and a node whose rows exceed the best meet table found is cut.  An
+    element of the first block is minimal in it exactly when everything below
+    it is placed: an unplaced y < x has meets with the placed elements no
+    larger than x's, so it sorts into x's block or an earlier one.  The search
+    carries the placed elements as a bitmask for that test.
     Extensions that tie on the least meet table and on tail give an
     automorphism, and a candidate that an automorphism fixing the prefix maps
     onto an earlier sibling is skipped, since its subtree repeats the sibling's
@@ -581,11 +585,16 @@ def least_meet_relabeling(meet, tail=None):
         label[x] = k
         row, out = [], []
         for cell in cells:
+            if len(cell) == 1:
+                if cell[0] != x:
+                    row.append(label[mx[cell[0]]])
+                    out.append(cell)
+                continue
             groups: dict = {}
             for y in cell:
                 if y != x:
                     groups.setdefault(label[mx[y]], []).append(y)
-            for v in sorted(groups):
+            for v in sorted(groups) if len(groups) > 1 else groups:
                 row += [v] * len(groups[v])
                 out.append(groups[v])
         return tuple(row), out
@@ -602,7 +611,7 @@ def least_meet_relabeling(meet, tail=None):
                     todo.append(g[y])
         return not orbit.isdisjoint(done)
 
-    def search(cells, less: bool) -> bool:
+    def search(cells, less: bool, placed: int) -> bool:
         """Visit the extensions below the current prefix; True when best changed."""
         k = len(ext)
         if k == n:
@@ -622,11 +631,15 @@ def least_meet_relabeling(meet, tail=None):
                     auto[a] = b
                 autos.append(auto)
             return False
-        first = cells[0]
-        mask = sum(1 << x for x in first)
-        options = {x: split(cells, x) for x in first if not below[x] & mask}
-        least = min(beyond for beyond, _ in options.values())
-        x0 = next(x for x in options if options[x][0] == least)
+        minimal = [x for x in cells[0] if below[x] | placed == placed]
+        if len(minimal) == 1:
+            x0 = minimal[0]
+            least, refined = split(cells, x0)
+            options = [(x0, least, refined)]
+        else:
+            options = [(x, *split(cells, x)) for x in minimal]
+            least = min(beyond for _, beyond, _ in options)
+            x0 = next(x for x, beyond, _ in options if beyond == least)
         row = (*(label[meet[x0][e]] for e in ext), k, *least)
         if not less:
             if row > best[0][k]:
@@ -635,19 +648,19 @@ def least_meet_relabeling(meet, tail=None):
         changed = False
         done: list[int] = []
         rows.append(row)
-        for x, (beyond, refined) in options.items():
+        for x, beyond, refined in options:
             if beyond != least or (done and autos and in_orbit(x, done)):
                 continue
             done.append(x)
             label[x] = k
             ext.append(x)
-            if search(refined, less):
+            if search(refined, less, placed | 1 << x):
                 changed, less = True, False
             ext.pop()
         rows.pop()
         return changed
 
-    search([list(range(n))], True)
+    search([list(range(n))], True, 0)
     return best[0], best[1], autos
 
 

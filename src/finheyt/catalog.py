@@ -2,12 +2,16 @@
 
 Finite distributive lattices are enumerated through Birkhoff duality: every
 poset of join-irreducibles with n downsets is a poset with fewer downsets plus
-one new maximal element above one of its downsets.  Two posets are isomorphic
-exactly when their downset lattices are, and a lattice is fixed by its meet
-table.  So each grown poset costs one canonical-form search on the meet table of
-its downset lattice alone, the posets are deduplicated on the least relabeled
-meet table, and only a new lattice has its join and impl tables built, directly
-in canonical label order from the downsets.
+one new maximal element above one of its downsets.  A stored poset grows at
+one downset per orbit of its automorphism group, and only where the new point
+is a maximal point with the largest downset; every poset still grows from what
+is left when such a point is removed (McKay's canonical deletion, J. Algorithms
+26, 1998).  Two posets are isomorphic exactly when their downset lattices are,
+and a lattice is fixed by its meet table.  So each grown poset costs one
+canonical-form search on the meet table of its downset lattice alone, the
+posets are deduplicated on the least relabeled meet table, and only a new
+lattice has its join and impl tables built, directly in canonical label order
+from the downsets.
 
 Every enumerated lattice is thus a canonical form, and its record keeps its
 poset, its downsets and its automorphism group, the closure of the generators
@@ -48,22 +52,36 @@ MAX_LATTICE_SIZE = 12  # documented desk-scale bound
 # -- posets of join-irreducibles ---------------------------------------------
 
 def _grown_posets(n: int):
-    """(poset, downsets) for every poset with n downsets grown from a stored one.
+    """(poset, downsets) for every poset with n downsets grown from a stored one,
+    at least one per isomorphism class.
 
     A poset is a tuple of strictly-below bitmasks, its points linearly extended.
     Removing a maximal element leaves fewer downsets, so every such poset grows
     from one with fewer by a maximal element above one of its downsets d.  The
     grown poset keeps the old downsets and adds s + new for each old s above d.
     The empty poset, with its one downset, is the only one with a single downset.
+
+    Two skips reject isomorphs before any search (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  Downset i is lattice
+    element i, and an automorphism g of the lattice is one of the poset, so d
+    grows only when no g has g[i] < i: one downset per orbit.  And d grows only
+    when no point outside d has more points below it than d has, so the new
+    point is a maximal point with the largest downset (a point outside d lies
+    below a maximal one, also outside d, with more below it).  Nothing is lost:
+    take any poset and a maximal point v with the largest downset; removing v
+    leaves a stored poset up to isomorphism, in which the least member of the
+    orbit of v's downset passes both skips and grows a copy of the poset.
     """
     if n == 1:
         yield (), [0]
     for m in range(1, n):
-        for below, _, masks, _ in _posets_with_downsets(m).values():
+        for below, _, masks, group in _posets_with_downsets(m).values():
             new = 1 << len(below)
-            for d in masks:
+            sizes = [(1 << u, b.bit_count()) for u, b in enumerate(below)]
+            for i, d in enumerate(masks):
                 up = [s | new for s in masks if s & d == d]
-                if m + len(up) == n:
+                if (m + len(up) == n and all(g[i] >= i for g in group)
+                        and all(u & d or c <= d.bit_count() for u, c in sizes)):
                     yield below + (d,), [*masks, *up]
 
 
@@ -156,8 +174,8 @@ def _dual_automorphisms(lat: FiniteAlgebra) -> list[tuple[int, ...]]:
     perm d sends joins to meets; the dual automorphisms are d after each one.
     """
     group = _automorphisms(lat)
-    shape = [(sum(m == x for x, m in enumerate(row)), len(up))
-             for row, up in zip(lat.meet, lat.upset)]
+    shape = [(sum(m == x for x, m in enumerate(row)), row.count(a))
+             for a, row in enumerate(lat.meet)]
     if sorted(shape) != sorted(s[::-1] for s in shape):
         return []
     rows, d, _ = least_meet_relabeling(lat.join)

@@ -149,6 +149,29 @@ def test_enumerated_lattices_match_canonical_form_oracle():
     assert total == 342
 
 
+def test_grown_poset_counts_are_pruned_to_one_per_orbit_and_canonical_deletion():
+    # without the two skips the counts read 7, 10, 20, 33, 65, 110, 212 from size 6
+    assert [sum(1 for _ in catalog._grown_posets(n)) for n in range(1, 13)] == [
+        1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 83, 152,
+    ]
+
+
+def test_pruned_growth_finds_every_lattice_of_unpruned_growth():
+    # every stored poset grown at every downset, deduplicated on the least meet table
+    for n in range(2, 11):
+        unpruned = set()
+        for m in range(1, n):
+            for below, _, masks, _ in _posets_with_downsets(m).values():
+                new = 1 << len(below)
+                for d in masks:
+                    grown = [*masks, *(s | new for s in masks if s & d == d)]
+                    if len(grown) == n:
+                        idx = {s: i for i, s in enumerate(grown)}
+                        meet = [[idx[a & b] for b in grown] for a in grown]
+                        unpruned.add(least_meet_relabeling(meet)[0])
+        assert unpruned == set(_posets_with_downsets(n)), n
+
+
 def test_decorate_examples():
     chain3 = enum_distributive_lattices(3)[0]
     ws5 = decorate(VarietyClass("ws5"), chain3)
