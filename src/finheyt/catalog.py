@@ -38,6 +38,7 @@ from .algebra import (
     LEVELED,
     FiniteAlgebra,
     VarietyClass,
+    _inverse,
     derive_operations,
     inferred_level,
     least_meet_relabeling,
@@ -128,9 +129,7 @@ def _posets_with_downsets(n: int) -> dict:
         idx = {s: i for i, s in enumerate(masks)}
         rows, perm, autos = least_meet_relabeling([[idx[a & b] for b in masks] for a in masks])
         if rows not in found:
-            ordered = [0] * n
-            for old, new in enumerate(perm):
-                ordered[new] = masks[old]
+            ordered = [masks[old] for old in _inverse(perm)]
             gens = {tuple(perm[g[idx[s]]] for s in ordered) for g in autos}
             group = [tuple(range(n))]
             for g in group:  # the loop reads what it appends
@@ -268,7 +267,7 @@ def decorate(cls: VarietyClass, lat: FiniteAlgebra) -> list[FiniteAlgebra]:
         candidates, autos = _leveled_candidates(lat, cls), []
     else:
         candidates = _ws5_candidates(lat) if cls.kind == "ws5" else _hri_candidates(lat)
-        autos = [(sorted(lat.elements, key=s.__getitem__), s) for s in _automorphisms(lat)]
+        autos = [(_inverse(s), s) for s in _automorphisms(lat)]
     found = {}
     for cand in candidates:
         try:

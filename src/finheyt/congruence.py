@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
-from .algebra import BINARY, FiniteAlgebra, canonical_relabeling, serial_key
+from .algebra import FiniteAlgebra, canonical_relabeling, serial_key
 from .errors import TheoremViolation
-from .morphism import Homomorphism
+from .morphism import Homomorphism, _table_pairs
 
 
 @dataclass(frozen=True)
@@ -236,23 +236,15 @@ def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homo
 
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product; element (x, y) sits at index x*|b| + y."""
-    if a.cls != b.cls:
-        raise ValueError(f"class mismatch: {a.cls} vs {b.cls}")
-    n, m = a.size, b.size
-    tables = {}
-    for name, ta in a.tables().items():
-        tb = b.tables().get(name)
-        if tb is None:
-            continue
-        if name in BINARY:
-            tables[name] = tuple(
-                tuple(ta[x1][x2] * m + tb[y1][y2] for x2 in range(n) for y2 in range(m))
-                for x1 in range(n) for y1 in range(m)
-            )
-        else:
-            tables[name] = tuple(ta[x] * m + tb[y] for x in range(n) for y in range(m))
-    return FiniteAlgebra(n * m, a.cls, name=f"({a.name or 'A'})x({b.name or 'B'})", **tables)
+    """Componentwise product; element (x, y) sits at index x*|b| + y.  The factors
+    must share their class and their tables (ValueError otherwise); each table is
+    built a row at a time."""
+    unary, binary = _table_pairs(a, b)
+    m = b.size
+    tables = {name: tuple(x * m + y for x in ta for y in tb) for name, (ta, tb) in unary.items()}
+    for name, (ta, tb) in binary.items():
+        tables[name] = tuple(tuple(x * m + y for x in ra for y in rb) for ra in ta for rb in tb)
+    return FiniteAlgebra(a.size * m, a.cls, name=f"({a.name or 'A'})x({b.name or 'B'})", **tables)
 
 
 def _multiplied(alg: FiniteAlgebra, parts) -> Homomorphism:

@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import chain, islice
 from operator import or_
 
-from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
+from .algebra import TABLES, FiniteAlgebra, _inverse, canonical_relabeling, relabeled_tables
 from .errors import TheoremViolation
 from .fixtures import two_element
 
@@ -45,8 +45,7 @@ class Homomorphism:
     def inverse(self) -> "Homomorphism":
         if not (self.onto and self.injective):
             raise ValueError("only bijections invert")
-        inv = sorted(range(self.dom.size), key=self.map.__getitem__)
-        return Homomorphism(self.cod, self.dom, inv)
+        return Homomorphism(self.cod, self.dom, _inverse(self.map))
 
 
 def _table_pairs(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[dict, dict]:
@@ -283,10 +282,9 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     if a.cls != b.cls or a.size != b.size:
         return None
     (pa, ca), (pb, cb) = canonical_relabeling(a), canonical_relabeling(b)
-    if serial_key(ca) != serial_key(cb):
+    if ca != cb:  # equality ignores names, so this is serial_key equality
         return None
-    back = sorted(range(b.size), key=pb.__getitem__)
-    return Homomorphism(a, b, tuple(back[y] for y in pa))
+    return Homomorphism(a, b, tuple(map(_inverse(pb).__getitem__, pa)))
 
 
 def is_retract(p: FiniteAlgebra, b: FiniteAlgebra) -> RetractWitness | None:

@@ -264,13 +264,9 @@ def term_vars(t: Term) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def iff_term(a: Term, b: Term) -> Term:
-    return Meet(Impl(a, b), Impl(b, a))
-
-
 def discriminator_term(x: Term, y: Term, z: Term) -> Term:
     """The fixed switching term t(x,y,z) = ([](x<->y) & z) | (![](x<->y) & x)."""
-    e = Box(iff_term(x, y))
+    e = Box(Meet(Impl(x, y), Impl(y, x)))
     return Join(Meet(e, z), Meet(Neg(e), x))
 
 

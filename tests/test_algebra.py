@@ -35,7 +35,7 @@ from finheyt.algebra import (
 )
 from finheyt.catalog import build_catalog
 from finheyt.congruence import decompose_simples, product
-from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError
+from finheyt.errors import InvalidAlgebraError, MalformedAlgebraError, TermEvalError
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -416,6 +416,7 @@ def test_inferred_level_examples():
     b4 = FiniteAlgebra(4, VarietyClass("hdp", 1), b4_prod().meet, b4_prod().join,
                        b4_prod().impl, dualneg=(3, 2, 1, 0))
     assert inferred_level(b4) == 0
+    assert inferred_level(replace(b4, dualneg=(3, 1, 2, 0))) is None  # boxdot swaps the atoms
 
 
 def test_level_far_above_the_size_answers_as_the_size():
@@ -460,6 +461,8 @@ def test_discriminator_eval_examples():
             for c in alg.elements:
                 assert discriminator_eval(alg, a, a, c) == c
     assert discriminator_eval(two_ws5(), 0, 1, 1) == 0
+    with pytest.raises(TermEvalError, match="carries no box table"):
+        discriminator_eval(two_element(VarietyClass("heyting")), 0, 1, 1)
 
 
 def test_discriminator_on_simple_fixtures_all_triples():

@@ -335,8 +335,12 @@ def test_product_examples():
 
 
 def test_product_class_mismatch():
-    with pytest.raises(ValueError):
+    """The factors must share their class and their tables: a factor without a
+    table the other carries raises, rather than giving a product without it."""
+    with pytest.raises(ValueError, match="class mismatch"):
         product(two_ws5(), c3_hri())
+    with pytest.raises(ValueError, match="tables differ"):
+        product(c3_hri(), dataclasses.replace(c3_hri(), box=None))
 
 
 def test_factor_complement_examples():

@@ -124,6 +124,8 @@ def test_element_criterion_examples():
     assert element_criterion(two_ws5()) is None
     assert element_criterion(b4_prod()) is None
     assert element_criterion(c3_simple()) == 1
+    with pytest.raises(ValueError, match="carries no box table"):
+        element_criterion(two_element(VarietyClass("heyting")))
 
 
 def test_element_criterion_witness_forces_both_boxes_to_zero():

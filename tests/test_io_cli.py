@@ -343,8 +343,10 @@ def _trivial():
     (two_ws5, _set(["meet", 0, 0], False)),
     (_trivial, _set(["box", 0], False)),
     (c3_hdp, _set(["class", "level"], "1")),
+    (_trivial, _set(["size"], 0)),
+    (two_ws5, _set(["invol"], [1, 0])),
 ], ids=["row-not-a-list", "table-not-a-list", "boolean-size", "boolean-cell",
-        "boolean-unary-cell", "string-level"])
+        "boolean-unary-cell", "string-level", "size-zero", "foreign-table"])
 @pytest.mark.parametrize("command", ["validate", "profile"])
 def test_cli_malformed_algebra_exits_2(tmp_path, capsys, base, edit, command):
     data = base() if base is _trivial else io.algebra_to_dict(base())

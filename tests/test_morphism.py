@@ -112,6 +112,8 @@ def test_minimal_subalgebras_examples():
     # box top = m: the constants generate the whole chain, so {0, top} is not closed
     with pytest.raises(ValueError, match="not closed"):
         minimal_subalgebras(replace(c3_simple(), box=(0, 0, 1)))
+    with pytest.raises(ValueError, match="trivial"):
+        minimal_subalgebras(build_catalog(two_ws5().cls, 1).of_size(1)[0])
 
 
 def test_homs_examples():
@@ -169,6 +171,31 @@ def test_hom_constructor_verifies_preservation():
         Homomorphism(two_ws5(), c3_simple(), (0, 1))  # misses the top of C3
     with pytest.raises(ValueError):
         Homomorphism(b4_prod(), two_ws5(), (0, 1, 1, 1))  # breaks meet on atoms
+
+
+def _identity(alg):
+    return Homomorphism(alg, alg, tuple(alg.elements))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Homomorphism(b4_prod(), two_ws5(), (0, 1, 1)), "map has wrong shape"),
+    (lambda: Homomorphism(b4_prod(), two_ws5(), (0, 1, 2, 1)), "map has wrong shape"),
+    # the same lattice, so only box can break
+    (lambda: Homomorphism(b4_prod(), b4_disc(), (0, 1, 2, 3)), "map breaks box at 1"),
+    (lambda: Homomorphism(b4_prod(), two_ws5(), (0, 0, 1, 1)).inverse(), "only bijections"),
+    (lambda: RetractWitness(_identity(b4_prod()), Homomorphism(two_ws5(), b4_prod(), (0, 3))),
+     "do not line up"),
+    (lambda: RetractWitness(Homomorphism(two_ws5(), b4_prod(), (0, 3)),
+                            Homomorphism(b4_prod(), two_ws5(), (0, 0, 1, 1))),
+     "must be onto"),
+    (lambda: RetractWitness(Homomorphism(b4_prod(), b4_prod(), (0, 2, 1, 3)),
+                            _identity(b4_prod())),
+     "is not the identity"),
+], ids=["short-map", "value-out-of-range", "breaks-box", "inverse-not-bijective",
+        "witness-misaligned", "retraction-not-onto", "composite-not-identity"])
+def test_hom_and_retract_witness_checks_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("flag", ["onto", "injective"])

@@ -379,6 +379,8 @@ def test_satisfy_atoms_matches_bruteforce_on_fixtures():
 def test_defining_pair_rejects_undeclared_variables():
     with pytest.raises(ValueError):
         DefiningPair(("x",), ((Var("x"), Var("y")),))
+    with pytest.raises(ValueError, match="formula not closed"):
+        FirstOrderFormula((("exists", "x"),), FoAtom(Var("x"), Var("y")))
 
 
 def test_term_vars_first_occurrence_order():
