@@ -5,14 +5,15 @@ predicates read a filter through its meet; congruence filters are exactly the
 up-sets of open elements, and the open elements form a Boolean algebra whose
 dual is the congruence lattice.  Every congruence is built from its open
 generator b by one constructor, _congruence_of: its blocks are the fibres of
-a -> a & b, and a table they break is a TheoremViolation.  That compatibility
-pass, _induced_tables, runs once per (algebra, congruence): a bounded cache
-keeps its read-only tables, which quotient reuses.  The factor
-complement of the congruence of the up-set of b is that of the up-set of !b,
-and the simple factors are the quotients by the up-sets of the atoms of the
-open elements.  Both are checked by one product check, _multiplied: the
-projections must multiply back to a bijection onto the product of the
-quotients.  Without a box table every element counts as open.
+a -> a & b, and a table they break is a TheoremViolation.  Its compatibility
+pass also builds the read-only tables induced on the blocks, and a bounded
+cache keeps both once per (algebra, generator); quotient reads the generator
+off the top block, whose meet it is.  The factor complement of the
+congruence of the up-set of b is that of the up-set of !b, and the simple
+factors are the quotients by the up-sets of the atoms of the open elements.
+Both are checked by one product check, _multiplied: the projections must
+multiply back to a bijection onto the product of the quotients.  Without a
+box table every element counts as open.
 
 A Congruence meets, joins and permutes on block labels: the meet groups the
 elements on their pair of labels, and the join and the permutability test
@@ -105,31 +106,6 @@ class Congruence:
         return pairs == sum(k * theirs[r] for r, k in mine.items())
 
 
-@lru_cache(maxsize=256)
-def _induced_tables(alg: FiniteAlgebra, theta: Congruence) -> MappingProxyType:
-    """Tables induced on the blocks of theta, by field name, in one pass per table;
-    TheoremViolation as soon as a table maps related arguments to unrelated values.
-    Cached per (algebra, congruence), so the check and quotient share one pass; a
-    violation is not cached, so it is raised again on every call."""
-    cls, k = theta.class_of, len(theta.blocks)
-    out = {}
-    for name, t in alg.unary_tables().items():
-        row = {}
-        for a in alg.elements:
-            if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
-                raise TheoremViolation(f"partition not compatible with {name}")
-        out[name] = tuple(row[c] for c in range(k))
-    for name, t in alg.binary_tables().items():
-        rows = [{} for _ in range(k)]
-        for a in alg.elements:
-            row, ta = rows[cls[a]], t[a]
-            for b in alg.elements:
-                if row.setdefault(cls[b], cls[ta[b]]) != cls[ta[b]]:
-                    raise TheoremViolation(f"partition not compatible with {name}")
-        out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
-    return MappingProxyType(out)
-
-
 # -- filters -----------------------------------------------------------------
 
 def _meet_of(alg: FiniteAlgebra, elements) -> int:
@@ -192,23 +168,42 @@ def principal_generator(alg: FiniteAlgebra, f) -> int:
     return b
 
 
-def _congruence_of(alg: FiniteAlgebra, b: int) -> Congruence:
-    """Congruence of the up-set of the open element b: a ~ c iff (a -> c) & (c -> a)
-    lies in it, i.e. b <= a <-> c, i.e. a & b = c & b, so the blocks are the fibres
-    of a -> a & b.  TheoremViolation if they break a table."""
+@lru_cache(maxsize=256)
+def _congruence_of(alg: FiniteAlgebra, b: int) -> tuple[Congruence, MappingProxyType]:
+    """Congruence of the up-set of the open element b, with the read-only tables it
+    induces on its blocks by field name.  a ~ c iff (a -> c) & (c -> a) lies in the
+    up-set, i.e. b <= a <-> c, i.e. a & b = c & b, so the blocks are the fibres of
+    a -> a & b.  One pass per table checks them: TheoremViolation as soon as a table
+    maps related arguments to unrelated values.  Cached per (algebra, generator); a
+    violation is not cached, so it is raised again on every call."""
     fibres: dict[int, list[int]] = {}
     for a in alg.elements:
         fibres.setdefault(alg.meet[a][b], []).append(a)
-    theta = Congruence(tuple(tuple(v) for v in fibres.values()), alg.size)
-    _induced_tables(alg, theta)
-    return theta
+    theta = Congruence(tuple(map(tuple, fibres.values())), alg.size)
+    cls, k = theta.class_of, len(theta.blocks)
+    out = {}
+    for name, t in alg.unary_tables().items():
+        row = {}
+        for a in alg.elements:
+            if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
+                raise TheoremViolation(f"partition not compatible with {name}")
+        out[name] = tuple(row[c] for c in range(k))
+    for name, t in alg.binary_tables().items():
+        rows = [{} for _ in range(k)]
+        for a in alg.elements:
+            row, ta = rows[cls[a]], t[a]
+            for c in alg.elements:
+                if row.setdefault(cls[c], cls[ta[c]]) != cls[ta[c]]:
+                    raise TheoremViolation(f"partition not compatible with {name}")
+        out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
+    return theta, MappingProxyType(out)
 
 
 def to_congruence(alg: FiniteAlgebra, f) -> Congruence:
     """Congruence of the congruence filter f: that of the up-set of its meet."""
     if not is_congruence_filter(alg, f):
         raise ValueError(f"{sorted(f)} is not a congruence filter")
-    return _congruence_of(alg, _meet_of(alg, f))
+    return _congruence_of(alg, _meet_of(alg, f))[0]
 
 
 def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
@@ -218,18 +213,20 @@ def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Least congruence identifying a and b: that of the up-set of box(a <-> b)."""
-    return _congruence_of(alg, _box(alg)[alg.iff(a, b)])
+    return _congruence_of(alg, _box(alg)[alg.iff(a, b)])[0]
 
 
 # -- quotients and products --------------------------------------------------
 
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Block algebra (re-canonicalized) with its projection."""
-    prelim = FiniteAlgebra(
-        len(theta.blocks), alg.cls,
-        name=f"{alg.name}/theta" if alg.name else "",
-        **_induced_tables(alg, theta),
-    )
+    """Block algebra (re-canonicalized) with its projection; TheoremViolation unless
+    theta is the congruence of the up-set of b, the meet of its top block."""
+    b = _meet_of(alg, to_filter(alg, theta))
+    congruence, tables = _congruence_of(alg, b)
+    if congruence != theta:
+        raise TheoremViolation(f"{theta.blocks} is not the congruence of the up-set of {b}")
+    name = f"{alg.name}/theta" if alg.name else ""
+    prelim = FiniteAlgebra(len(theta.blocks), alg.cls, name=name, **tables)
     perm, canon = canonical_relabeling(prelim)
     proj = Homomorphism(alg, canon, tuple(perm[theta.class_of[a]] for a in alg.elements))
     return canon, proj
@@ -279,7 +276,7 @@ def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | Non
     nb = alg.neg[b]
     if alg.join[b][nb] != alg.top:
         return None
-    theta_prime = _congruence_of(alg, nb)
+    theta_prime = _congruence_of(alg, nb)[0]
     if not theta.meet(theta_prime).is_identity:
         raise TheoremViolation(f"congruences of {b} and its complement meet above the identity")
     if not theta.join(theta_prime).is_total:
@@ -302,7 +299,7 @@ def decompose_simples(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     if len(atoms) == 1:
         return [alg]
     parts = sorted(
-        (quotient(alg, _congruence_of(alg, e)) for e in atoms),
+        (quotient(alg, _congruence_of(alg, e)[0]) for e in atoms),
         key=lambda part: serial_key(part[0]),
     )
     _multiplied(alg, parts)
@@ -314,7 +311,7 @@ def boolean_projection(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, Homomorphism]
     of the meet of their boxes."""
     box = _box(alg)
     b = _meet_of(alg, (box[d] for d in alg.dense_set))
-    out, proj = quotient(alg, _congruence_of(alg, b))
+    out, proj = quotient(alg, _congruence_of(alg, b)[0])
     if not out.boolean_h_reduct:
         raise TheoremViolation(f"Boolean projection of {alg!r} is not Boolean")
     return out, proj

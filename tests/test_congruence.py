@@ -246,6 +246,9 @@ def test_principal_generator_examples():
     assert principal_generator(b4_prod(), frozenset({1, 3})) == 1
     assert principal_generator(b4_prod(), frozenset({3})) == 3
     assert principal_generator(c3_simple(), frozenset({0, 1, 2})) == 0
+    # {1, 2} is an h-filter, but box 1 = 0 generates the whole chain
+    with pytest.raises(TheoremViolation, match=r"meet 1 does not box-generate the filter \[1, 2\]"):
+        principal_generator(c3_simple(), {1, 2})
 
 
 def test_every_congruence_filter_has_verified_generator():
@@ -459,19 +462,63 @@ def test_congruence_of_a_generator_that_is_not_open_is_a_theorem_violation():
             cg._congruence_of(c3_simple(), 1)
 
 
-def test_induced_tables_are_cached_per_congruence_and_read_only():
+def test_congruences_are_built_and_checked_once_per_generator_and_read_only():
     alg = product(c3_simple(), b4_prod())
-    cg._induced_tables.cache_clear()
+    cg._congruence_of.cache_clear()
     for a, b in itertools.product(alg.elements, repeat=2):
         principal_congruence(alg, a, b)
-    info = cg._induced_tables.cache_info()
+    info = cg._congruence_of.cache_info()
     assert len(alg.open_set) == 8 and (info.misses, info.hits) == (8, 136)  # one pass per open element
     theta = principal_congruence(alg, 0, 1)
-    tables = cg._induced_tables(alg, theta)
+    before = cg._congruence_of.cache_info()
     assert quotient(alg, theta)[0].size == len(theta.blocks)
-    assert cg._induced_tables.cache_info().misses == 8  # quotient reused the pass
+    after = cg._congruence_of.cache_info()
+    assert (after.misses, after.hits) == (8, before.hits + 1)  # quotient reused the pass
+    congruence, tables = cg._congruence_of(alg, cg._box(alg)[alg.iff(0, 1)])
+    assert congruence is theta
     with pytest.raises(TypeError):
         tables["meet"] = ()
+
+
+@pytest.mark.parametrize("alg, blocks, match", [
+    # the top block's meet 3 is open, but its congruence is the identity
+    (b4_prod(), ((0, 1), (2,), (3,)),
+     r"\(\(0, 1\), \(2,\), \(3,\)\) is not the congruence of the up-set of 3"),
+    # the top block's meet 1 is not open: its fibres break the box
+    (c3_simple(), ((0,), (1, 2)), "partition not compatible with box"),
+])
+def test_quotient_rejects_a_partition_that_is_not_a_congruence(alg, blocks, match):
+    with pytest.raises(TheoremViolation, match=match):
+        quotient(alg, Congruence(blocks, alg.size))
+
+
+def test_compatibility_pass_rejects_a_broken_binary_table():
+    # a heyting B4 has no unary tables; the fibres of a & 1 are {0, 2} and {1, 3},
+    # which join[2][1] = 2 breaks, as join[0][1] = 1
+    alg = heyting(b4_prod())
+    join = [list(row) for row in alg.join]
+    join[2][1] = 2
+    with pytest.raises(TheoremViolation, match="partition not compatible with join"):
+        cg._congruence_of(dataclasses.replace(alg, join=join), 1)
+
+
+@pytest.mark.parametrize("name, patch, match", [
+    ("meet", Congruence.join, "meet above the identity"),
+    ("join", Congruence.meet, "join below the total"),
+    ("permutes_with", lambda self, other: False, "do not permute"),
+])
+def test_factor_complement_cross_checks_raise(monkeypatch, name, patch, match):
+    alg = b4_prod()
+    theta = to_congruence(alg, {1, 3})
+    monkeypatch.setattr(Congruence, name, patch)
+    with pytest.raises(TheoremViolation, match=f"congruences of 1 and its complement {match}"):
+        factor_complement(alg, theta)
+
+
+def test_boolean_projection_rejects_a_quotient_that_is_not_boolean(monkeypatch):
+    monkeypatch.setattr(cg, "quotient", lambda alg, theta: (c3_simple(), None))
+    with pytest.raises(TheoremViolation, match="Boolean projection of FiniteAlgebra<B4prod> is not Boolean"):
+        boolean_projection(b4_prod())
 
 
 def test_heyting_congruences_without_box():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finheyt import terms
+from finheyt import decision, terms
 from finheyt.algebra import VarietyClass, relabel
 from finheyt.congruence import principal_congruence, product, quotient
 from finheyt.decision import (
@@ -22,7 +22,7 @@ from finheyt.decision import (
     primitive_report,
     rho,
 )
-from finheyt.errors import TermEvalError
+from finheyt.errors import TermEvalError, TheoremViolation
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -199,6 +199,13 @@ def test_decide_projective_finite_examples():
     v = decide_projective_finite(c3_simple())
     assert not v.projective
     assert set(v.criteria) == {"hom_onto_two", "element_criterion", "rho", "alpha"}
+
+
+def test_decide_projective_finite_raises_when_the_criteria_disagree(monkeypatch):
+    # B4prod is projective, so an element criterion that finds a bad element disagrees
+    monkeypatch.setattr(decision, "element_criterion", lambda alg: 0)
+    with pytest.raises(TheoremViolation, match="projectivity criteria disagree on FiniteAlgebra<B4prod>"):
+        decide_projective_finite(b4_prod())
 
 
 def test_decide_projective_finite_rejects_box_less_algebras():

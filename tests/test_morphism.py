@@ -25,6 +25,7 @@ from finheyt.congruence import (
     to_congruence,
 )
 from finheyt.decision import decide_projective_finite
+from finheyt.errors import TheoremViolation
 from finheyt.fixtures import (
     b4_disc,
     b4_hri,
@@ -114,6 +115,13 @@ def test_minimal_subalgebras_examples():
         minimal_subalgebras(replace(c3_simple(), box=(0, 0, 1)))
     with pytest.raises(ValueError, match="trivial"):
         minimal_subalgebras(build_catalog(two_ws5().cls, 1).of_size(1)[0])
+
+
+def test_minimal_subalgebras_raises_when_the_least_is_not_two_element(monkeypatch):
+    monkeypatch.setattr(morphism, "two_element", lambda cls: None)
+    with pytest.raises(TheoremViolation,
+                       match="minimal subalgebra of FiniteAlgebra<B4prod> is not the two-element algebra"):
+        minimal_subalgebras(b4_prod())
 
 
 def test_homs_examples():
