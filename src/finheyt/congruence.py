@@ -5,15 +5,15 @@ predicates read a filter through its meet; congruence filters are exactly the
 up-sets of open elements, and the open elements form a Boolean algebra whose
 dual is the congruence lattice.  Every congruence is built from its open
 generator b by one constructor, _congruence_of: its blocks are the fibres of
-a -> a & b, and a table they break is a TheoremViolation.  Its compatibility
-pass also builds the read-only tables induced on the blocks, and a bounded
-cache keeps both once per (algebra, generator); quotient reads the generator
-off the top block, whose meet it is.  The factor complement of the
-congruence of the up-set of b is that of the up-set of !b, and the simple
-factors are the quotients by the up-sets of the atoms of the open elements.
-Both are checked by one product check, _multiplied: the projections must
-multiply back to a bijection onto the product of the quotients.  Without a
-box table every element counts as open.
+a -> a & b, and they form a congruence exactly when the class map is a
+homomorphism onto the block algebra they induce, checked row by row as every
+Homomorphism is; a bounded cache keeps both per (algebra, generator), and a
+partition from a caller is read through the meet of its top block.  The factor
+complement of the congruence of the up-set of b is that of the up-set of !b,
+and the simple factors are the quotients by the up-sets of the atoms of the
+open elements.  Both are checked by one product check, _multiplied: the
+projections must multiply back to a bijection onto the product of the
+quotients.  Without a box table every element counts as open.
 
 A Congruence meets, joins and permutes on block labels: the meet groups the
 elements on their pair of labels, and the join and the permutability test
@@ -28,11 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from types import MappingProxyType
 
-from .algebra import FiniteAlgebra, canonical_relabeling, serial_key
+from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
 from .errors import TheoremViolation
-from .morphism import Homomorphism, _table_pairs
+from .morphism import Homomorphism, _table_pairs, _unpreserved
 
 
 @dataclass(frozen=True)
@@ -169,34 +168,21 @@ def principal_generator(alg: FiniteAlgebra, f) -> int:
 
 
 @lru_cache(maxsize=256)
-def _congruence_of(alg: FiniteAlgebra, b: int) -> tuple[Congruence, MappingProxyType]:
-    """Congruence of the up-set of the open element b, with the read-only tables it
-    induces on its blocks by field name.  a ~ c iff (a -> c) & (c -> a) lies in the
-    up-set, i.e. b <= a <-> c, i.e. a & b = c & b, so the blocks are the fibres of
-    a -> a & b.  One pass per table checks them: TheoremViolation as soon as a table
-    maps related arguments to unrelated values.  Cached per (algebra, generator); a
-    violation is not cached, so it is raised again on every call."""
+def _congruence_of(alg: FiniteAlgebra, b: int) -> tuple[Congruence, FiniteAlgebra]:
+    """Congruence of the up-set of the open element b, with the unnamed algebra its
+    blocks induce, read off the least element of each.  a ~ c iff b <= a <-> c, i.e.
+    a & b = c & b, so the blocks are the fibres of a -> a & b; TheoremViolation naming
+    the first table, unary ones first, at which the class map is no homomorphism onto
+    the block algebra.  Cached per (algebra, generator); a violation is not cached."""
     fibres: dict[int, list[int]] = {}
     for a in alg.elements:
         fibres.setdefault(alg.meet[a][b], []).append(a)
     theta = Congruence(tuple(map(tuple, fibres.values())), alg.size)
-    cls, k = theta.class_of, len(theta.blocks)
-    out = {}
-    for name, t in alg.unary_tables().items():
-        row = {}
-        for a in alg.elements:
-            if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
-                raise TheoremViolation(f"partition not compatible with {name}")
-        out[name] = tuple(row[c] for c in range(k))
-    for name, t in alg.binary_tables().items():
-        rows = [{} for _ in range(k)]
-        for a in alg.elements:
-            row, ta = rows[cls[a]], t[a]
-            for c in alg.elements:
-                if row.setdefault(cls[c], cls[ta[c]]) != cls[ta[c]]:
-                    raise TheoremViolation(f"partition not compatible with {name}")
-        out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
-    return theta, MappingProxyType(out)
+    tables = relabeled_tables(alg, [block[0] for block in theta.blocks], theta.class_of, TABLES)
+    blocks = FiniteAlgebra(len(theta.blocks), alg.cls, **dict(zip(TABLES, tables)))
+    if broken := _unpreserved(theta.class_of, *_table_pairs(alg, blocks)):
+        raise TheoremViolation(f"partition not compatible with {broken[0]}")
+    return theta, blocks
 
 
 def to_congruence(alg: FiniteAlgebra, f) -> Congruence:
@@ -218,16 +204,22 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
 
 # -- quotients and products --------------------------------------------------
 
-def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Block algebra (re-canonicalized) with its projection; TheoremViolation unless
-    theta is the congruence of the up-set of b, the meet of its top block."""
+def _checked(alg: FiniteAlgebra, theta: Congruence) -> tuple[int, FiniteAlgebra]:
+    """(b, block algebra) of _congruence_of(alg, b), b the meet of theta's top block;
+    ValueError for a partition of another size, TheoremViolation unless it gives theta."""
+    if theta.size != alg.size:
+        raise ValueError(f"a partition of {theta.size} elements for an algebra of {alg.size}")
     b = _meet_of(alg, to_filter(alg, theta))
-    congruence, tables = _congruence_of(alg, b)
+    congruence, blocks = _congruence_of(alg, b)
     if congruence != theta:
         raise TheoremViolation(f"{theta.blocks} is not the congruence of the up-set of {b}")
-    name = f"{alg.name}/theta" if alg.name else ""
-    prelim = FiniteAlgebra(len(theta.blocks), alg.cls, name=name, **tables)
-    perm, canon = canonical_relabeling(prelim)
+    return b, blocks
+
+
+def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
+    """Block algebra (re-canonicalized) with its projection, theta checked by _checked."""
+    blocks = _checked(alg, theta)[1].rename(f"{alg.name}/theta" if alg.name else "")
+    perm, canon = canonical_relabeling(blocks)
     proj = Homomorphism(alg, canon, tuple(perm[theta.class_of[a]] for a in alg.elements))
     return canon, proj
 
@@ -238,8 +230,8 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     built a row at a time."""
     unary, binary = _table_pairs(a, b)
     m = b.size
-    tables = {name: tuple(x * m + y for x in ta for y in tb) for name, (ta, tb) in unary.items()}
-    for name, (ta, tb) in binary.items():
+    tables = {name: tuple(x * m + y for x in ta for y in tb) for name, (ta, tb) in unary}
+    for name, (ta, tb) in binary:
         tables[name] = tuple(tuple(x * m + y for x in ra for y in rb) for ra in ta for rb in tb)
     return FiniteAlgebra(a.size * m, a.cls, name=f"({a.name or 'A'})x({b.name or 'B'})", **tables)
 
@@ -269,10 +261,10 @@ class FactorPair:
 
 
 def factor_complement(alg: FiniteAlgebra, theta: Congruence) -> FactorPair | None:
-    """The complement of a congruence theta of alg: with b the meet of theta's top
-    block, the congruence of the up-set of !b.  None when b | !b < 1, which only an
-    algebra without a box table allows; then theta has no complement at all."""
-    b = _meet_of(alg, to_filter(alg, theta))
+    """The complement of a congruence theta of alg, checked by _checked: with b the
+    meet of theta's top block, that of the up-set of !b.  None when b | !b < 1, which
+    only an algebra without a box table allows; then theta has no complement at all."""
+    b = _checked(alg, theta)[0]
     nb = alg.neg[b]
     if alg.join[b][nb] != alg.top:
         return None

@@ -18,16 +18,17 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice
-from operator import or_
+from operator import itemgetter, or_
 
-from .algebra import TABLES, FiniteAlgebra, _inverse, canonical_relabeling, relabeled_tables
+from .algebra import (BINARY, TABLES, FiniteAlgebra, _inverse, canonical_relabeling,
+                      relabeled_tables)
 from .errors import TheoremViolation
 from .fixtures import two_element
 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """Total operation-preserving map; preservation is re-verified on construction."""
+    """Total operation-preserving map, re-verified row by row on construction (_unpreserved)."""
 
     dom: FiniteAlgebra
     cod: FiniteAlgebra
@@ -48,15 +49,29 @@ class Homomorphism:
         return Homomorphism(self.cod, self.dom, _inverse(self.map))
 
 
-def _table_pairs(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[dict, dict]:
-    """(unary, binary): each table of dom by name, paired with cod's table of that
-    name.  The two algebras must share their class and their tables."""
+def _table_pairs(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[list, list]:
+    """(unary, binary): the pairs (name, (dom's table, cod's table)) in TABLES order.
+    The two algebras must share their class and their tables."""
     if dom.cls != cod.cls:
         raise ValueError(f"class mismatch: {dom.cls} vs {cod.cls}")
     if dom.tables().keys() != cod.tables().keys():
         raise ValueError(f"tables differ: {list(dom.tables())} vs {list(cod.tables())}")
-    return ({n: (t, cod.tables()[n]) for n, t in dom.unary_tables().items()},
-            {n: (t, cod.tables()[n]) for n, t in dom.binary_tables().items()})
+    return ([(n, (t, cod.tables()[n])) for n, t in dom.unary_tables().items()],
+            [(n, (t, cod.tables()[n])) for n, t in dom.binary_tables().items()])
+
+
+def _unpreserved(m, *groups):
+    """The first (name, cell), a cell being an argument or "(a,b)", at which the map m
+    fails to carry ta to tb over the pairs (name, (ta, tb)) of the groups in order;
+    None if there is none.  Each row, of a binary table or a whole unary one, is
+    compared whole by two gathers, and only a row that differs is searched cell by cell."""
+    image = itemgetter(*m)
+    for name, (ta, tb) in chain(*groups):
+        for a, row in enumerate(ta) if name in BINARY else [(None, ta)]:
+            target = tb if a is None else tb[m[a]]
+            if itemgetter(*row)(m) != image(target):
+                b = next(b for b, v in enumerate(row) if m[v] != target[m[b]])
+                return name, b if a is None else f"({a},{b})"
 
 
 def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
@@ -65,15 +80,8 @@ def _verify_preservation(dom: FiniteAlgebra, cod: FiniteAlgebra, m) -> None:
         raise ValueError("map has wrong shape")
     if m[0] != 0 or m[dom.top] != cod.top:
         raise ValueError("map does not preserve the constants")
-    for name, (ta, tb) in binary.items():
-        for a in dom.elements:
-            for b in dom.elements:
-                if m[ta[a][b]] != tb[m[a]][m[b]]:
-                    raise ValueError(f"map breaks {name} at ({a},{b})")
-    for name, (ta, tb) in unary.items():
-        for a in dom.elements:
-            if m[ta[a]] != tb[m[a]]:
-                raise ValueError(f"map breaks {name} at {a}")
+    if broken := _unpreserved(m, binary, unary):
+        raise ValueError("map breaks {} at {}".format(*broken))
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,6 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
     yields exactly the unrestricted maps that respect images, in the same order.
     """
     unary, binary = _table_pairs(dom, cod)
-    unary, binary = list(unary.values()), list(binary.values())
     if images is None:
         images = [range(cod.size)] * dom.size
     members, ends = _rounds(dom)
@@ -213,8 +220,8 @@ def _search(dom: FiniteAlgebra, cod: FiniteAlgebra, images=None):
         """Extend m over members[start:end]; False on a clash."""
         for i, x in enumerate(members[start:end], start):
             mx = m[x]
-            forced = [(ta[x], tb[mx]) for ta, tb in unary]
-            for ta, tb in binary:
+            forced = [(ta[x], tb[mx]) for _, (ta, tb) in unary]
+            for _, (ta, tb) in binary:
                 row_a, row_b = ta[x], tb[mx]
                 for y in members[:i + 1]:
                     my = m[y]

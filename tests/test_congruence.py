@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -492,6 +493,20 @@ def test_quotient_rejects_a_partition_that_is_not_a_congruence(alg, blocks, matc
         quotient(alg, Congruence(blocks, alg.size))
 
 
+@pytest.mark.parametrize("construction", [quotient, factor_complement])
+@pytest.mark.parametrize("theta, error, match", [
+    (Congruence(((0, 1), (2,)), 3), ValueError, "a partition of 3 elements for an algebra of 4"),
+    (Congruence(tuple((a,) for a in range(5)), 5), ValueError,
+     "a partition of 5 elements for an algebra of 4"),
+    # the top block's meet 3 is open, but its congruence is the identity
+    (Congruence(((0, 1), (2,), (3,)), 4), TheoremViolation,
+     r"\(\(0, 1\), \(2,\), \(3,\)\) is not the congruence of the up-set of 3"),
+])
+def test_partitions_from_outside_are_checked_on_entry(construction, theta, error, match):
+    with pytest.raises(error, match=match):
+        construction(b4_prod(), theta)
+
+
 def test_compatibility_pass_rejects_a_broken_binary_table():
     # a heyting B4 has no unary tables; the fibres of a & 1 are {0, 2} and {1, 3},
     # which join[2][1] = 2 breaks, as join[0][1] = 1
@@ -614,3 +629,54 @@ def test_quotients_validate():
             q, proj = quotient(alg, to_congruence(alg, f))
             assert validate(q).valid
             assert proj.onto
+
+
+def setdefault_congruence_of(alg, b):
+    """(fibres of a -> a & b, tables they induce by name), by one pass per table,
+    unary tables first, that keeps the first value seen for each block (each pair
+    of blocks in a binary table) and raises TheoremViolation at the first table
+    that gives related arguments unrelated values."""
+    fibres = {}
+    for a in alg.elements:
+        fibres.setdefault(alg.meet[a][b], []).append(a)
+    theta = Congruence(tuple(map(tuple, fibres.values())), alg.size)
+    cls, k = theta.class_of, len(theta.blocks)
+    out = {}
+    for name, t in alg.unary_tables().items():
+        row = {}
+        for a in alg.elements:
+            if row.setdefault(cls[a], cls[t[a]]) != cls[t[a]]:
+                raise TheoremViolation(f"partition not compatible with {name}")
+        out[name] = tuple(row[c] for c in range(k))
+    for name, t in alg.binary_tables().items():
+        rows = [{} for _ in range(k)]
+        for a in alg.elements:
+            row, ta = rows[cls[a]], t[a]
+            for c in alg.elements:
+                if row.setdefault(cls[c], cls[ta[c]]) != cls[ta[c]]:
+                    raise TheoremViolation(f"partition not compatible with {name}")
+        out[name] = tuple(tuple(row[c] for c in range(k)) for row in rows)
+    return theta, out
+
+
+def test_congruence_of_matches_the_setdefault_pass(small_algebras):
+    # every element, open or not: the same partition and block tables, or the same
+    # TheoremViolation, which names the first table broken, unary tables first
+    verdicts = Counter()
+    for alg in small_algebras:
+        for b in alg.elements:
+            try:
+                want = setdefault_congruence_of(alg, b)
+            except TheoremViolation as e:
+                want = str(e)
+            try:
+                theta, blocks = cg._congruence_of(alg, b)
+                got = theta, dict(blocks.tables())
+            except TheoremViolation as e:
+                got = str(e)
+            assert got == want, (alg, b)
+            verdicts[got if isinstance(got, str) else None] += 1
+    # the fibres of a & b always keep the lattice tables; a non-open b breaks box,
+    # which comes first, and with it invol in hri, dualneg in hdp:1, and dualneg
+    # and dimpl in dht:2, which binary tables first would name
+    assert verdicts == {None: 848, "partition not compatible with box": 623}, verdicts

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from finheyt import morphism
 from finheyt.algebra import (
+    TABLES,
     FiniteAlgebra,
     VarietyClass,
     canonical_form,
@@ -638,3 +640,52 @@ def test_hom_counts_follow_the_product_laws():
                 from_ += 1
                 assert count(ab, t) == count(a, t) + count(b, t), (a.name, b.name, t.name)
     assert (into, from_) == (755, 648)
+
+
+def cell_loop_preservation(dom, cod, m):
+    """The message Homomorphism(dom, cod, m) raises for a map of the right shape, or
+    None: the constants, then every cell of every binary table, then of every unary
+    table, one at a time in order."""
+    if m[0] != 0 or m[dom.top] != cod.top:
+        return "map does not preserve the constants"
+    for name, ta in dom.binary_tables().items():
+        tb = cod.tables()[name]
+        for a in dom.elements:
+            for b in dom.elements:
+                if m[ta[a][b]] != tb[m[a]][m[b]]:
+                    return f"map breaks {name} at ({a},{b})"
+    for name, ta in dom.unary_tables().items():
+        tb = cod.tables()[name]
+        for a in dom.elements:
+            if m[ta[a]] != tb[m[a]]:
+                return f"map breaks {name} at {a}"
+    return None
+
+
+def test_row_check_matches_the_cell_loop(small_algebras):
+    # per same-class pair: a random map with the constants fixed, the first hom if
+    # there is one, and that hom with one random element moved
+    rng = random.Random(2017)
+    verdicts = collections.Counter()
+    for dom, cod in itertools.product(small_algebras, repeat=2):
+        if dom.cls != cod.cls:
+            continue
+        m = [rng.randrange(cod.size) for _ in dom.elements]
+        m[0], m[dom.top] = 0, cod.top
+        maps = [m]
+        h = homs(dom, cod)
+        if h is not None:
+            moved = list(h.map)
+            moved[rng.randrange(dom.size)] = rng.randrange(cod.size)
+            maps += [h.map, moved]
+        for m in maps:
+            try:
+                Homomorphism(dom, cod, m)
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert got == cell_loop_preservation(dom, cod, m), (dom, cod, m)
+            verdicts[got and got.split(" at")[0]] += 1
+    breaks = {f"map breaks {name}" for name in TABLES}
+    assert set(verdicts) == {None, "map does not preserve the constants", *breaks}, verdicts
+    assert sum(verdicts.values()) == 20_033
