@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Each ``_cmd_*`` returns ``(exit_code, record, human)``: the ``--json`` record and
-the human line built from the same values.  ``main`` alone prints, once the
-command has returned.  Exit codes: 0 success / decided true, 1 decided false,
-2 error, 3 internal theorem violation (equivalent criteria disagreed); on 2 and
-3 stdout stays empty.
+Each ``_cmd_*`` returns ``(verdict, fields, human)``: the decision (``True`` for
+the commands that always succeed), the ``--json`` fields and the human line
+built from the same values.  ``main`` alone prints, once the command has
+returned: the record is ``{"command": <subcommand>, **fields}``.  Exit codes,
+all set in ``main``: 0 success / decided true, 1 decided false, 2 error, 3
+internal theorem violation (equivalent criteria disagreed); on 2 and 3 stdout
+stays empty.
 """
 
 from __future__ import annotations
@@ -25,22 +27,20 @@ from .fixtures import two_element
 def _cmd_validate(args):
     alg = io.read_algebra(args.file, check=False)
     report = validate(alg)
-    record = {
-        "command": "validate",
+    fields = {
         "file": str(args.file),
         "valid": report.valid,
         "violations": [{"axiom": n, "witness": list(w)} for n, w in report.violations],
     }
     lines = [f"{args.file}: {'valid' if report.valid else 'INVALID'}"]
     lines += [f"  {n} at {w}" for n, w in report.violations]
-    return (0 if report.valid else 1), record, "\n".join(lines)
+    return report.valid, fields, "\n".join(lines)
 
 
 def _cmd_profile(args):
     alg = io.read_algebra(args.file)
     prof = element_profile(alg)
-    record = {
-        "command": "profile",
+    fields = {
         "algebra": alg.name,
         "open": sorted(prof.open) if prof.open is not None else None,
         "dense": sorted(prof.dense),
@@ -48,9 +48,8 @@ def _cmd_profile(args):
         "boolean_h_reduct": prof.boolean_h_reduct,
         "simple": prof.simple,
     }
-    fields = [f"{k}={'n/a' if v is None else v}" for k, v in record.items()
-              if k not in ("command", "algebra")]
-    return 0, record, f"{alg.name or args.file}: " + " ".join(fields)
+    shown = [f"{k}={'n/a' if v is None else v}" for k, v in fields.items() if k != "algebra"]
+    return True, fields, f"{alg.name or args.file}: " + " ".join(shown)
 
 
 def _cmd_homs(args):
@@ -60,22 +59,17 @@ def _cmd_homs(args):
     onto = "_onto" if args.onto else ""
     if not (args.count or args.all):
         hom = morphism.homs(a, b, "any" + onto)
-        record = {"command": "homs", "map": list(hom.map) if hom else None}
-        return (0 if hom else 1), record, str(record["map"]) if hom else "none"
+        fields = {"map": list(hom.map) if hom else None}
+        return hom is not None, fields, str(fields["map"]) if hom else "none"
     res = morphism.homs(a, b, "all" + onto, cap=args.cap)
-    code = 0 if res.homs else 1
     if args.count:
-        record = {"command": "homs", "count": len(res.homs), "truncated": res.truncated}
-        return code, record, f"{record['count']}{' (truncated)' if res.truncated else ''}"
-    record = {
-        "command": "homs",
-        "maps": [list(h.map) for h in res.homs],
-        "truncated": res.truncated,
-    }
-    lines = [str(m) for m in record["maps"]]
+        fields = {"count": len(res.homs), "truncated": res.truncated}
+        return bool(res.homs), fields, f"{len(res.homs)}{' (truncated)' if res.truncated else ''}"
+    fields = {"maps": [list(h.map) for h in res.homs], "truncated": res.truncated}
+    lines = [str(m) for m in fields["maps"]]
     if res.truncated:
         lines.append("(truncated: enumeration capped)")
-    return code, record, "\n".join(lines) if lines else "none"
+    return bool(res.homs), fields, "\n".join(lines) if lines else "none"
 
 
 def _cmd_quotient(args):
@@ -83,27 +77,25 @@ def _cmd_quotient(args):
     carrier = frozenset(int(t) for t in args.filter.split(","))
     theta = congruence.to_congruence(alg, carrier)
     out, proj = congruence.quotient(alg, theta)
-    record = {
-        "command": "quotient",
+    fields = {
         "blocks": [list(b) for b in theta.blocks],
         "projection": list(proj.map),
         "algebra": io.algebra_to_dict(out.rename(f"{alg.name}/filter")),
     }
-    human = (f"blocks: {record['blocks']}\nprojection: {record['projection']}\n"
-             + json.dumps(record["algebra"]))
-    return 0, record, human
+    human = (f"blocks: {fields['blocks']}\nprojection: {fields['projection']}\n"
+             + json.dumps(fields["algebra"]))
+    return True, fields, human
 
 
 def _cmd_decompose(args):
     alg = io.read_algebra(args.file)
     factors = congruence.decompose_simples(alg)
-    record = {
-        "command": "decompose",
+    fields = {
         "sizes": [f.size for f in factors],
         "factors": [io.algebra_to_dict(f.rename(f"factor_{i}")) for i, f in enumerate(factors)],
     }
     kind = "indecomposable" if alg.box is None else "simple"
-    return 0, record, f"{len(factors)} {kind} factor(s), sizes {record['sizes']}"
+    return True, fields, f"{len(factors)} {kind} factor(s), sizes {fields['sizes']}"
 
 
 def _cmd_projective(args):
@@ -113,36 +105,32 @@ def _cmd_projective(args):
     if args.presentation:
         pair = io.read_presentation(args.presentation)
         verdict = decision.decide_projective_fp(cls, pair)
-        record = {
-            "command": "projective",
+        fields = {
             "projective": verdict.projective,
             "assignment": verdict.assignment,
             "note": verdict.note,
         }
-        human = f"projective: {verdict.projective} ({verdict.note})"
-        return (0 if verdict.projective else 1), record, human
+        return verdict.projective, fields, f"projective: {verdict.projective} ({verdict.note})"
     alg = io.read_algebra(args.algebra)
     if alg.cls != cls:
         raise FinheytError(f"file class {alg.cls} does not match --class {cls}")
     verdict = decision.decide_projective_finite(alg)
     witness = verdict.witness
-    record = {
-        "command": "projective",
+    fields = {
         "projective": verdict.projective,
         "criteria": verdict.criteria,
         "witness": list(witness.map) if isinstance(witness, morphism.Homomorphism) else witness,
         "note": verdict.note,
     }
     human = f"projective: {verdict.projective} criteria: {verdict.criteria}"
-    return (0 if verdict.projective else 1), record, human
+    return verdict.projective, fields, human
 
 
 def _cmd_rho(args):
     alg = io.read_algebra(args.file)
     chk = terms.check_quasiidentity(alg, decision.rho())
-    record = {"command": "rho", "holds": chk.holds, "witness": chk.witness}
     human = f"rho holds: {chk.holds}" + (f" witness {chk.witness}" if chk.witness else "")
-    return (0 if chk.holds else 1), record, human
+    return chk.holds, {"holds": chk.holds, "witness": chk.witness}, human
 
 
 def _cmd_alpha(args):
@@ -150,44 +138,40 @@ def _cmd_alpha(args):
     formula = decision.diagram_alpha(two_element(alg.cls))
     found = terms.satisfying_assignment(alg, formula)
     witness = None if found is None else [found["x"], found["y"]]
-    record = {"command": "alpha", "holds": found is not None, "witness": witness,
-              "assignment": found}
+    fields = {"holds": found is not None, "witness": witness, "assignment": found}
     human = f"alpha holds: {found is not None}" + (f" witness (x, y) = {tuple(witness)}"
                                                      if witness else "")
-    return (0 if witness else 1), record, human
+    return found is not None, fields, human
 
 
 def _cmd_retract(args):
     p, b = io.read_algebra(args.fileP), io.read_algebra(args.fileB)
     witness = morphism.is_retract(p, b)
-    record = {
-        "command": "retract",
+    fields = {
         "is_retract": witness is not None,
         "retraction": list(witness.retraction.map) if witness else None,
         "injection": list(witness.injection.map) if witness else None,
     }
     human = f"retract: {witness is not None}"
     if witness:
-        human += f"\nretraction: {record['retraction']}\ninjection: {record['injection']}"
-    return (0 if witness else 1), record, human
+        human += f"\nretraction: {fields['retraction']}\ninjection: {fields['injection']}"
+    return witness is not None, fields, human
 
 
 def _cmd_boolproj(args):
     alg = io.read_algebra(args.file)
     out, proj = congruence.boolean_projection(alg)
-    record = {
-        "command": "boolproj",
+    fields = {
         "projection": list(proj.map),
         "algebra": io.algebra_to_dict(out.rename(f"boolproj({alg.name})")),
     }
-    return 0, record, f"boolean projection size {out.size}, projection {record['projection']}"
+    return True, fields, f"boolean projection size {out.size}, projection {fields['projection']}"
 
 
 def _cmd_primitive(args):
     algebras = [io.read_algebra(f) for f in args.files]
     report = decision.primitive_report(algebras)
-    record = {
-        "command": "primitive",
+    fields = {
         "primitive": report.primitive,
         "entries": [
             {"algebra": e.algebra.name, "rho_holds": e.rho_holds, "witness": e.witness}
@@ -196,8 +180,8 @@ def _cmd_primitive(args):
     }
     lines = [f"primitive: {report.primitive}"]
     lines += [f"  {e['algebra'] or '?'}: rho {'holds' if e['rho_holds'] else 'fails'}"
-              + (f" witness {e['witness']}" if e["witness"] else "") for e in record["entries"]]
-    return (0 if report.primitive else 1), record, "\n".join(lines)
+              + (f" witness {e['witness']}" if e["witness"] else "") for e in fields["entries"]]
+    return report.primitive, fields, "\n".join(lines)
 
 
 def _cmd_catalog(args):
@@ -207,15 +191,15 @@ def _cmd_catalog(args):
     outdir.mkdir(parents=True, exist_ok=True)
     for alg in cat.algebras:
         io.write_algebra(outdir / f"{alg.name}.json", alg)
-    record = {
-        "command": "catalog",
+    fields = {
         "class": str(cls),
         "max_size": args.max_size,
         "counts": {n: len(cat.of_size(n)) for n in range(1, args.max_size + 1)},
         "total": len(cat.algebras),
         "out": str(outdir),
     }
-    return 0, record, f"wrote {record['total']} algebras to {outdir} (by size: {record['counts']})"
+    human = f"wrote {len(cat.algebras)} algebras to {outdir} (by size: {fields['counts']})"
+    return True, fields, human
 
 
 @lru_cache(maxsize=1)
@@ -277,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, record, human = args.fn(args)
-        print(json.dumps(record) if args.json else human)
-        return code
+        verdict, fields, human = args.fn(args)
+        print(json.dumps({"command": args.command, **fields}) if args.json else human)
+        return 0 if verdict else 1
     except TheoremViolation as e:
         print(f"theorem violation: {e}", file=sys.stderr)
         return 3

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import chain
 
 from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
 from .errors import TheoremViolation
@@ -43,7 +44,10 @@ class Congruence:
 
     def __post_init__(self):
         # disjoint blocks sort as their least elements do
-        object.__setattr__(self, "blocks", tuple(sorted(map(tuple, map(sorted, self.blocks)))))
+        blocks = tuple(sorted(map(tuple, map(sorted, self.blocks))))
+        if sorted(chain.from_iterable(blocks)) != list(range(self.size)):
+            raise ValueError(f"blocks {blocks} do not partition 0..{self.size - 1}")
+        object.__setattr__(self, "blocks", blocks)
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:

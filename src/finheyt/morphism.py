@@ -283,8 +283,8 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     when their canonical forms are equal; then x -> pb^-1(pa(x)) is an
     isomorphism, where pa and pb are the canonical relabelings.  For a == b it is
     the identity.  The map is checked again on every table as a Homomorphism.
-    The cost is two canonical relabelings, which can reach minutes on 256-element
-    products such as B4disc^4 (README, "Canonical form").
+    The cost is two canonical relabelings: 13-14 s on 2 cores for the 256-element
+    B4disc^4 against a shuffled copy (README, "Canonical form").
     """
     if a.cls != b.cls or a.size != b.size:
         return None

@@ -256,9 +256,11 @@ def term_vars(t: Term) -> tuple[str, ...]:
             pass
         elif isinstance(t, Unary):
             walk(t.arg)
-        else:
+        elif isinstance(t, Binary):
             walk(t.left)
             walk(t.right)
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
     walk(t)
     return tuple(seen)
@@ -453,8 +455,6 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
             return slot_of[("var", depth_of[t.name])]
         if isinstance(t, Const):
             return intern(("const", t.value), -1)
-        if not isinstance(t, (Unary, Binary)):
-            raise TypeError(f"not a term: {t!r}")
         symbols.setdefault(t.table, t.symbol)
         if isinstance(t, Diamond):
             return term(Neg(Box(Neg(t.arg))))

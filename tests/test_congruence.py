@@ -295,6 +295,15 @@ def test_principal_congruence_examples_and_oracle():
                 assert principal_congruence(alg, a, b) == congruence_closure_oracle(alg, a, b)
 
 
+def test_principal_congruences_are_those_of_the_open_elements(nontrivial_algebras):
+    # theta(a, b) is the congruence of the up-set of the open element [](a <-> b), and
+    # an open o is [](o <-> 1): the census sweeps the open elements for this reason
+    for alg in nontrivial_algebras:
+        pairs = {principal_congruence(alg, a, b) for a in alg.elements for b in alg.elements}
+        opens = {principal_congruence(alg, o, alg.top) for o in alg.open_set}
+        assert pairs == opens and len(opens) == len(alg.open_set), alg
+
+
 def test_quotient_examples():
     theta = to_congruence(b4_prod(), frozenset({1, 3}))
     q, proj = quotient(b4_prod(), theta)
@@ -505,6 +514,21 @@ def test_quotient_rejects_a_partition_that_is_not_a_congruence(alg, blocks, matc
 def test_partitions_from_outside_are_checked_on_entry(construction, theta, error, match):
     with pytest.raises(error, match=match):
         construction(b4_prod(), theta)
+
+
+@pytest.mark.parametrize("use", [
+    lambda blocks: quotient(b4_prod(), Congruence(blocks, 4)),
+    lambda blocks: factor_complement(b4_prod(), Congruence(blocks, 4)),
+    lambda blocks: Congruence(blocks, 4).meet(Congruence(tuple((a,) for a in range(4)), 4)),
+], ids=["quotient", "factor_complement", "meet"])
+@pytest.mark.parametrize("blocks", [
+    ((0, 1, 2, 5), (3,)),  # an element outside the universe
+    ((0, 1),),  # elements missing
+    ((0, 1), (1, 2, 3)),  # an element in two blocks
+])
+def test_blocks_that_do_not_partition_the_universe_are_rejected(use, blocks):
+    with pytest.raises(ValueError, match=r"do not partition 0\.\.3"):
+        use(blocks)
 
 
 def test_compatibility_pass_rejects_a_broken_binary_table():

@@ -383,5 +383,16 @@ def test_defining_pair_rejects_undeclared_variables():
         FirstOrderFormula((("exists", "x"),), FoAtom(Var("x"), Var("y")))
 
 
+@pytest.mark.parametrize("use", [
+    print_term,
+    lambda t: FirstOrderFormula((("exists", "x"),), FoAtom(Var("x"), t)),
+    lambda t: DefiningPair(("x",), ((Var("x"), t),)),
+], ids=["print_term", "FirstOrderFormula", "DefiningPair"])
+@pytest.mark.parametrize("non_term", [5, "y", Term()], ids=["int", "str", "bare Term"])
+def test_a_non_term_is_rejected_with_type_error(use, non_term):
+    with pytest.raises(TypeError, match="not a term"):
+        use(non_term)
+
+
 def test_term_vars_first_occurrence_order():
     assert term_vars(parse_term("y & x -> y")) == ("y", "x")
