@@ -20,7 +20,7 @@ homomorphisms) iterates TABLES or FiniteAlgebra.tables() instead of naming them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -242,33 +242,25 @@ def check_structure(alg: FiniteAlgebra) -> None:
             (chk2 if name in BINARY else chk1)(name, t)
 
 
-def _boxdot(alg: FiniteAlgebra, dualneg) -> tuple[int, ...]:
-    neg = alg.neg
-    return tuple(neg[dualneg[a]] for a in alg.elements)
-
-
-def _iterate(table, k, n):
-    cur = tuple(range(n))
-    for _ in range(k):
-        cur = tuple(table[c] for c in cur)
-    return cur
+def _boxdot_powers(alg: FiniteAlgebra, dualneg) -> list[tuple[int, ...]]:
+    """boxdot^0, boxdot^1, ... (boxdot = neg . dualneg) up to the first power equal to
+    the one before it, or to boxdot^(size+1) if boxdot never settles: the orbit of a
+    shows all its members within size steps, so no later power adds to a meet."""
+    bd = tuple(alg.neg[d] for d in dualneg)
+    p = [tuple(alg.elements)]
+    for _ in range(alg.size + 1):
+        p.append(tuple(bd[c] for c in p[-1]))
+        if p[-1] == p[-2]:
+            break
+    return p
 
 
 def derived_box_hdp(alg: FiniteAlgebra, dualneg, level: int) -> tuple[int, ...]:
-    """box a = meet of boxdot^i a for i = 0..level, boxdot = neg . dualneg.
-
-    The orbit of a shows all its members within size steps, so a level above
-    the size gives the same box as the size.
-    """
-    bd = _boxdot(alg, dualneg)
-    out = []
-    for a in alg.elements:
-        acc, cur = a, a
-        for _ in range(min(level, alg.size)):
-            cur = bd[cur]
-            acc = alg.meet[acc][cur]
-        out.append(acc)
-    return tuple(out)
+    """box a = meet of boxdot^i a for i = 0..level, boxdot = neg . dualneg: the meet
+    down each column of the powers to level that _boxdot_powers lists."""
+    meet = alg.meet
+    return tuple(reduce(lambda x, y: meet[x][y], col)
+                 for col in zip(*_boxdot_powers(alg, dualneg)[:level + 1]))
 
 
 def derived_dualneg_dht(alg: FiniteAlgebra) -> tuple[int, ...]:
@@ -278,14 +270,8 @@ def derived_dualneg_dht(alg: FiniteAlgebra) -> tuple[int, ...]:
 def inferred_level(alg: FiniteAlgebra) -> int | None:
     """Least k >= 0 with boxdot^(k+1) = boxdot^k, or None if boxdot cycles."""
     dualneg = alg.dualneg if alg.dualneg is not None else derived_dualneg_dht(alg)
-    bd = _boxdot(alg, dualneg)
-    cur = tuple(range(alg.size))
-    for k in range(alg.size + 1):
-        nxt = tuple(bd[c] for c in cur)
-        if nxt == cur:
-            return k
-        cur = nxt
-    return None
+    p = _boxdot_powers(alg, dualneg)
+    return len(p) - 2 if p[-1] == p[-2] else None
 
 
 # _IS[x] is the translate table sending x to 1 and every other byte to 0
@@ -425,11 +411,11 @@ def _axioms(alg: FiniteAlgebra) -> ValidationReport:
         if kind in LEVELED:
             # The images of boxdot^k stop shrinking within n steps; from there
             # boxdot permutes its image and each a stays fixed or moves for
-            # every k, so a level above n reports what level n does.
-            bd, k = _boxdot(alg, dualneg), min(level, n)
-            lo, hi = _iterate(bd, k, n), _iterate(bd, k + 1, n)
+            # every k, so a level past the powers listed reports their last pair.
+            p = _boxdot_powers(alg, dualneg)
+            k = min(level, len(p) - 2)
             for a in range(n):
-                if lo[a] != hi[a]:
+                if p[k][a] != p[k + 1][a]:
                     bad.append(("boxdot-level", (a,)))
             if alg.box is not None:
                 want = derived_box_hdp(alg, dualneg, level)

@@ -7,8 +7,9 @@ dual is the congruence lattice.  Every congruence is built from its open
 generator b by one constructor, _congruence_of: its blocks are the fibres of
 a -> a & b, and they form a congruence exactly when the class map is a
 homomorphism onto the block algebra they induce, checked row by row as every
-Homomorphism is; a bounded cache keeps both per (algebra, generator), and a
-partition from a caller is read through the meet of its top block.  The factor
+Homomorphism is; a bounded cache keeps both per (algebra, generator).  A
+partition from a caller is read through the meet of its top block, and one
+whose class map breaks an operation is a caller's error.  The factor
 complement of the congruence of the up-set of b is that of the up-set of !b,
 and the simple factors are the quotients by the up-sets of the atoms of the
 open elements.  Both are checked by one product check, _multiplied: the
@@ -171,6 +172,12 @@ def principal_generator(alg: FiniteAlgebra, f) -> int:
     return b
 
 
+def _block_algebra(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:
+    """The unnamed algebra the blocks of theta induce, read off the least element of each."""
+    tables = relabeled_tables(alg, [block[0] for block in theta.blocks], theta.class_of, TABLES)
+    return FiniteAlgebra(len(theta.blocks), alg.cls, **dict(zip(TABLES, tables)))
+
+
 @lru_cache(maxsize=256)
 def _congruence_of(alg: FiniteAlgebra, b: int) -> tuple[Congruence, FiniteAlgebra]:
     """Congruence of the up-set of the open element b, with the unnamed algebra its
@@ -182,8 +189,7 @@ def _congruence_of(alg: FiniteAlgebra, b: int) -> tuple[Congruence, FiniteAlgebr
     for a in alg.elements:
         fibres.setdefault(alg.meet[a][b], []).append(a)
     theta = Congruence(tuple(map(tuple, fibres.values())), alg.size)
-    tables = relabeled_tables(alg, [block[0] for block in theta.blocks], theta.class_of, TABLES)
-    blocks = FiniteAlgebra(len(theta.blocks), alg.cls, **dict(zip(TABLES, tables)))
+    blocks = _block_algebra(alg, theta)
     if broken := _unpreserved(theta.class_of, *_table_pairs(alg, blocks)):
         raise TheoremViolation(f"partition not compatible with {broken[0]}")
     return theta, blocks
@@ -209,15 +215,19 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
 # -- quotients and products --------------------------------------------------
 
 def _checked(alg: FiniteAlgebra, theta: Congruence) -> tuple[int, FiniteAlgebra]:
-    """(b, block algebra) of _congruence_of(alg, b), b the meet of theta's top block;
-    ValueError for a partition of another size, TheoremViolation unless it gives theta."""
+    """(b, block algebra) of _congruence_of(alg, b), b the meet of theta's top block.
+    ValueError for a partition of another size or one whose class map breaks an
+    operation; TheoremViolation for a congruence that _congruence_of(alg, b) misses."""
     if theta.size != alg.size:
         raise ValueError(f"a partition of {theta.size} elements for an algebra of {alg.size}")
     b = _meet_of(alg, to_filter(alg, theta))
-    congruence, blocks = _congruence_of(alg, b)
-    if congruence != theta:
-        raise TheoremViolation(f"{theta.blocks} is not the congruence of the up-set of {b}")
-    return b, blocks
+    if _box(alg)[b] == b:
+        congruence, blocks = _congruence_of(alg, b)
+        if congruence == theta:
+            return b, blocks
+    if broken := _unpreserved(theta.class_of, *_table_pairs(alg, _block_algebra(alg, theta))):
+        raise ValueError("{} is not a congruence: it breaks {} at {}".format(theta.blocks, *broken))
+    raise TheoremViolation(f"{theta.blocks} is not the congruence of the up-set of {b}")
 
 
 def quotient(alg: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:

@@ -3,7 +3,8 @@
 Each test prints a single `[acceptance N] PASS/FAIL` line (visible with -s)
 and enforces the stated runtime budget.  The catalogs cover the decorated
 discriminator classes up to size 8, and up to size 10 for the theorem checks
-of criteria 1, 2, 6 and 8; size-1 entries are skipped wherever an operation
+of criteria 1, 2, 6 and 8; the slow tier (`pytest -m slow`) runs these and
+criteria 3, 7 and 10 to 12.  Size-1 entries are skipped wherever an operation
 requires a nontrivial algebra.
 """
 
@@ -16,7 +17,7 @@ from finheyt import congruence as cg
 from finheyt import decision as dc
 from finheyt import morphism as mr
 from finheyt import terms as tm
-from finheyt.algebra import element_profile, discriminator_eval
+from finheyt.algebra import VarietyClass, element_profile, discriminator_eval
 from finheyt.catalog import build_catalog, enum_distributive_lattices
 from finheyt.errors import TheoremViolation
 from finheyt.fixtures import two_element
@@ -25,10 +26,17 @@ from retract_oracle import retract_via_factor_pair
 from term_oracle import eval_term
 
 
+@pytest.fixture(scope="module", params=[pytest.param((8, 10), id=pytest.HIDDEN_PARAM),
+                                        pytest.param((12, 12), id="12", marks=pytest.mark.slow)])
+def sizes(request):
+    """(n, m): the catalogs go to n, and to m for the theorem checks of criteria 1, 2, 6, 8."""
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def nontrivial_algebras_10(catalogs):
-    """Every nontrivial catalog algebra of every acceptance class, sizes 2..10."""
-    return [a for cls in catalogs for a in build_catalog(cls, 10).algebras if a.nontrivial]
+def theorem_algebras(catalogs, sizes):
+    """Every nontrivial catalog algebra of every acceptance class, sizes 2..m."""
+    return [a for cls in catalogs for a in build_catalog(cls, sizes[1]).algebras if a.nontrivial]
 
 
 def _report(num, name, failures, elapsed, budget=None):
@@ -40,19 +48,19 @@ def _report(num, name, failures, elapsed, budget=None):
     assert not over, f"criterion {num} exceeded its {budget}s budget: {elapsed:.1f}s"
 
 
-def test_criterion_01_four_way_equivalence(nontrivial_algebras_10):
+def test_criterion_01_four_way_equivalence(theorem_algebras):
     t0 = time.perf_counter()
     failures = []
-    for alg in nontrivial_algebras_10:
+    for alg in theorem_algebras:
         try:
             dc.decide_projective_finite(alg)
         except TheoremViolation as e:
             failures.append((alg.name, str(e)))
-    _report(1, f"four-criterion equivalence on {len(nontrivial_algebras_10)} algebras",
+    _report(1, f"four-criterion equivalence on {len(theorem_algebras)} algebras",
             failures, time.perf_counter() - t0, budget=120)
 
 
-def test_criterion_02_factor_congruences(nontrivial_algebras_10):
+def test_criterion_02_factor_congruences(theorem_algebras):
     t0 = time.perf_counter()
     failures = []
 
@@ -69,7 +77,7 @@ def test_criterion_02_factor_congruences(nontrivial_algebras_10):
         )
         return None if ok else "complement not verified"
 
-    for alg in nontrivial_algebras_10:
+    for alg in theorem_algebras:
         verdicts = {}  # one complement, verified once, per distinct principal congruence
         for a in alg.elements:
             for b in alg.elements:
@@ -82,12 +90,10 @@ def test_criterion_02_factor_congruences(nontrivial_algebras_10):
             failures, time.perf_counter() - t0, budget=60)
 
 
-def test_criterion_03_simple_decomposition(catalogs):
-    from finheyt.algebra import VarietyClass
-
+def test_criterion_03_simple_decomposition(sizes):
     t0 = time.perf_counter()
     failures = []
-    ws5 = [a for a in catalogs[VarietyClass("ws5")].algebras if a.nontrivial]
+    ws5 = [a for a in build_catalog(VarietyClass("ws5"), sizes[0]).algebras if a.nontrivial]
     for alg in ws5:
         prof = element_profile(alg)  # cross-checks simplicity vs open count internally
         if prof.simple != (len(prof.open) == 2):
@@ -167,10 +173,10 @@ def test_criterion_05_filter_generation(catalog_algebras):
             failures, time.perf_counter() - t0)
 
 
-def test_criterion_06_boolean_projection(nontrivial_algebras_10):
+def test_criterion_06_boolean_projection(theorem_algebras):
     t0 = time.perf_counter()
     failures = []
-    for alg in nontrivial_algebras_10:
+    for alg in theorem_algebras:
         bp, _ = cg.boolean_projection(alg)
         if not bp.boolean_h_reduct:
             failures.append((alg.name, "projection not Boolean"))
@@ -182,11 +188,11 @@ def test_criterion_06_boolean_projection(nontrivial_algebras_10):
             failures, time.perf_counter() - t0)
 
 
-def test_criterion_07_operation_collapses(catalog_algebras):
+def test_criterion_07_operation_collapses(catalogs, sizes):
     t0 = time.perf_counter()
     failures = []
     seen = 0
-    for alg in catalog_algebras:
+    for alg in (a for cls in catalogs for a in build_catalog(cls, sizes[0]).algebras):
         if not alg.boolean_h_reduct:
             continue
         if alg.invol is not None:
@@ -212,11 +218,11 @@ def test_criterion_07_operation_collapses(catalog_algebras):
             failures, time.perf_counter() - t0)
 
 
-def test_criterion_08_discriminator_property(nontrivial_algebras_10):
+def test_criterion_08_discriminator_property(theorem_algebras):
     t0 = time.perf_counter()
     failures = []
     simples = 0
-    for alg in nontrivial_algebras_10:
+    for alg in theorem_algebras:
         if not element_profile(alg).simple:
             continue
         simples += 1
@@ -229,8 +235,6 @@ def test_criterion_08_discriminator_property(nontrivial_algebras_10):
 
 
 def _presentation_suite():
-    from finheyt.algebra import VarietyClass
-
     ws5, hri = VarietyClass("ws5"), VarietyClass("hri")
     hdp, dht = VarietyClass("hdp", 1), VarietyClass("dht", 1)
 
@@ -278,11 +282,13 @@ def test_criterion_09_presentation_decision_matches_bruteforce():
             failures, time.perf_counter() - t0, budget=1)
 
 
-def test_criterion_10_enumeration_counts():
+def test_criterion_10_enumeration_counts(sizes):
     t0 = time.perf_counter()
-    got = [len(enum_distributive_lattices(n)) for n in range(1, 9)]
-    failures = [] if got == [1, 1, 1, 2, 3, 5, 8, 15] else [got]
-    _report(10, "Heyting catalog counts 1,1,1,2,3,5,8,15 for n=1..8",
+    n = sizes[0]
+    want = [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151][:n]  # OEIS A006982
+    got = [len(enum_distributive_lattices(k)) for k in range(1, n + 1)]
+    failures = [] if got == want else [got]
+    _report(10, f"Heyting catalog counts {','.join(map(str, want))} for n=1..{n}",
             failures, time.perf_counter() - t0, budget=60)
 
 

@@ -17,8 +17,6 @@ from finheyt.algebra import (
     FiniteAlgebra,
     ValidationReport,
     VarietyClass,
-    _boxdot,
-    _iterate,
     canonical_form,
     canonical_relabeling,
     check_structure,
@@ -170,8 +168,10 @@ def validate_oracle(alg: FiniteAlgebra) -> ValidationReport:
                 if (join[a][b] == top) != le(dualneg[a], b):
                     bad.append(("dual-pseudocomplement", (a, b)))
         if kind in LEVELED:
-            bd = _boxdot(alg, dualneg)
-            lo, hi = _iterate(bd, level, n), _iterate(bd, level + 1, n)
+            lo = list(range(n))
+            for _ in range(level):
+                lo = [alg.neg[dualneg[c]] for c in lo]
+            hi = [alg.neg[dualneg[c]] for c in lo]
             for a in range(n):
                 if lo[a] != hi[a]:
                     bad.append(("boxdot-level", (a,)))

@@ -484,22 +484,33 @@ def test_congruences_are_built_and_checked_once_per_generator_and_read_only():
     assert quotient(alg, theta)[0].size == len(theta.blocks)
     after = cg._congruence_of.cache_info()
     assert (after.misses, after.hits) == (8, before.hits + 1)  # quotient reused the pass
-    congruence, tables = cg._congruence_of(alg, cg._box(alg)[alg.iff(0, 1)])
+    congruence, blocks = cg._congruence_of(alg, cg._box(alg)[alg.iff(0, 1)])
     assert congruence is theta
-    with pytest.raises(TypeError):
-        tables["meet"] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blocks.meet = ()
 
 
 @pytest.mark.parametrize("alg, blocks, match", [
-    # the top block's meet 3 is open, but its congruence is the identity
+    # the top block's meet 3 is open, but 1 ~ 0 while 1 | 2 = 3 and 0 | 2 = 2 are apart
     (b4_prod(), ((0, 1), (2,), (3,)),
-     r"\(\(0, 1\), \(2,\), \(3,\)\) is not the congruence of the up-set of 3"),
-    # the top block's meet 1 is not open: its fibres break the box
-    (c3_simple(), ((0,), (1, 2)), "partition not compatible with box"),
+     r"\(\(0, 1\), \(2,\), \(3,\)\) is not a congruence: it breaks join at \(1,2\)"),
+    # the top block's meet 1 is not open: 1 ~ 2 while box 1 = 0 and box 2 = 2 are apart
+    (c3_simple(), ((0,), (1, 2)), "is not a congruence: it breaks box at 2"),
 ])
 def test_quotient_rejects_a_partition_that_is_not_a_congruence(alg, blocks, match):
-    with pytest.raises(TheoremViolation, match=match):
+    with pytest.raises(ValueError, match=match):
         quotient(alg, Congruence(blocks, alg.size))
+
+
+@pytest.mark.parametrize("construction", [quotient, factor_complement])
+def test_a_congruence_the_constructor_misses_is_a_theorem_violation(monkeypatch, construction):
+    # {1, 3} is a congruence filter, but the patched constructor gives the identity for 1
+    alg = b4_prod()
+    theta = to_congruence(alg, {1, 3})
+    real = cg._congruence_of
+    monkeypatch.setattr(cg, "_congruence_of", lambda a, b: (real(a, alg.top)[0], real(a, b)[1]))
+    with pytest.raises(TheoremViolation, match=r"is not the congruence of the up-set of 1"):
+        construction(alg, theta)
 
 
 @pytest.mark.parametrize("construction", [quotient, factor_complement])
@@ -507,9 +518,9 @@ def test_quotient_rejects_a_partition_that_is_not_a_congruence(alg, blocks, matc
     (Congruence(((0, 1), (2,)), 3), ValueError, "a partition of 3 elements for an algebra of 4"),
     (Congruence(tuple((a,) for a in range(5)), 5), ValueError,
      "a partition of 5 elements for an algebra of 4"),
-    # the top block's meet 3 is open, but its congruence is the identity
-    (Congruence(((0, 1), (2,), (3,)), 4), TheoremViolation,
-     r"\(\(0, 1\), \(2,\), \(3,\)\) is not the congruence of the up-set of 3"),
+    # the top block's meet 3 is open, but the partition breaks join
+    (Congruence(((0, 1), (2,), (3,)), 4), ValueError,
+     r"\(\(0, 1\), \(2,\), \(3,\)\) is not a congruence: it breaks join at \(1,2\)"),
 ])
 def test_partitions_from_outside_are_checked_on_entry(construction, theta, error, match):
     with pytest.raises(error, match=match):

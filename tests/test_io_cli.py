@@ -234,6 +234,12 @@ def test_cli_quotient(files, capsys):
     assert record["algebra"]["size"] == 2
     code, _, err = run_cli(capsys, "quotient", files["B4prod"], "--filter", "0,3")
     assert code == 2 and "not a congruence filter" in err
+    # the whole chain is the congruence filter of 0: one block
+    code, out, _ = run_cli(capsys, "quotient", "--json", files["C3simple"], "--filter", "0,1,2")
+    assert code == 0 and json.loads(out)["blocks"] == [[0, 1, 2]]
+    # {1, 2} is an h-filter but not box-closed, {0, 2} not an h-filter: exit 2
+    for carrier in ("1,2", "0,2"):
+        assert run_cli(capsys, "quotient", files["C3simple"], "--filter", carrier)[0] == 2
 
 
 @pytest.mark.parametrize("carrier", ["3,99", "3,-1"])
@@ -524,6 +530,21 @@ def test_cli_hri_file_without_box_gets_derived(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "profile", path, "--json")
     assert code == 0 and json.loads(out)["open"] == [0, 2]
+
+
+def test_cli_size_6_decorations_are_written_and_read_back(tmp_path, capsys):
+    # the box and (dht) dualneg the catalog derives are written and read back, and a
+    # dht file without dualneg is completed on reading and answers as the whole file
+    for cls, name in (("dht:2", "dht_2_n6_00"), ("hdp:1", "hdp_1_n6_00"), ("hri", "hri_n6_03")):
+        assert run_cli(capsys, "catalog", "--class", cls, "--max-size", "6", "--out", tmp_path)[0] == 0
+        for command in ("validate", "decompose", "boolproj"):
+            assert run_cli(capsys, command, tmp_path / f"{name}.json", "--json")[0] == 0, command
+    whole, bare = tmp_path / "dht_2_n6_00.json", tmp_path / "no_dualneg.json"
+    data = json.loads(whole.read_text())
+    del data["dualneg"]
+    bare.write_text(json.dumps(data))
+    for command in (["projective", "--class", "dht:2"], ["alpha"]):
+        assert run_cli(capsys, *command, bare) == run_cli(capsys, *command, whole), command
 
 
 def _stripped_variants():
