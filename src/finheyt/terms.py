@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
-from operator import itemgetter
 
 from .algebra import FiniteAlgebra
 from .errors import TermEvalError, TermParseError
@@ -134,17 +133,17 @@ or in the recursive functions that later walk the term."""
 
 MAX_QUANTIFIERS = 256
 """satisfying_assignment accepts a prefix of at most this many quantifiers.  Each
-level's search calls the next, one frame per level plus one per memo wrapper,
-so about 500 levels exhaust CPython's default stack of 1,000 frames; the bound
-keeps half of it for the callers.  Longer prefixes raise TermEvalError."""
+level's search calls the next, one frame per level, so about 1,000 levels
+exhaust CPython's default stack of 1,000 frames; the bound keeps three quarters
+of it for the callers.  Longer prefixes raise TermEvalError."""
 
 MAX_PRESENTATION_VARS = 20
 """decision.decide_projective_fp searches the 2^k assignments of a presentation's
 k variables in the two-element algebra on the staged plan (see ``_plan``).  At
 k = 20 under CPython 3.11 on 2 cores, x0 & ... & x19 = !(x0 & ... & x19) takes
-0.01 s, the star (x0 & x19) | ... | (x18 & x19) = !(...) 1.1-1.5 s, and the
-widened star (x0 & x1 & x19) | (x1 & x19) | ... | (x18 & x19) = !(...)
-2.1-2.3 s at 19 MB of peak RSS.  More variables raise ValueError."""
+under 0.01 s, the star (x0 & x19) | ... | (x18 & x19) = !(...) 0.8-1.0 s, and
+the widened star (x0 & x1 & x19) | (x1 & x19) | ... | (x18 & x19) = !(...)
+0.8-1.0 s at 20 MB of peak RSS.  More variables raise ValueError."""
 
 
 def _height(t: Term) -> int:
@@ -379,14 +378,14 @@ def formula_vars(f: Formula) -> set:
 #     check at its depth that reads it, so a failing check skips the rest of
 #     that depth's table lookups;
 #   - each depth becomes one generated Python function: the loop over its
-#     variable with every table lookup and check written out inline, holding
-#     its slots in locals and storing in the shared value list only those read
-#     deeper; the source is built from slot numbers, table positions and fixed
-#     keywords only, never from a variable name or other text of the formula;
-#   - the subtree below depth d is a pure function of its frontier, the slots
-#     set above d and read at d or deeper, so each call memoises it on them,
-#     unless the frontier holds every variable bound above d: then no key can
-#     repeat, and a memo would only store one entry per outer assignment.
+#     variable with every table lookup and check written out inline, taking
+#     its frontier, the slots set above it and read at it or deeper, as
+#     arguments and passing the next depth its frontier; the source is built
+#     from slot numbers, table positions and fixed keywords only, never from a
+#     variable name or other text of the formula;
+#   - the subtree below depth d is a pure function of its frontier, so the
+#     caller looks it up in a memo keyed on the frontier's variable slots,
+#     unless no key can repeat there or a repeat cannot reach it (``_plan``).
 # The quantifiers keep their brute-force semantics: prefix order, every
 # quantifier ranging over the whole universe.
 
@@ -394,9 +393,9 @@ _MEMO_ENTRIES = 1 << 14
 """The floor of the memo entries one satisfying_assignment call stores over all
 levels; the budget is the larger of it and q * n**2 for q quantifiers over n
 elements, polynomial in the input.  Rarely repeating keys would keep about one
-per outer assignment (200 MB for the presentation in MAX_PRESENTATION_VARS).
-alpha's levels are keyed on slots of at most n**2 values: it stores 1,824
-entries at 36 elements and 84,515 at 256, under budgets of 16,384 and 327,680."""
+per outer assignment (78 MB for the widened star in MAX_PRESENTATION_VARS).
+alpha's levels are keyed on slots of at most n**2 values: it stores 124 entries
+at 36 elements and 994 at 256, under budgets of 16,384 and 327,680."""
 
 
 @dataclass(frozen=True)
@@ -408,13 +407,14 @@ class _Plan:
     formula reads, table i passed to the generated code as Ti.  ``source[0]``
     defines the function run once per call and ``source[d + 1]`` the search
     over the variable of depth d; ``factories`` holds each compiled
-    ``level(val, inner, n, T0, T1, ...)``, which returns that search bound to
-    the value list, the next search and the universe size.  A search returns
-    None when its subformula fails, else the values of the existential
-    variables bound from there up to the first universal one.
-    ``frontier[d]`` is the memo key of depth d's search, or None where it is
-    not memoised.  ``symbols`` maps each table to the operator first written
-    for it.
+    ``level(inner, n, room, T0, T1, ...)``, which returns that search bound to
+    the next search, the universe size and the memo room (see ``_room``).  The
+    search of depth d takes its frontier as arguments in slot order, and
+    returns None when its subformula fails, else the values of the existential
+    variables bound from there up to the first universal one.  ``frontier[d]``
+    is the memo key of depth d's search, its frontier without the constants,
+    or None where it is not memoised.  ``symbols`` maps each table to the
+    operator first written for it.
     """
 
     names: tuple[str, ...]
@@ -505,18 +505,32 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
                 compute(s, steps, read)
         levels.append(steps)
         reads.append(read)
-    frontier = []
-    below: set = set()
+    # A frontier holding every variable bound above it is a key that cannot
+    # repeat.  Below a memoised d - 1, one holding d - 1's variable and, modulo
+    # the atoms checked above d, d - 1's key repeats only where d - 1 has hit.
+    params, keys, below = [()], [], set()
     for d in reversed(range(len(names))):
         below |= reads[d + 1]
-        key = {s for s in below if 0 <= slot_depth[s] < d}
-        frontier.append(None if key >= set(range(d)) else tuple(sorted(key)))
+        params.insert(1, tuple(sorted(s for s in below if slot_depth[s] < d)))
+        key = {s for s in params[1] if slot_depth[s] >= 0}
+        keys.insert(0, None if key >= set(range(d)) else tuple(sorted(key)))
+    same = {s: {s} for s in range(len(slots))}  # classes of the atoms checked above d
+    frontier: list = []
+    for d, key in enumerate(keys):
+        for tree, depth, _ in checks:
+            if depth == d - 1 and tree[0] == "atom":
+                merged = same[tree[1]] | same[tree[2]]
+                same.update(dict.fromkeys(merged, merged))
+        if key is not None and d and frontier[d - 1] is not None:
+            held = set().union(*(same[s] for s in key))
+            key = None if held >= {*frontier[d - 1], d - 1} else key
+        frontier.append(key)
     tables = tuple(dict.fromkeys(key[0] for key in slots if key[0] not in ("var", "const")))
     source, factories = [], []
     for i, steps in enumerate(levels):
         exists = i > 0 and formula.prefix[i - 1][0] == "exists"
-        src = _level_source(i - 1, exists, steps, slots, tables, set().union(*reads[i + 1:]),
-                            last=i == len(names))
+        inner = (params[i + 1], frontier[i]) if i < len(names) else None
+        src = _level_source(i - 1, exists, steps, slots, tables, params[i], inner)
         namespace: dict = {}
         exec(src, namespace)
         source.append(src)
@@ -527,28 +541,25 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
         tables=tables,
         source=tuple(source),
         factories=tuple(factories),
-        frontier=tuple(reversed(frontier)),
+        frontier=tuple(frontier),
         symbols=symbols,
     )
 
 
-def _level_source(d: int, exists: bool, steps, slots, tables, deeper, last: bool) -> str:
+def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> str:
     """Python source of the factory of depth d's search, or of the level run
-    once per call for d = -1.  deeper holds the slots read below depth d.
-    Slot s is the local xs, table i the argument Ti; the only other names are
-    fixed keywords and temporaries ci, so no text of the formula enters the
-    source.  Compound checks are flattened into one statement per node, so
-    that no check tree nests expressions or blocks."""
-    mine = {s for kind, s in steps if kind == "op"} | ({d} if d >= 0 else set())
-    outer: set = set()
-    body: list[str] = []
+    once per call for d = -1, which sets the constants.  The search takes the
+    slots params as arguments; inner is the next depth's (params, memo key),
+    or None at the last depth.  Slot s is the local xs, table i the argument
+    Ti, and row Ti[xs] of an argument xs the local Ri_s bound before the loop;
+    the only other names are fixed keywords and temporaries ci, so no text of
+    the formula enters the source.  Compound checks are flattened into one
+    statement per node, so that no check tree nests expressions or blocks."""
+    body = [f"x{s} = {'n - 1' if key[1] else 0}" for s, key in enumerate(slots)
+            if d < 0 and key[0] == "const"]
+    rows: dict = {}
     fail = "continue" if exists else "return None"
     temps = count()
-
-    def ref(s):
-        if s not in mine:
-            outer.add(s)
-        return f"x{s}"
 
     def expr(tree, negated=False):
         """An expression true when tree holds (fails, if negated): a comparison,
@@ -557,15 +568,15 @@ def _level_source(d: int, exists: bool, steps, slots, tables, deeper, last: bool
             tree, negated = tree[1], not negated
         kind, *args = tree
         if kind == "atom":
-            return f"{ref(args[0])} {'!=' if negated else '=='} {ref(args[1])}"
+            return f"x{args[0]} {'!=' if negated else '=='} x{args[1]}"
         out = f" {kind} ".join(map(operand, args[0])) or str(kind == "and")
         return f"not ({out})" if negated else out
 
     def operand(tree):
-        inner = tree
-        while inner[0] == "not":
-            inner = inner[1]
-        if inner[0] == "atom":
+        node = tree
+        while node[0] == "not":
+            node = node[1]
+        if node[0] == "atom":
             return expr(tree)
         name = f"c{next(temps)}"
         body.append(f"{name} = {expr(tree)}")
@@ -574,49 +585,42 @@ def _level_source(d: int, exists: bool, steps, slots, tables, deeper, last: bool
     for kind, x in steps:
         if kind == "op":
             table, *args = slots[x]
-            body.append(f"x{x} = T{tables.index(table)}" + "".join(f"[{ref(a)}]" for a in args))
-            if x in deeper:
-                body.append(f"val[{x}] = x{x}")
+            t = f"T{tables.index(table)}"
+            if len(args) == 2 and args[0] in params:
+                rows[f"R{t[1:]}_{args[0]}"] = f"{t}[x{args[0]}]"
+                t, args = f"R{t[1:]}_{args[0]}", args[1:]
+            body.append(f"x{x} = {t}" + "".join(f"[x{a}]" for a in args))
         else:
             body.append(f"if {expr(x, negated=True)}: {fail}")
+    call = []
+    if inner is not None:
+        args, key = ", ".join(f"x{s}" for s in inner[0]), inner[1]
+        call = [f"found = inner({args})"] if key is None else [
+            f"k = ({', '.join(f'x{s}' for s in key)}{',' * (len(key) == 1)})",
+            "found = memo.get(k, memo)", "if found is memo:", f"    found = inner({args})",
+            "    if room[0]:", "        room[0] -= 1", "        memo[k] = found"]
     if d < 0:
-        body.append("return ()" if last else "return inner()")
-        loop = body
+        loop = body + call + ["return ()" if inner is None else "return found"]
     else:
-        head = [f"for x{d} in range(n):"]
-        if d in deeper:
-            head.append(f"    val[{d}] = x{d}")
-        if last:
+        if inner is None:
             tail = [f"return (x{d},)"] if exists else []
         elif exists:
-            tail = ["found = inner()", "if found is not None:", f"    return (x{d}, *found)"]
+            tail = call + ["if found is not None:", f"    return (x{d}, *found)"]
         else:
-            tail = ["if inner() is None:", "    return None"]
-        loop = head + ["    " + line for line in body + tail or ["pass"]]
+            tail = call + ["if found is None:", "    return None"]
+        loop = [f"{r} = {row}" for r, row in rows.items()] + [f"for x{d} in range(n):"]
+        loop += ["    " + line for line in body + tail or ["pass"]]
         loop.append("return None" if exists else "return ()")
-    lines = [f"x{s} = val[{s}]" for s in sorted(outer)] + loop
-    params = "".join(f", T{i}" for i in range(len(tables)))
-    return (f"def level(val, inner, n{params}):\n    def search():\n"
-            + "".join(f"        {line}\n" for line in lines) + "    return search\n")
+    memo = "    memo = {}\n" if inner is not None and inner[1] is not None else ""
+    return (f"def level(inner, n, room{''.join(f', T{i}' for i in range(len(tables)))}):\n"
+            f"{memo}    def search({', '.join(f'x{s}' for s in params)}):\n"
+            + "".join(f"        {line}\n" for line in loop) + "    return search\n")
 
 
-def _memoised(search, frontier, val: list, room: list):
-    """search memoised on the slots of frontier while room[0], the entries
-    left to store, is positive."""
-    key = itemgetter(*frontier) if frontier else (lambda _: ())
-    memo: dict = {}
-
-    def memoised():
-        k = key(val)
-        if k in memo:
-            return memo[k]
-        out = search()
-        if room[0]:
-            room[0] -= 1
-            memo[k] = out
-        return out
-
-    return memoised
+def _room(q: int, n: int) -> list:
+    """The memo entries one call over q quantifiers and n elements may store,
+    as the one-element list that its levels share and count down."""
+    return [max(_MEMO_ENTRIES, q * n ** 2)]
 
 
 def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dict | None:
@@ -640,16 +644,10 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     for name, table in zip(plan.tables, tables):
         if table is None:
             raise TermEvalError(f"operation {plan.symbols[name]} unavailable for class {alg.cls}")
-    val = [0] * len(plan.slots)
-    for s, key in enumerate(plan.slots):
-        if key[0] == "const":
-            val[s] = 0 if key[1] == 0 else alg.top
-    inner, room = None, [max(_MEMO_ENTRIES, len(plan.names) * alg.size ** 2)]
-    for d in reversed(range(len(plan.names))):
-        inner = plan.factories[d + 1](val, inner, alg.size, *tables)
-        if plan.frontier[d] is not None:
-            inner = _memoised(inner, plan.frontier[d], val, room)
-    values = plan.factories[0](val, inner, alg.size, *tables)()
+    inner, room = None, _room(len(plan.names), alg.size)
+    for factory in reversed(plan.factories):
+        inner = factory(inner, alg.size, room, *tables)
+    values = inner()
     return None if values is None else dict(zip(plan.names, values))
 
 

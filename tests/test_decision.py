@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from finheyt import decision, terms
 from finheyt.algebra import VarietyClass, relabel
+from finheyt.catalog import build_catalog
 from finheyt.congruence import principal_congruence, product, quotient
 from finheyt.decision import (
     decide_projective_finite,
@@ -423,20 +424,20 @@ def test_quantifier_chain_over_the_bound_raises():
         satisfying_assignment(two_ws5(), _chain(terms.MAX_QUANTIFIERS + 1))
 
 
-_SOURCE_NAMES = {"level", "search", "val", "inner", "n", "range", "found"}
+_SOURCE_NAMES = {"level", "search", "inner", "n", "range", "found", "memo", "get", "room", "k"}
 
 
 def _generated_names(plan):
     """The identifiers of every generated level source of plan, which holds no
-    string literal and no identifier but keywords, _SOURCE_NAMES and slot,
-    table and temporary numbers."""
+    string literal and no identifier but keywords, _SOURCE_NAMES, slot, table
+    and temporary numbers, and hoisted rows named by a table and a slot."""
     names = set()
     for src in plan.source:
         for tok in tokenize.generate_tokens(io.StringIO(src).readline):
             assert tok.type != tokenize.STRING, src
             if tok.type == tokenize.NAME and not keyword.iskeyword(tok.string):
                 names.add(tok.string)
-    assert all(re.fullmatch(r"[xTc]\d+", s) for s in names - _SOURCE_NAMES), names
+    assert all(re.fullmatch(r"[xTc]\d+|R\d+_\d+", s) for s in names - _SOURCE_NAMES), names
     return names
 
 
@@ -534,14 +535,14 @@ def test_alpha_witness_is_the_lex_first_pair():
 def memo_rooms(monkeypatch) -> list:
     """(room, budget) of each satisfying_assignment call from now on: room[0] is
     the entries it has left to store, so budget - room[0] is the entries stored."""
-    rooms, memoised = [], terms._memoised
+    rooms, make = [], terms._room
 
-    def counted(search, frontier, val, room):
-        if not any(r is room for r, _ in rooms):
-            rooms.append((room, room[0]))
-        return memoised(search, frontier, val, room)
+    def counted(q, n):
+        room = make(q, n)
+        rooms.append((room, room[0]))
+        return room
 
-    monkeypatch.setattr(terms, "_memoised", counted)
+    monkeypatch.setattr(terms, "_room", counted)
     return rooms
 
 
@@ -573,7 +574,73 @@ def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
     found = satisfying_assignment(alg, diagram_alpha(two))
     assert (found is not None) == (homs(alg, two, "any_onto") is not None)
     [(room, budget)] = rooms
-    assert (budget, budget - room[0]) == (5 * 36**2, 1824)
+    assert (budget, budget - room[0]) == (5 * 36**2, 124)
+
+
+def _once_per_frontier(factory):
+    """factory with each search it builds asserting that no frontier reaches it twice."""
+    def level(*bound):
+        search, seen = factory(*bound), set()
+
+        def checked(*frontier):
+            assert frontier not in seen, frontier
+            seen.add(frontier)
+            return search(*frontier)
+
+        return checked
+
+    return level
+
+
+def test_unmemoised_levels_never_see_a_frontier_twice(monkeypatch, nontrivial_algebras):
+    # _plan leaves a level unmemoised when its key holds every variable above
+    # it, or when it holds the variable and, modulo the atoms checked above,
+    # the key of a memoised level just above: alpha's z1 and every other level
+    # of the near star.  A memo there would never hit.
+    plan_of = terms._plan
+
+    def checked_plan(formula):
+        plan = plan_of(formula)
+        return dataclasses.replace(plan, factories=tuple(
+            f if d == 0 or plan.frontier[d - 1] is not None else _once_per_frontier(f)
+            for d, f in enumerate(plan.factories)))
+
+    monkeypatch.setattr(terms, "_plan", checked_plan)
+    big = reduce(product, [b4_disc(), c3_simple(), c3_simple()])
+    for alg in (*nontrivial_algebras, big):
+        alpha = diagram_alpha(two_element(alg.cls))
+        assert plan_of(alpha).frontier[3] is None
+        satisfying_assignment(alg, alpha)
+    pair = _near_star(10)
+    assert satisfy_atoms(two_ws5(), pair) == satisfy_atoms_oracle(two_ws5(), pair)
+    # Level 3 is keyed on x2 but not on level 2's key x0 & x1, so its key
+    # repeats across level 2's keys and it stays memoised.
+    t = parse_term("((x0 & x1) & x2) | (x2 & x3) | (x1 & x3)")
+    pair = DefiningPair(("x0", "x1", "x2", "x3"), ((t, Neg(t)),))
+    assert satisfy_atoms(two_ws5(), pair) is None
+    assert plan_of(FirstOrderFormula(tuple(("exists", v) for v in pair.variables),
+                                     FoAtom(t, Neg(t)))).frontier[2:] == ((1, 4), (1, 2, 5))
+
+
+def _alpha_closed_form(alg):
+    """alpha's assignment read off the algebra: (x, y) is the lex-first pair whose
+    e = [](x <-> y) is nonzero with down-set {0, e}, z0 is 0 and z1 the least z
+    with e & z = e; None when no pair qualifies."""
+    for x, y in itertools.product(alg.elements, repeat=2):
+        e = alg.box[alg.meet[alg.impl[x][y]][alg.impl[y][x]]]
+        if e and [z for z in alg.elements if alg.meet[z][e] == z] == [0, e]:
+            z1 = next(z for z in alg.elements if alg.meet[e][z] == e)
+            return {"x": x, "y": y, "z0": 0, "z1": z1}
+    return None
+
+
+def test_alpha_assignment_has_a_closed_form():
+    algebras = [a for name in ("ws5", "hri", "hdp:1", "dht:1", "hdp:2", "dht:2")
+                for a in build_catalog(VarietyClass.parse(name), 10).algebras if a.nontrivial]
+    assert len(algebras) == 572
+    for alg in algebras:
+        alpha = diagram_alpha(two_element(alg.cls))
+        assert satisfying_assignment(alg, alpha) == _alpha_closed_form(alg), alg.name
 
 
 @pytest.mark.parametrize("factors", [

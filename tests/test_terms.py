@@ -129,6 +129,15 @@ def test_parse_errors_carry_positions():
         parse_term("2")
 
 
+def test_parse_ignores_trailing_whitespace():
+    # The tokenizer stops at whitespace after the last token, whatever it is.
+    for tail in ("  ", "\t", " \n "):
+        assert parse_term("x & y" + tail) == Meet(Var("x"), Var("y"))
+    with pytest.raises(TermParseError) as e:
+        parse_term("x &  ")
+    assert e.value.position == 5
+
+
 def test_parse_bounds_nesting_depth():
     deepest = parse_term("!" * MAX_TERM_DEPTH + "x")
     assert deepest == Neg(parse_term("!" * (MAX_TERM_DEPTH - 1) + "x"))
@@ -302,8 +311,8 @@ def test_plan_memoises_a_chain_on_its_running_meet():
 
 def _near_star(k: int) -> DefiningPair:
     """The star with (x0 & xl) widened to (x0 & x1 & xl), xl the last of k
-    variables: x0 is read only through x0 & x1, so every level from 2 on is
-    memoised, on keys that rarely repeat."""
+    variables: x0 is read only through x0 & x1, so every other level from 2
+    on is memoised, on keys that rarely repeat."""
     last = f"x{k - 1}"
     body = " | ".join([f"(x0 & x1 & {last})"] + [f"(x{i} & {last})" for i in range(1, k - 1)])
     t = parse_term(body)
@@ -315,13 +324,16 @@ def test_plan_memoises_the_near_star_from_level_2():
     plan = _plan(FirstOrderFormula(tuple(("exists", v) for v in pair.variables),
                                    FoAtom(*pair.atoms[0])))
     assert plan.frontier[:2] == (None, None)
-    assert all(len(plan.frontier[d]) == d for d in range(2, 20))
+    # Level d + 1 is keyed on level d's key and variable, so its memo could
+    # hit only where level d's has: every other level is memoised.
+    assert all(len(plan.frontier[d]) == d for d in range(2, 20, 2))
+    assert all(plan.frontier[d] is None for d in range(3, 20, 2))
 
 
 def test_memo_budget_bounds_memory_on_the_near_star():
-    # Unbounded, the memos of the 16-variable near star hold about 49,000
-    # keys of up to 15 slots, 8.4 MB at the peak under CPython 3.11; the
-    # budget keeps them to _MEMO_ENTRIES, 3.0 MB at the peak.
+    # The memos of the 16-variable near star hold 16,383 keys of up to 14
+    # slots, within the budget of _MEMO_ENTRIES: 3.1 MB at the peak under
+    # CPython 3.11, compiling the plan included.
     tracemalloc.start()
     try:
         assert satisfy_atoms(two_ws5(), _near_star(16)) is None
@@ -337,7 +349,9 @@ def test_plan_memoises_alpha_below_x_and_y():
     plan = _plan(diagram_alpha(two_ws5()))
     assert plan.names[:2] == ("x", "y")
     assert plan.frontier[:2] == (None, None)
-    for key in plan.frontier[2:]:
+    # z1's key holds z0's variable and, under the atom checked at z0, z0's key.
+    assert plan.frontier[3] is None
+    for key in plan.frontier[2::2]:
         assert key and not set(key) & {0, 1}
 
 
