@@ -522,7 +522,9 @@ def _inverse(perm) -> list[int]:
 
 
 def relabel(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
-    """Apply old->new index permutation to every table."""
+    """Apply old->new index permutation to every table; ValueError for any other map."""
+    if sorted(perm) != list(alg.elements):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{alg.size - 1}")
     return replace(alg, **dict(zip(TABLES, relabeled_tables(alg, _inverse(perm), perm, TABLES))))
 
 

@@ -16,17 +16,19 @@ open elements.  Both are checked by one product check, _multiplied: the
 projections must multiply back to a bijection onto the product of the
 quotients.  Without a box table every element counts as open.
 
-A Congruence meets, joins and permutes on block labels: the meet groups the
-elements on their pair of labels, and the join and the permutability test
-share one union-find over the labels of the first partition.  Two partitions
-permute exactly when their composite is their join, i.e. when within each
-join block every block of one meets every block of the other, which is a
-count of the block pairs that meet.
+A Congruence meets, joins and permutes on block labels.  The meet is the
+identity when the elements' pairs of labels are distinct and otherwise groups
+the elements on their pair; the join and the permutability test share one
+merge of the first partition's label lists, and a join of one block is the
+total.  A factor pair always meets to the identity and joins to the total, so
+those two are built once per size and shared.  Two partitions permute exactly
+when their composite is their join, i.e. when within each join block every
+block of one meets every block of the other, which is a count of the block
+pairs that meet.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
@@ -70,44 +72,54 @@ class Congruence:
         if other.size != self.size:
             raise ValueError(f"partitions of {self.size} and {other.size} elements")
 
-    def _roots(self, other: "Congruence") -> list[int]:
-        """The join's block of each self-block label: a union-find over the labels in
-        which each other-block merges the self-blocks it meets."""
+    def _merged(self, other: "Congruence") -> list[list[int]]:
+        """Per self-block label, the labels of its join block in one list that they
+        share: each other-block merges the lists it meets, the shorter into the longer."""
         self._same_size(other)
-        parent, cls = list(range(len(self.blocks))), self.class_of
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
+        cls = self.class_of
+        merged = [[i] for i in range(len(self.blocks))]
         for block in other.blocks:
-            r = find(cls[block[0]])
+            into = merged[cls[block[0]]]
             for a in block[1:]:
-                parent[find(cls[a])] = r
-        return [find(i) for i in range(len(parent))]
+                part = merged[cls[a]]
+                if part is not into:
+                    if len(part) > len(into):
+                        into, part = part, into
+                    into += part
+                    for i in part:
+                        merged[i] = into
+        return merged
 
     def meet(self, other: "Congruence") -> "Congruence":
         self._same_size(other)
+        pairs = list(zip(self.class_of, other.class_of))
+        if len(set(pairs)) == self.size:
+            return _extremes(self.size)[0]
         groups = {}
-        for a, key in enumerate(zip(self.class_of, other.class_of)):
+        for a, key in enumerate(pairs):
             groups.setdefault(key, []).append(a)
         return Congruence(tuple(map(tuple, groups.values())), self.size)
 
     def join(self, other: "Congruence") -> "Congruence":
         groups = {}
-        for r, block in zip(self._roots(other), self.blocks):
-            groups.setdefault(r, []).extend(block)
+        for labels, block in zip(self._merged(other), self.blocks):
+            groups.setdefault(labels[0], []).extend(block)
+        if len(groups) == 1:
+            return _extremes(self.size)[1]
         return Congruence(tuple(map(tuple, groups.values())), self.size)
 
     def permutes_with(self, other: "Congruence") -> bool:
-        """Whether the block pairs that meet number, summed over the join blocks, the
-        self-blocks times the other-blocks in each (see the module docstring)."""
-        roots = self._roots(other)
-        mine = Counter(roots)
-        theirs = Counter(roots[self.class_of[block[0]]] for block in other.blocks)
-        pairs = len(set(zip(self.class_of, other.class_of)))
-        return pairs == sum(k * theirs[r] for r, k in mine.items())
+        """Whether the block pairs that meet number the self-blocks of each other-block's
+        join block, summed over the other-blocks (see the module docstring)."""
+        merged, cls = self._merged(other), self.class_of
+        pairs = len(set(zip(cls, other.class_of)))
+        return pairs == sum(len(merged[cls[block[0]]]) for block in other.blocks)
+
+
+@lru_cache(maxsize=64)
+def _extremes(size: int) -> tuple[Congruence, Congruence]:
+    """The identity and the total congruence of size elements, built once."""
+    return Congruence(tuple(zip(range(size))), size), Congruence((tuple(range(size)),), size)
 
 
 # -- filters -----------------------------------------------------------------
@@ -115,6 +127,15 @@ class Congruence:
 def _meet_of(alg: FiniteAlgebra, elements) -> int:
     """The meet of elements; the top for none."""
     return reduce(lambda x, y: alg.meet[x][y], elements, alg.top)
+
+
+def _in_universe(alg: FiniteAlgebra, elements) -> tuple:
+    """The elements as a tuple; ValueError naming those that are bools or lie outside
+    0..size-1, which indexing would read as other elements or miss."""
+    elements = tuple(elements)
+    if outside := [a for a in elements if a.__class__ is bool or not 0 <= a < alg.size]:
+        raise ValueError(f"elements {sorted(outside)} outside 0..{alg.size - 1}")
+    return elements
 
 
 def _box(alg: FiniteAlgebra):
@@ -125,10 +146,7 @@ def _box(alg: FiniteAlgebra):
 def is_hfilter(alg: FiniteAlgebra, carrier) -> bool:
     """Whether carrier is an h-filter, i.e. the up-set of its meet; ValueError if it
     leaves the universe."""
-    f = frozenset(carrier)
-    outside = sorted(a for a in f if not 0 <= a < alg.size)
-    if outside:
-        raise ValueError(f"elements {outside} outside 0..{alg.size - 1}")
+    f = frozenset(_in_universe(alg, carrier))
     return f == frozenset(alg.upset[_meet_of(alg, f)])
 
 
@@ -143,14 +161,14 @@ def is_congruence_filter(alg: FiniteAlgebra, carrier) -> bool:
 
 def generated_hfilter(alg: FiniteAlgebra, seed) -> frozenset:
     """Least h-filter containing seed: the up-set of the meet of the seed."""
-    return frozenset(alg.upset[_meet_of(alg, seed)])
+    return frozenset(alg.upset[_meet_of(alg, _in_universe(alg, seed))])
 
 
 def generated_congfilter(alg: FiniteAlgebra, seed) -> frozenset:
     """Least congruence filter containing seed, via the boxed-meet description:
     { a : box b0 & ... & box b(k-1) <= a for some bi in seed }."""
     box = _box(alg)
-    return generated_hfilter(alg, [box[s] for s in seed])
+    return generated_hfilter(alg, [box[s] for s in _in_universe(alg, seed)])
 
 
 def _open_elements(alg: FiniteAlgebra):
@@ -166,6 +184,7 @@ def all_congruence_filters(alg: FiniteAlgebra) -> list[frozenset]:
 
 def principal_generator(alg: FiniteAlgebra, f) -> int:
     """The single generator b with f = { a : box b <= a }; b is the meet of f."""
+    f = _in_universe(alg, f)
     b = _meet_of(alg, f)
     if frozenset(alg.upset[_box(alg)[b]]) != frozenset(f):
         raise TheoremViolation(f"meet {b} does not box-generate the filter {sorted(f)}")
@@ -209,6 +228,7 @@ def to_filter(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Least congruence identifying a and b: that of the up-set of box(a <-> b)."""
+    _in_universe(alg, (a, b))
     return _congruence_of(alg, _box(alg)[alg.iff(a, b)])[0]
 
 

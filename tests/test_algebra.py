@@ -514,6 +514,18 @@ def test_relabel_roundtrip():
     assert back == alg
 
 
+@pytest.mark.parametrize("perm", [
+    (0, 0, 1, 2),  # a repeat, which would collapse the meet table
+    (0, 1, 2),  # too short, which indexing would miss
+    (0, 1, 2, 3, 4),  # too long
+    (-1, 0, 1, 2),  # negative, which indexing would read from the end
+    (0, 1, 2, 4),  # outside the universe
+])
+def test_relabel_rejects_a_map_that_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match=r"is not a permutation of 0\.\.3"):
+        relabel(b4_prod(), perm)
+
+
 def test_canonical_relabeling_returns_matching_permutation():
     alg = b4_disc()
     perm, canon = canonical_relabeling(alg)

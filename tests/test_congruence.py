@@ -411,17 +411,27 @@ def test_permutes_with_matches_relational_composition(labels):
     assert theta.permutes_with(theta.join(phi)) and theta.meet(phi).permutes_with(phi)
 
 
-def test_permutes_with_matches_oracle_on_every_pair_of_partitions_of_4():
-    parts = {_partition(labels) for labels in itertools.product(range(4), repeat=4)}
-    assert len(parts) == 15  # Bell number B4
-    permuting = 0
+@pytest.mark.parametrize("n, bell, permuting, identities, totals", [
+    (4, 15, 117, 113, 119),
+    (5, 52, 864, 1153, 1343),
+], ids=["4", "5"])
+def test_permutes_with_matches_oracle_on_every_pair_of_partitions(
+        n, bell, permuting, identities, totals):
+    """Every ordered pair of partitions of n; the counts were taken by composing the
+    relations directly.  A meet to the identity and a join to the total are the
+    shared ones of that size, and every other result is grouped."""
+    parts = {_partition(labels) for labels in itertools.product(range(n), repeat=n)}
+    assert len(parts) == bell
+    identity, total = cg._extremes(n)
+    counts = Counter()
     for theta, phi in itertools.product(parts, repeat=2):
-        verdict = theta.permutes_with(phi)
+        verdict, meet, join = theta.permutes_with(phi), theta.meet(phi), theta.join(phi)
         assert verdict == permutes_oracle(theta, phi), (theta, phi)
-        assert theta.meet(phi) == meet_oracle(theta, phi), (theta, phi)
-        assert theta.join(phi) == join_oracle(theta, phi), (theta, phi)
-        permuting += verdict
-    assert permuting == 117
+        assert meet == meet_oracle(theta, phi), (theta, phi)
+        assert join == join_oracle(theta, phi), (theta, phi)
+        assert (meet == identity) == (meet is identity) and (join == total) == (join is total)
+        counts.update(permuting=verdict, identities=meet is identity, totals=join is total)
+    assert counts == Counter(permuting=permuting, identities=identities, totals=totals)
 
 
 def test_binary_operations_reject_partitions_of_different_sizes():
@@ -540,6 +550,25 @@ def test_partitions_from_outside_are_checked_on_entry(construction, theta, error
 def test_blocks_that_do_not_partition_the_universe_are_rejected(use, blocks):
     with pytest.raises(ValueError, match=r"do not partition 0\.\.3"):
         use(blocks)
+
+
+@pytest.mark.parametrize("construction, arguments, value", [
+    (principal_congruence, (-1, 0), "-1"),  # indexing would read -1 as the top
+    (principal_congruence, (True, 0), "True"),  # and True as 1
+    (principal_congruence, (0, 99), "99"),
+    (generated_congfilter, ([-1],), "-1"),
+    (generated_congfilter, ([0, 4],), "4"),
+    (generated_hfilter, ([9],), "9"),
+    (generated_hfilter, ([-2],), "-2"),
+    (principal_generator, ([9],), "9"),
+    (principal_generator, ([False, 3],), "False"),
+    (principal_congruence, (4, -1), "-1, 4"),
+    (is_hfilter, ({3, 99},), "99"),
+    (is_congruence_filter, ({-1},), "-1"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_element_arguments_outside_the_universe_are_rejected(construction, arguments, value):
+    with pytest.raises(ValueError, match=rf"elements \[{value}\] outside 0\.\.3"):
+        construction(b4_prod(), *arguments)
 
 
 def test_compatibility_pass_rejects_a_broken_binary_table():
