@@ -483,10 +483,21 @@ def element_profile(alg: FiniteAlgebra) -> ElementProfile:
     )
 
 
+def _in_universe(alg: FiniteAlgebra, elements) -> tuple:
+    """The elements as a tuple; ValueError naming those that are bools or lie outside
+    0..size-1, which indexing would read as other elements or miss."""
+    elements = tuple(elements)
+    if outside := [a for a in elements if a.__class__ is bool or not 0 <= a < alg.size]:
+        raise ValueError(f"elements {sorted(outside)} outside 0..{alg.size - 1}")
+    return elements
+
+
 def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
-    """t(a,b,c) = (box(a<->b) & c) | (!box(a<->b) & a)."""
+    """t(a,b,c) = (box(a<->b) & c) | (!box(a<->b) & a); ValueError for an element
+    outside the universe."""
     if alg.box is None:
         raise TermEvalError(f"class {alg.cls} carries no box table; run derive_operations")
+    _in_universe(alg, (a, b, c))
     e = alg.box[alg.iff(a, b)]
     return alg.join[alg.meet[e][c]][alg.meet[alg.neg[e]][a]]
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 
-from .algebra import TABLES, FiniteAlgebra, canonical_relabeling, relabeled_tables, serial_key
+from .algebra import (TABLES, FiniteAlgebra, _in_universe, canonical_relabeling, relabeled_tables,
+                      serial_key)
 from .errors import TheoremViolation
 from .morphism import Homomorphism, _table_pairs, _unpreserved
 
@@ -127,15 +128,6 @@ def _extremes(size: int) -> tuple[Congruence, Congruence]:
 def _meet_of(alg: FiniteAlgebra, elements) -> int:
     """The meet of elements; the top for none."""
     return reduce(lambda x, y: alg.meet[x][y], elements, alg.top)
-
-
-def _in_universe(alg: FiniteAlgebra, elements) -> tuple:
-    """The elements as a tuple; ValueError naming those that are bools or lie outside
-    0..size-1, which indexing would read as other elements or miss."""
-    elements = tuple(elements)
-    if outside := [a for a in elements if a.__class__ is bool or not 0 <= a < alg.size]:
-        raise ValueError(f"elements {sorted(outside)} outside 0..{alg.size - 1}")
-    return elements
 
 
 def _box(alg: FiniteAlgebra):

@@ -1,8 +1,15 @@
-"""Flat-file formats for algebras and presentations (JSON)."""
+"""Flat-file formats for algebras and presentations (JSON).
+
+read_algebra reads the file on every call, but parses, completes and validates
+each (text, path string, check) once per process, in a cache of at most 32
+entries.  Each entry holds the text and the algebra, so at most 32 times the file
+size plus the tables.  No exception is cached.
+"""
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -70,15 +77,22 @@ def algebra_from_dict(data: dict, where: str = "algebra") -> FiniteAlgebra:
     return FiniteAlgebra(size, cls, **tables, name=name)
 
 
-def _load_json(path: Path):
-    """The JSON value in a file; bad syntax and over-deep nesting raise
-    MalformedAlgebraError."""
+def _load_json(text: str, where: str):
+    """The JSON value in text read from the file where; bad syntax and over-deep
+    nesting raise MalformedAlgebraError."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise MalformedAlgebraError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+        raise MalformedAlgebraError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
-        raise MalformedAlgebraError(f"{path}: JSON nests too deeply") from None
+        raise MalformedAlgebraError(f"{where}: JSON nests too deeply") from None
+
+
+@lru_cache(maxsize=32)
+def _parsed(text: str, where: str, check: bool) -> FiniteAlgebra:
+    """read_algebra's work on the text of the file where; see the module docstring."""
+    alg = algebra_from_dict(_load_json(text, where), where=where)
+    return derive_operations(alg) if check else alg
 
 
 def read_algebra(path, check: bool = True) -> FiniteAlgebra:
@@ -88,10 +102,13 @@ def read_algebra(path, check: bool = True) -> FiniteAlgebra:
     derived tables the file leaves out (box; dualneg for dht), and an axiom
     violation, such as a present derived table that disagrees, raises
     InvalidAlgebraError.  With check=False the file's tables come back as they are.
+
+    The file is read on every call and the rest runs once per (text, path string,
+    check), in a cache of 32 entries: a repeated read returns the same frozen
+    algebra, a rewritten file is parsed anew and a bad file raises on every read.
     """
     path = Path(path)
-    alg = algebra_from_dict(_load_json(path), where=str(path))
-    return derive_operations(alg) if check else alg
+    return _parsed(path.read_text(), str(path), check)
 
 
 def write_algebra(path, alg: FiniteAlgebra) -> None:
@@ -107,7 +124,7 @@ def _equation_from_dict(data: dict, where: str) -> tuple:
 def read_presentation(path) -> DefiningPair:
     """{"vars": [names], "atoms": [{"lhs": term, "rhs": term}, ...]}"""
     path = Path(path)
-    data = _load_json(path)
+    data = _load_json(path.read_text(), str(path))
     names = _expect(data, "vars", list, str(path))
     atoms = _expect(data, "atoms", list, str(path))
     seen: set = set()

@@ -20,8 +20,8 @@ from functools import reduce
 from itertools import chain, islice
 from operator import itemgetter, or_
 
-from .algebra import (BINARY, TABLES, FiniteAlgebra, _inverse, canonical_relabeling,
-                      relabeled_tables)
+from .algebra import (BINARY, TABLES, FiniteAlgebra, _in_universe, _inverse,
+                      canonical_relabeling, relabeled_tables)
 from .errors import TheoremViolation
 from .fixtures import two_element
 
@@ -136,8 +136,9 @@ def _grown(rows: list[list[int]], members: list[int], i: int) -> int:
 
 
 def subalgebra_closure(alg: FiniteAlgebra, seed) -> frozenset:
-    """Least subuniverse containing seed; the constants 0 and top are always included."""
-    members = list(dict.fromkeys((0, alg.top, *seed)))
+    """Least subuniverse containing seed; the constants 0 and top are always included.
+    ValueError for a seed element outside the universe."""
+    members = list(dict.fromkeys((0, alg.top, *_in_universe(alg, seed))))
     _grown(_rows(alg), members, 0)
     return frozenset(members)
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from finheyt import io
 from finheyt.algebra import VarietyClass
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
@@ -18,6 +19,13 @@ ACCEPTANCE_CLASSES = (
     VarietyClass("hdp", 2),
     VarietyClass("dht", 2),
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_reads():
+    """Empty io's read cache before each test, so that no test gets an algebra
+    object, or its cached properties, from a file an earlier test read."""
+    io._parsed.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -36,8 +36,10 @@ from finheyt.catalog import (
     enum_distributive_lattices,
 )
 from finheyt.congruence import product
+from finheyt.decision import decide_projective_finite
 from finheyt.errors import TheoremViolation
-from finheyt.fixtures import b4_disc, b4_prod, c3_simple
+from finheyt.fixtures import b4_disc, b4_prod, c3_simple, two_element
+from conftest import ACCEPTANCE_CLASSES
 
 
 def oracle_lattice_counts(max_k=4):
@@ -658,3 +660,18 @@ def test_non_simple_members_are_the_products_of_simple_ones(cls, composite):
         members = {serial_key(a) for a in cat.of_size(n) if not element_profile(a).simple}
         assert members == set(keys), (cls, n)
     assert sum(map(len, products.values())) == composite
+
+
+@pytest.mark.parametrize("cls", ACCEPTANCE_CLASSES, ids=str)
+def test_projective_members_are_the_doubles_of_the_members_of_half_the_size(cls):
+    # A hom onto 2 has a factor congruence as its kernel, so A is projective exactly
+    # when A = 2 x B, with B unique up to iso: the projective members of size n are
+    # the canonical forms of 2 x B for the members B of size n/2, none at odd n
+    cat = build_catalog(cls, MAX_LATTICE_SIZE)
+    two = two_element(cls)
+    for n in range(2, MAX_LATTICE_SIZE + 1):
+        projective = {serial_key(a) for a in cat.of_size(n) if decide_projective_finite(a).projective}
+        halves = cat.of_size(n // 2) if n % 2 == 0 else []
+        doubles = {serial_key(canonical_form(product(two, b))) for b in halves}
+        assert len(doubles) == len(halves), (cls, n)
+        assert projective == doubles, (cls, n)

@@ -12,6 +12,7 @@ from finheyt.algebra import (
     VarietyClass,
     canonical_form,
     canonical_relabeling,
+    discriminator_eval,
     element_profile,
     serial_key,
     validate,
@@ -46,7 +47,7 @@ from finheyt.fixtures import (
     two_element,
     two_ws5,
 )
-from finheyt.morphism import Homomorphism, homs, isomorphic
+from finheyt.morphism import Homomorphism, homs, isomorphic, subalgebra_closure
 
 # -- independent oracles -------------------------------------------------------
 
@@ -565,6 +566,12 @@ def test_blocks_that_do_not_partition_the_universe_are_rejected(use, blocks):
     (principal_congruence, (4, -1), "-1, 4"),
     (is_hfilter, ({3, 99},), "99"),
     (is_congruence_filter, ({-1},), "-1"),
+    (discriminator_eval, (-1, 0, 1), "-1"),
+    (discriminator_eval, (9, 0, 1), "9"),
+    (discriminator_eval, (0, True, 1), "True"),
+    (subalgebra_closure, ([-1],), "-1"),
+    (subalgebra_closure, ([9],), "9"),
+    (subalgebra_closure, ([True],), "True"),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_element_arguments_outside_the_universe_are_rejected(construction, arguments, value):
     with pytest.raises(ValueError, match=rf"elements \[{value}\] outside 0\.\.3"):

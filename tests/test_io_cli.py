@@ -108,12 +108,44 @@ def test_read_structural_errors(tmp_path):
     assert "meet" in str(e.value)
 
 
-def test_read_reports_axiom_violations(files):
-    with pytest.raises(InvalidAlgebraError) as e:
-        io.read_algebra(files["C3idbox"])
-    assert "open-elements-boolean" in str(e.value)
-    raw = io.read_algebra(files["C3idbox"], check=False)
-    assert raw.box == (0, 1, 2)
+@pytest.mark.parametrize("checked_first", [True, False])
+def test_read_reports_axiom_violations(files, checked_first):
+    # each read, cached or not, keeps the check it asks for
+    for check in (checked_first, not checked_first) * 2:
+        if check:
+            with pytest.raises(InvalidAlgebraError, match="open-elements-boolean"):
+                io.read_algebra(files["C3idbox"])
+        else:
+            assert io.read_algebra(files["C3idbox"], check=False).box == (0, 1, 2)
+
+
+def test_a_repeated_read_returns_the_cached_algebra(files):
+    assert io._parsed.cache_info().currsize == 0  # emptied before each test
+    first = io.read_algebra(files["B4prod"])
+    hits = io._parsed.cache_info().hits
+    assert io.read_algebra(files["B4prod"]) is first
+    assert io._parsed.cache_info().hits == hits + 1
+    assert io.read_algebra(files["B4prod"], check=False) is not first
+
+
+def test_a_rewritten_file_is_read_anew(files):
+    path = files["B4prod"]
+    assert io.read_algebra(path) == b4_prod()
+    stat = path.stat()
+    io.write_algebra(path, b4_disc())
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # the same path and mtime
+    back = io.read_algebra(path)
+    assert back == b4_disc() and back.name == "B4disc"
+
+
+def test_a_malformed_file_raises_on_every_read_naming_its_own_path(tmp_path):
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path in paths:
+        path.write_text('{"name": "x"}')
+    for path in paths * 2:
+        with pytest.raises(MalformedAlgebraError) as e:
+            io.read_algebra(path)
+        assert str(e.value) == f"{path}: missing key 'class'"
 
 
 def test_read_presentation_and_quasiidentity(tmp_path):
