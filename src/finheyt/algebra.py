@@ -165,6 +165,12 @@ class FiniteAlgebra:
     def rename(self, name: str) -> "FiniteAlgebra":
         return replace(self, name=name)
 
+    @cached_property
+    def _axiom_report(self) -> "ValidationReport":
+        """The axiom pass, run once per object: validate and derive_operations
+        read it after check_structure."""
+        return _axioms(self)
+
     def __hash__(self):  # cached: algebras key caches, and each hash reads every table
         if "_hash" not in self.__dict__:
             object.__setattr__(self, "_hash", hash(serial_key(self)))
@@ -280,9 +286,9 @@ _IS = [bytes(x) + b"\1" + bytes(255 - x) for x in range(256)]
 
 def validate(alg: FiniteAlgebra) -> ValidationReport:
     """Check structure, then lattice, residuation and class axioms; collect every
-    violation."""
+    violation.  The axioms run once per algebra object (FiniteAlgebra._axiom_report)."""
     check_structure(alg)
-    return _axioms(alg)
+    return alg._axiom_report
 
 
 def _axioms(alg: FiniteAlgebra) -> ValidationReport:
@@ -463,7 +469,7 @@ def derive_operations(alg: FiniteAlgebra) -> FiniteAlgebra:
     elif alg.box is None and kind in LEVELED:
         fill["box"] = derived_box_hdp(alg, fill.get("dualneg", alg.dualneg), alg.cls.level)
     out = replace(alg, **fill) if fill else alg
-    report = _axioms(out)
+    report = out._axiom_report
     if not report.valid:
         raise InvalidAlgebraError(report)
     return out
@@ -486,8 +492,13 @@ def element_profile(alg: FiniteAlgebra) -> ElementProfile:
 def _in_universe(alg: FiniteAlgebra, elements) -> tuple:
     """The elements as a tuple; ValueError naming those that are bools or lie outside
     0..size-1, which indexing would read as other elements or miss."""
-    elements = tuple(elements)
-    if outside := [a for a in elements if a.__class__ is bool or not 0 <= a < alg.size]:
+    elements, n = tuple(elements), alg.size
+    for a in elements:  # the fast path: every element an int in range
+        if a.__class__ is not int or not 0 <= a < n:
+            break
+    else:
+        return elements
+    if outside := [a for a in elements if a.__class__ is bool or not 0 <= a < n]:
         raise ValueError(f"elements {sorted(outside)} outside 0..{alg.size - 1}")
     return elements
 
@@ -495,11 +506,14 @@ def _in_universe(alg: FiniteAlgebra, elements) -> tuple:
 def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
     """t(a,b,c) = (box(a<->b) & c) | (!box(a<->b) & a); ValueError for an element
     outside the universe."""
-    if alg.box is None:
+    box, meet, impl, n = alg.box, alg.meet, alg.impl, alg.size
+    if box is None:
         raise TermEvalError(f"class {alg.cls} carries no box table; run derive_operations")
-    _in_universe(alg, (a, b, c))
-    e = alg.box[alg.iff(a, b)]
-    return alg.join[alg.meet[e][c]][alg.meet[alg.neg[e]][a]]
+    if not (a.__class__ is b.__class__ is c.__class__ is int and 0 <= a < n and 0 <= b < n
+            and 0 <= c < n):  # else the full check, which also takes other integer types
+        _in_universe(alg, (a, b, c))
+    e = box[meet[impl[a][b]][impl[b][a]]]
+    return alg.join[meet[e][c]][meet[alg.neg[e]][a]]
 
 
 # -- canonical form ----------------------------------------------------------

@@ -26,9 +26,7 @@ from .terms import (
     Meet,
     Neg,
     Quasiidentity,
-    Term,
     Var,
-    discriminator_term,
     eval_formula,
 )
 
@@ -150,24 +148,25 @@ def diagram_beta(m: FiniteAlgebra) -> FirstOrderFormula:
     return FirstOrderFormula(prefix, FoAnd(tuple(conjuncts)))
 
 
-def _relativize(f: Formula, x: Term, y: Term) -> Formula:
-    """Replace every equality r = s (also under negation) by t(x,y,r) = t(x,y,s)."""
+def _relativize(f: Formula, t) -> Formula:
+    """Replace every equality r = s (also under negation) by t(r) = t(s)."""
     if isinstance(f, FoAtom):
-        return FoAtom(discriminator_term(x, y, f.lhs), discriminator_term(x, y, f.rhs))
+        return FoAtom(t(f.lhs), t(f.rhs))
     if isinstance(f, FoNot):
-        return FoNot(_relativize(f.arg, x, y))
+        return FoNot(_relativize(f.arg, t))
     if isinstance(f, FoAnd):
-        return FoAnd(tuple(_relativize(g, x, y) for g in f.args))
-    return FoOr(tuple(_relativize(g, x, y) for g in f.args))
+        return FoAnd(tuple(_relativize(g, t) for g in f.args))
+    return FoOr(tuple(_relativize(g, t) for g in f.args))
 
 
 @lru_cache(maxsize=16)
 def diagram_alpha(m: FiniteAlgebra) -> FirstOrderFormula:
-    """exists x,y beta^t(x,y): true in A iff some quotient A/theta(x,y) is isomorphic to m."""
+    """exists x,y beta^t(x,y): true in A iff some quotient A/theta(x,y) is isomorphic to m.
+    Every atom side t(x,y,r) shares one [](x<->y) and one ![](x<->y) & x."""
     if m.box is None:
         raise ValueError("diagram_alpha needs a class with a box table")
     beta = diagram_beta(m)
-    matrix = _relativize(beta.matrix, Var("x"), Var("y"))
+    matrix = _relativize(beta.matrix, terms._discriminator(Var("x"), Var("y")))
     return FirstOrderFormula((("exists", "x"), ("exists", "y")) + beta.prefix, matrix)
 
 

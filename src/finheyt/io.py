@@ -3,7 +3,9 @@
 read_algebra reads the file on every call, but parses, completes and validates
 each (text, path string, check) once per process, in a cache of at most 32
 entries.  Each entry holds the text and the algebra, so at most 32 times the file
-size plus the tables.  No exception is cached.
+size plus the tables.  No exception is cached.  A checked read completes the
+unchecked one, so a file that carries every derived table is parsed once, and
+its axioms, whose report the algebra keeps, run once.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ def _load_json(text: str, where: str):
 
 @lru_cache(maxsize=32)
 def _parsed(text: str, where: str, check: bool) -> FiniteAlgebra:
-    """read_algebra's work on the text of the file where; see the module docstring."""
-    alg = algebra_from_dict(_load_json(text, where), where=where)
-    return derive_operations(alg) if check else alg
+    """read_algebra's work on the text of the file where; see the module docstring.
+    A checked read completes the unchecked one, whose axiom report it reuses."""
+    if check:
+        return derive_operations(_parsed(text, where, False))
+    return algebra_from_dict(_load_json(text, where), where=where)
 
 
 def read_algebra(path, check: bool = True) -> FiniteAlgebra:

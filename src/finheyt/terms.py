@@ -15,6 +15,7 @@ and ``decision``'s diagrams read them there.  Concrete syntax, by ``prec``
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
@@ -267,8 +268,14 @@ def term_vars(t: Term) -> tuple[str, ...]:
 
 def discriminator_term(x: Term, y: Term, z: Term) -> Term:
     """The fixed switching term t(x,y,z) = ([](x<->y) & z) | (![](x<->y) & x)."""
+    return _discriminator(x, y)(z)
+
+
+def _discriminator(x: Term, y: Term):
+    """z -> t(x,y,z), every result sharing one [](x<->y) and one ![](x<->y) & x."""
     e = Box(Meet(Impl(x, y), Impl(y, x)))
-    return Join(Meet(e, z), Meet(Neg(e), x))
+    otherwise = Meet(Neg(e), x)
+    return lambda z: Join(Meet(e, z), otherwise)
 
 
 @dataclass(frozen=True)
@@ -372,7 +379,9 @@ def formula_vars(f: Formula) -> set:
 # A formula is compiled once, independently of any algebra, into a plan:
 #   - every distinct subterm of the matrix gets one value slot (common
 #     subexpressions are shared across conjuncts) and is computed at the
-#     shallowest quantifier depth where all its variables are bound;
+#     shallowest quantifier depth where all its variables are bound; the walk
+#     visits each term object once, so a subterm shared by object, as alpha's
+#     discriminator parts are, costs one visit;
 #   - the matrix is split into its conjuncts, and each conjunct is checked at
 #     the depth of its last variable; a slot is computed just before the first
 #     check at its depth that reads it, so a failing check skips the rest of
@@ -380,22 +389,29 @@ def formula_vars(f: Formula) -> set:
 #   - each depth becomes one generated Python function: the loop over its
 #     variable with every table lookup and check written out inline, taking
 #     its frontier, the slots set above it and read at it or deeper, as
-#     arguments and passing the next depth its frontier; the source is built
-#     from slot numbers, table positions and fixed keywords only, never from a
-#     variable name or other text of the formula;
+#     arguments and passing the next depth its frontier; a slot read once at
+#     its depth and not passed on is written where it is read, not as a local;
+#     the source is built from slot numbers, table positions and fixed
+#     keywords only, never from a variable name or other text of the formula;
 #   - the subtree below depth d is a pure function of its frontier, so the
 #     caller looks it up in a memo keyed on the frontier's variable slots,
-#     unless no key can repeat there or a repeat cannot reach it (``_plan``).
+#     unless no key can repeat there or a repeat cannot reach it (``_plan``);
+#   - an existential depth left unmemoised is called again by the loop above
+#     it, and its leading checks, those before the first step that reads the
+#     variable of that loop, pass the same values on every call that agrees on
+#     what they read: it keeps those values in a pool per such key.
 # The quantifiers keep their brute-force semantics: prefix order, every
 # quantifier ranging over the whole universe.
 
 _MEMO_ENTRIES = 1 << 14
-"""The floor of the memo entries one satisfying_assignment call stores over all
-levels; the budget is the larger of it and q * n**2 for q quantifiers over n
-elements, polynomial in the input.  Rarely repeating keys would keep about one
-per outer assignment (78 MB for the widened star in MAX_PRESENTATION_VARS).
-alpha's levels are keyed on slots of at most n**2 values: it stores 124 entries
-at 36 elements and 994 at 256, under budgets of 16,384 and 327,680."""
+"""The floor of the memo entries and pools one satisfying_assignment call stores
+over all levels; the budget is the larger of it and q * n**2 for q quantifiers
+over n elements, polynomial in the input, and a pool holds at most n values.
+Rarely repeating keys would keep about one per outer assignment (78 MB for the
+widened star in MAX_PRESENTATION_VARS).  alpha's levels and pools are keyed on
+slots of at most n**2 values: it stores 124 entries and 80 pools at 36
+elements, and 994 entries and 625 pools at 256, under budgets of 16,384 and
+327,680."""
 
 
 @dataclass(frozen=True)
@@ -413,8 +429,9 @@ class _Plan:
     returns None when its subformula fails, else the values of the existential
     variables bound from there up to the first universal one.  ``frontier[d]``
     is the memo key of depth d's search, its frontier without the constants,
-    or None where it is not memoised.  ``symbols`` maps each table to the
-    operator first written for it.
+    or None where it is not memoised; such an existential search from depth 1
+    on may pool its candidates (see ``_level_source``).  ``symbols`` maps each
+    table to the operator first written for it.
     """
 
     names: tuple[str, ...]
@@ -450,7 +467,15 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
             slot_depth.append(depth)
         return slot_of[key]
 
+    seen: dict = {}  # id(t) -> (t, slot); holding t keeps its id from being reused
+
     def term(t: Term) -> int:
+        """The slot of t, walked once per object."""
+        if id(t) not in seen:
+            seen[id(t)] = t, walk(t)
+        return seen[id(t)][1]
+
+    def walk(t: Term) -> int:
         if isinstance(t, Var):
             return slot_of[("var", depth_of[t.name])]
         if isinstance(t, Const):
@@ -530,7 +555,8 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
     for i, steps in enumerate(levels):
         exists = i > 0 and formula.prefix[i - 1][0] == "exists"
         inner = (params[i + 1], frontier[i]) if i < len(names) else None
-        src = _level_source(i - 1, exists, steps, slots, tables, params[i], inner)
+        pooled = exists and i > 1 and frontier[i - 1] is None
+        src = _level_source(i - 1, exists, steps, slots, tables, params[i], inner, pooled)
         namespace: dict = {}
         exec(src, namespace)
         source.append(src)
@@ -546,7 +572,7 @@ def _plan(formula: FirstOrderFormula) -> _Plan:
     )
 
 
-def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> str:
+def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, pooled) -> str:
     """Python source of the factory of depth d's search, or of the level run
     once per call for d = -1, which sets the constants.  The search takes the
     slots params as arguments; inner is the next depth's (params, memo key),
@@ -554,7 +580,34 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> 
     Ti, and row Ti[xs] of an argument xs the local Ri_s bound before the loop;
     the only other names are fixed keywords and temporaries ci, so no text of
     the formula enters the source.  Compound checks are flattened into one
-    statement per node, so that no check tree nests expressions or blocks."""
+    statement per node, so that no check tree nests expressions or blocks.
+
+    A slot read once in the level, and neither passed on nor kept in a pool,
+    is written where it is read instead of as a local.  If pooled, the leading
+    checks, those before the first step that reads the variable of depth d - 1,
+    filter range(n) once per value of the params they read, unless that is the
+    whole frontier, into the pool of the values that pass, each with the slots
+    computed for them that the rest reads; pools count against the memo room."""
+    reads = [slots[x][1:] if kind == "op" else _atoms(x) for kind, x in steps]
+    lead = 0
+    for j, (kind, x) in enumerate(steps if pooled else ()):
+        if d - 1 in reads[j]:
+            break
+        lead = j + 1 if kind == "check" else lead
+    pool_key = sorted({s for r in reads[:lead] for s in r
+                       if s in params and slots[s][0] != "const"})
+    if len(pool_key) == sum(slots[s][0] != "const" for s in params):
+        lead = 0
+    passed = set(inner[0]) if inner is not None else set()
+    later = passed.union(*reads[lead:])
+    carried = [x for kind, x in steps[:lead] if kind == "op" and x in later]
+    uses = Counter(chain.from_iterable(reads))
+    inline = {x for kind, x in steps if kind == "op" and uses[x] == 1} - passed - set(carried)
+    ref: dict = {}  # the expression of each inlined slot
+
+    def name(s):
+        return ref.get(s, f"x{s}")
+
     body = [f"x{s} = {'n - 1' if key[1] else 0}" for s, key in enumerate(slots)
             if d < 0 and key[0] == "const"]
     rows: dict = {}
@@ -568,7 +621,7 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> 
             tree, negated = tree[1], not negated
         kind, *args = tree
         if kind == "atom":
-            return f"x{args[0]} {'!=' if negated else '=='} x{args[1]}"
+            return f"{name(args[0])} {'!=' if negated else '=='} {name(args[1])}"
         out = f" {kind} ".join(map(operand, args[0])) or str(kind == "and")
         return f"not ({out})" if negated else out
 
@@ -578,27 +631,33 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> 
             node = node[1]
         if node[0] == "atom":
             return expr(tree)
-        name = f"c{next(temps)}"
-        body.append(f"{name} = {expr(tree)}")
-        return name
+        temp = f"c{next(temps)}"
+        body.append(f"{temp} = {expr(tree)}")
+        return temp
 
-    for kind, x in steps:
+    cut = 0
+    for j, (kind, x) in enumerate(steps):
         if kind == "op":
             table, *args = slots[x]
             t = f"T{tables.index(table)}"
             if len(args) == 2 and args[0] in params:
                 rows[f"R{t[1:]}_{args[0]}"] = f"{t}[x{args[0]}]"
                 t, args = f"R{t[1:]}_{args[0]}", args[1:]
-            body.append(f"x{x} = {t}" + "".join(f"[x{a}]" for a in args))
+            value = t + "".join(f"[{name(a)}]" for a in args)
+            if x in inline:
+                ref[x] = value
+            else:
+                body.append(f"x{x} = {value}")
         else:
             body.append(f"if {expr(x, negated=True)}: {fail}")
+        cut = len(body) if j + 1 == lead else cut
     call = []
     if inner is not None:
-        args, key = ", ".join(f"x{s}" for s in inner[0]), inner[1]
-        call = [f"found = inner({args})"] if key is None else [
-            f"k = ({', '.join(f'x{s}' for s in key)}{',' * (len(key) == 1)})",
-            "found = memo.get(k, memo)", "if found is memo:", f"    found = inner({args})",
-            "    if room[0]:", "        room[0] -= 1", "        memo[k] = found"]
+        args, mkey = ", ".join(f"x{s}" for s in inner[0]), inner[1]
+        call = [f"found = inner({args})"] if mkey is None else [
+            f"k = {_tuple(mkey)}", "found = memo.get(k, memo)", "if found is memo:",
+            f"    found = inner({args})", "    if room[0]:", "        room[0] -= 1",
+            "        memo[k] = found"]
     if d < 0:
         loop = body + call + ["return ()" if inner is None else "return found"]
     else:
@@ -608,13 +667,37 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner) -> 
             tail = call + ["if found is not None:", f"    return (x{d}, *found)"]
         else:
             tail = call + ["if found is None:", "    return None"]
-        loop = [f"{r} = {row}" for r, row in rows.items()] + [f"for x{d} in range(n):"]
+        loop = [f"{r} = {row}" for r, row in rows.items()]
+        item, values = f"x{d}", "range(n)"
+        if lead:
+            item = ", ".join(f"x{s}" for s in (d, *carried))
+            loop += [f"k = {_tuple(pool_key)}", "pool = pools.get(k)", "if pool is None:",
+                     "    pool = []", f"    for x{d} in range(n):"]
+            loop += ["        " + line for line in body[:cut]]
+            loop += [f"        pool.append({f'({item})' if carried else item})",
+                     "    if room[0]:", "        room[0] -= 1", "        pools[k] = pool"]
+            body, values = body[cut:], "pool"
+        loop.append(f"for {item} in {values}:")
         loop += ["    " + line for line in body + tail or ["pass"]]
         loop.append("return None" if exists else "return ()")
     memo = "    memo = {}\n" if inner is not None and inner[1] is not None else ""
+    memo += "    pools = {}\n" if lead else ""
     return (f"def level(inner, n, room{''.join(f', T{i}' for i in range(len(tables)))}):\n"
             f"{memo}    def search({', '.join(f'x{s}' for s in params)}):\n"
             + "".join(f"        {line}\n" for line in loop) + "    return search\n")
+
+
+def _atoms(tree) -> list:
+    """The slots a check tree compares, in order, with repeats."""
+    if tree[0] == "atom":
+        return list(tree[1:])
+    if tree[0] == "not":
+        return _atoms(tree[1])
+    return [s for t in tree[1] for s in _atoms(t)]
+
+
+def _tuple(slots) -> str:
+    return f"({', '.join(f'x{s}' for s in slots)}{',' * (len(slots) == 1)})"
 
 
 def _room(q: int, n: int) -> list:

@@ -58,6 +58,7 @@ from finheyt.terms import (
     Quasiidentity,
     Var,
     check_quasiidentity,
+    discriminator_term,
     eval_formula,
     parse_term,
     satisfy_atoms,
@@ -424,7 +425,8 @@ def test_quantifier_chain_over_the_bound_raises():
         satisfying_assignment(two_ws5(), _chain(terms.MAX_QUANTIFIERS + 1))
 
 
-_SOURCE_NAMES = {"level", "search", "inner", "n", "range", "found", "memo", "get", "room", "k"}
+_SOURCE_NAMES = {"level", "search", "inner", "n", "range", "found", "memo", "get", "room", "k",
+                 "pools", "pool", "append"}
 
 
 def _generated_names(plan):
@@ -564,9 +566,85 @@ def test_memo_budget_keeps_the_answers(monkeypatch):
     assert (budget, room[0]) == (40, 0)
 
 
+def _alpha_with_fresh_copies(m):
+    """diagram_alpha(m) with every atom side built anew by discriminator_term."""
+    x, y = Var("x"), Var("y")
+
+    def fresh(f):
+        if isinstance(f, FoAtom):
+            return FoAtom(discriminator_term(x, y, f.lhs), discriminator_term(x, y, f.rhs))
+        if isinstance(f, FoNot):
+            return FoNot(fresh(f.arg))
+        return type(f)(tuple(map(fresh, f.args)))
+
+    beta = diagram_beta(m)
+    return FirstOrderFormula((("exists", "x"), ("exists", "y")) + beta.prefix, fresh(beta.matrix))
+
+
+@pytest.mark.parametrize("cls", ["ws5", "hri", "dht:2"])
+def test_shared_discriminator_subterms_compile_to_the_same_source(cls):
+    # diagram_alpha builds one [](x<->y) and one ![](x<->y) & x for all its
+    # atoms; _plan walks each shared object once and plans it as before.
+    two = two_element(VarietyClass.parse(cls))
+    shared, fresh = diagram_alpha(two), _alpha_with_fresh_copies(two)
+    assert shared == fresh
+    first, second = shared.matrix.args[:2]
+    assert first.lhs.left.left is second.rhs.left.left and first.lhs.right is second.rhs.right
+    assert fresh.matrix.args[0].lhs.right is not fresh.matrix.args[1].rhs.right
+    assert terms._plan.__wrapped__(shared).source == terms._plan.__wrapped__(fresh).source
+
+
+def test_repeated_diamonds_evaluate_like_naive():
+    # Each <>v0 is planned through a temporary ![]!v0.  A walk memoised on
+    # object ids that let such a temporary die could meet its id again on
+    # another term, and planned this formula as false.
+    v0 = Var("v0")
+    formula = FirstOrderFormula((("exists", "v0"), ("exists", "v1")),
+                                FoNot(FoAtom(Meet(Diamond(v0), Diamond(v0)), Neg(CONST1))))
+    assert satisfying_assignment(c3_simple(), formula) == {"v0": 1, "v1": 0}
+    assert naive_witness(c3_simple(), formula) == {"v0": 1, "v1": 0}
+
+
+def _closure(search) -> dict:
+    """What a generated search reads from its level, by name."""
+    return dict(zip(search.__code__.co_freevars, (c.cell_contents for c in search.__closure__)))
+
+
+@pytest.mark.parametrize("factors", [(b4_disc, c3_simple), (b4_disc, c3_simple, c3_simple)],
+                         ids=lambda fs: "x".join(f.__name__ for f in fs))
+def test_alpha_pools_the_candidates_of_z1(monkeypatch, factors):
+    # z1's leading checks read neither z0 nor anything computed from it but
+    # the discriminator of z0, which z0's checks fix, so every call from z0's
+    # loop under one z0 key filters the same pool of z1 values.
+    plan_of, searches, calls = terms._plan, [], []
+
+    def counted(factory):
+        def level(*bound):
+            search = factory(*bound)
+            searches.append(search)
+            return lambda *frontier: calls.append(frontier) or search(*frontier)
+        return level
+
+    def counted_plan(formula):
+        plan = plan_of(formula)
+        z1 = plan.names.index("z1") + 1
+        return dataclasses.replace(plan, factories=tuple(
+            counted(f) if i == z1 else f for i, f in enumerate(plan.factories)))
+
+    monkeypatch.setattr(terms, "_plan", counted_plan)
+    alg = reduce(product, [f() for f in factors])
+    alpha = diagram_alpha(two_element(alg.cls))
+    found = satisfying_assignment(alg, alpha)
+    [search] = searches
+    assert 0 < len(_closure(search)["pools"]) < len(calls)
+    # naive_witness takes about 1 s at 12 elements and 140 s at 36.
+    assert found == (naive_witness(alg, alpha) if alg.size <= 12 else _alpha_closed_form(alg))
+
+
 def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
-    # alpha's levels are keyed on slots of at most n**2 values, so the budget
-    # of q * n**2 entries (5 * 36**2 here) stores them all, floor or not.
+    # alpha's levels and z1's pools are keyed on slots of at most n**2 values,
+    # so the budget of q * n**2 entries (5 * 36**2 here) stores them all, floor
+    # or not: 124 memo entries and 80 pools.
     monkeypatch.setattr(terms, "_MEMO_ENTRIES", 100)
     rooms = memo_rooms(monkeypatch)
     alg = reduce(product, [b4_disc(), c3_simple(), c3_simple()])
@@ -574,7 +652,7 @@ def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
     found = satisfying_assignment(alg, diagram_alpha(two))
     assert (found is not None) == (homs(alg, two, "any_onto") is not None)
     [(room, budget)] = rooms
-    assert (budget, budget - room[0]) == (5 * 36**2, 124)
+    assert (budget, budget - room[0]) == (5 * 36**2, 204)
 
 
 def _once_per_frontier(factory):

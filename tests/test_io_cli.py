@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from finheyt import cli, decision, io
+from finheyt import algebra, cli, decision, io
 from finheyt.algebra import BINARY, TABLES, FiniteAlgebra, VarietyClass, validate
 from finheyt.catalog import build_catalog
 from finheyt.congruence import product
@@ -119,13 +119,37 @@ def test_read_reports_axiom_violations(files, checked_first):
             assert io.read_algebra(files["C3idbox"], check=False).box == (0, 1, 2)
 
 
-def test_a_repeated_read_returns_the_cached_algebra(files):
+def test_a_repeated_read_returns_the_cached_algebra(files, tmp_path):
     assert io._parsed.cache_info().currsize == 0  # emptied before each test
     first = io.read_algebra(files["B4prod"])
     hits = io._parsed.cache_info().hits
     assert io.read_algebra(files["B4prod"]) is first
     assert io._parsed.cache_info().hits == hits + 1
-    assert io.read_algebra(files["B4prod"], check=False) is not first
+    # An unchecked read leaves out a derived table the file lacks, and the
+    # checked read of the same text fills it in.
+    data = io.algebra_to_dict(c3_hri())
+    del data["box"]
+    path = tmp_path / "no_box.json"
+    path.write_text(json.dumps(data))
+    assert io.read_algebra(path, check=False).box is None
+    assert io.read_algebra(path) == c3_hri()
+
+
+@pytest.mark.parametrize("validate_first", [True, False])
+def test_a_complete_file_runs_its_axioms_once(files, monkeypatch, validate_first):
+    # The checked read completes the cached unchecked one, which already
+    # carries every table, and reuses the report validate computed, or the
+    # other way round.
+    calls = []
+    axioms = algebra._axioms
+    monkeypatch.setattr(algebra, "_axioms", lambda alg: calls.append(alg) or axioms(alg))
+    for first in (validate_first, not validate_first):
+        if first:
+            assert validate(io.read_algebra(files["B4prod"], check=False)).valid
+        else:
+            checked = io.read_algebra(files["B4prod"])
+    assert checked is io.read_algebra(files["B4prod"], check=False)
+    assert len(calls) == 1
 
 
 def test_a_rewritten_file_is_read_anew(files):
