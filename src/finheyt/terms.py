@@ -653,9 +653,9 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
         cut = len(body) if j + 1 == lead else cut
     call = []
     if inner is not None:
-        args, mkey = ", ".join(f"x{s}" for s in inner[0]), inner[1]
-        call = [f"found = inner({args})"] if mkey is None else [
-            f"k = {_tuple(mkey)}", "found = memo.get(k, memo)", "if found is memo:",
+        args, key = ", ".join(f"x{s}" for s in inner[0]), inner[1]
+        call = [f"found = inner({args})"] if key is None else [
+            f"k = {_tuple(key)}", "found = memo.get(k, memo)", "if found is memo:",
             f"    found = inner({args})", "    if room[0]:", "        room[0] -= 1",
             "        memo[k] = found"]
     if d < 0:
