@@ -140,15 +140,13 @@ def test_a_complete_file_runs_its_axioms_once(files, monkeypatch, validate_first
     # The checked read completes the cached unchecked one, which already
     # carries every table, and reuses the report validate computed, or the
     # other way round.
-    calls = []
-    axioms = algebra._axioms
+    calls, axioms, path = [], algebra._axioms, files["B4prod"]
     monkeypatch.setattr(algebra, "_axioms", lambda alg: calls.append(alg) or axioms(alg))
-    for first in (validate_first, not validate_first):
-        if first:
-            assert validate(io.read_algebra(files["B4prod"], check=False)).valid
-        else:
-            checked = io.read_algebra(files["B4prod"])
-    assert checked is io.read_algebra(files["B4prod"], check=False)
+    if validate_first:
+        assert validate(io.read_algebra(path, check=False)).valid
+    checked = io.read_algebra(path)
+    assert validate(io.read_algebra(path, check=False)).valid
+    assert checked is io.read_algebra(path, check=False)
     assert len(calls) == 1
 
 
