@@ -509,8 +509,11 @@ def discriminator_eval(alg: FiniteAlgebra, a: int, b: int, c: int) -> int:
     box, meet, impl, n = alg.box, alg.meet, alg.impl, alg.size
     if box is None:
         raise TermEvalError(f"class {alg.cls} carries no box table; run derive_operations")
+    # _in_universe's own fast path, inline: called for every triple, the call
+    # alone takes about a third of the time.  Else the full check, which also
+    # takes other integer types.
     if not (a.__class__ is b.__class__ is c.__class__ is int and 0 <= a < n and 0 <= b < n
-            and 0 <= c < n):  # else the full check, which also takes other integer types
+            and 0 <= c < n):
         _in_universe(alg, (a, b, c))
     e = box[meet[impl[a][b]][impl[b][a]]]
     return alg.join[meet[e][c]][meet[alg.neg[e]][a]]

@@ -1,11 +1,12 @@
 """Flat-file formats for algebras and presentations (JSON).
 
 read_algebra reads the file on every call, but parses, completes and validates
-each (text, path string, check) once per process, in a cache of at most 32
-entries.  Each entry holds the text and the algebra, so at most 32 times the file
+each (text, path string, check) once per process, in a cache of at most 64
+entries.  Each entry holds the text and the algebra, so at most 64 times the file
 size plus the tables.  No exception is cached.  A checked read completes the
-unchecked one, so a file that carries every derived table is parsed once, and
-its axioms, whose report the algebra keeps, run once.
+unchecked one and keeps both entries, so the cache holds 32 files read checked;
+a file that carries every derived table is parsed once, and its axioms, whose
+report the algebra keeps, run once.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _load_json(text: str, where: str):
         raise MalformedAlgebraError(f"{where}: JSON nests too deeply") from None
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _parsed(text: str, where: str, check: bool) -> FiniteAlgebra:
     """read_algebra's work on the text of the file where; see the module docstring.
     A checked read completes the unchecked one, whose axiom report it reuses."""
@@ -108,7 +109,7 @@ def read_algebra(path, check: bool = True) -> FiniteAlgebra:
     InvalidAlgebraError.  With check=False the file's tables come back as they are.
 
     The file is read on every call and the rest runs once per (text, path string,
-    check), in a cache of 32 entries: a repeated read returns the same frozen
+    check), in a cache of 64 entries: a repeated read returns the same frozen
     algebra, a rewritten file is parsed anew and a bad file raises on every read.
     """
     path = Path(path)

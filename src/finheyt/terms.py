@@ -15,7 +15,6 @@ and ``decision``'s diagrams read them there.  Concrete syntax, by ``prec``
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
@@ -389,29 +388,30 @@ def formula_vars(f: Formula) -> set:
 #   - each depth becomes one generated Python function: the loop over its
 #     variable with every table lookup and check written out inline, taking
 #     its frontier, the slots set above it and read at it or deeper, as
-#     arguments and passing the next depth its frontier; a slot read once at
-#     its depth and not passed on is written where it is read, not as a local;
-#     the source is built from slot numbers, table positions and fixed
-#     keywords only, never from a variable name or other text of the formula;
+#     arguments and passing the next depth its frontier; the source is built
+#     from slot numbers, table positions and fixed keywords only, never from a
+#     variable name or other text of the formula;
 #   - the subtree below depth d is a pure function of its frontier, so the
 #     caller looks it up in a memo keyed on the frontier's variable slots,
 #     unless no key can repeat there or a repeat cannot reach it (``_plan``);
 #   - an existential depth left unmemoised is called again by the loop above
 #     it, and its leading checks, those before the first step that reads the
 #     variable of that loop, pass the same values on every call that agrees on
-#     what they read: it keeps those values in a pool per such key.
+#     what they read: it keeps those values in a pool per such key, while
+#     the memo room can hold one.
 # The quantifiers keep their brute-force semantics: prefix order, every
 # quantifier ranging over the whole universe.
 
 _MEMO_ENTRIES = 1 << 14
-"""The floor of the memo entries and pools one satisfying_assignment call stores
-over all levels; the budget is the larger of it and q * n**2 for q quantifiers
-over n elements, polynomial in the input, and a pool holds at most n values.
-Rarely repeating keys would keep about one per outer assignment (78 MB for the
-widened star in MAX_PRESENTATION_VARS).  alpha's levels and pools are keyed on
-slots of at most n**2 values: it stores 124 entries and 80 pools at 36
-elements, and 994 entries and 625 pools at 256, under budgets of 16,384 and
-327,680."""
+"""The floor of the room of one satisfying_assignment call: the memo entries it
+stores over all levels, plus one and the number of its values for each pool.
+The room is the larger of it and q * n**2 for q quantifiers over n elements,
+polynomial in the input.  Rarely repeating keys would keep about one entry per
+outer assignment (78 MB for the widened star in MAX_PRESENTATION_VARS).
+alpha's levels and pools are keyed on slots of at most n**2 values: it stores
+124 entries and 80 pools of 404 values at 36 elements (608 of the room), and
+994 entries and 625 pools of 17,985 values at 256 (19,604), under rooms of
+16,384 and 327,680."""
 
 
 @dataclass(frozen=True)
@@ -582,12 +582,12 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
     the formula enters the source.  Compound checks are flattened into one
     statement per node, so that no check tree nests expressions or blocks.
 
-    A slot read once in the level, and neither passed on nor kept in a pool,
-    is written where it is read instead of as a local.  If pooled, the leading
-    checks, those before the first step that reads the variable of depth d - 1,
-    filter range(n) once per value of the params they read, unless that is the
-    whole frontier, into the pool of the values that pass, each with the slots
-    computed for them that the rest reads; pools count against the memo room."""
+    If pooled, the leading checks, those before the first step that reads the
+    variable of depth d - 1, filter range(n) once per value of the params they
+    read, unless that is the whole frontier, into the pool of the values that
+    pass, each with the slots computed for them that the rest reads.  A pool is kept, and charged its
+    length plus one against the memo room, only while the room exceeds n, the
+    most it can take; else the search filters range(n) lazily on each call."""
     reads = [slots[x][1:] if kind == "op" else _atoms(x) for kind, x in steps]
     lead = 0
     for j, (kind, x) in enumerate(steps if pooled else ()):
@@ -598,19 +598,10 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
                        if s in params and slots[s][0] != "const"})
     if len(pool_key) == sum(slots[s][0] != "const" for s in params):
         lead = 0
-    passed = set(inner[0]) if inner is not None else set()
-    later = passed.union(*reads[lead:])
+    later = set(inner[0] if inner is not None else ()).union(*reads[lead:])
     carried = [x for kind, x in steps[:lead] if kind == "op" and x in later]
-    uses = Counter(chain.from_iterable(reads))
-    inline = {x for kind, x in steps if kind == "op" and uses[x] == 1} - passed - set(carried)
-    ref: dict = {}  # the expression of each inlined slot
-
-    def name(s):
-        return ref.get(s, f"x{s}")
-
     body = [f"x{s} = {'n - 1' if key[1] else 0}" for s, key in enumerate(slots)
             if d < 0 and key[0] == "const"]
-    rows: dict = {}
     fail = "continue" if exists else "return None"
     temps = count()
 
@@ -621,7 +612,7 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
             tree, negated = tree[1], not negated
         kind, *args = tree
         if kind == "atom":
-            return f"{name(args[0])} {'!=' if negated else '=='} {name(args[1])}"
+            return f"x{args[0]} {'!=' if negated else '=='} x{args[1]}"
         out = f" {kind} ".join(map(operand, args[0])) or str(kind == "and")
         return f"not ({out})" if negated else out
 
@@ -631,23 +622,19 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
             node = node[1]
         if node[0] == "atom":
             return expr(tree)
-        temp = f"c{next(temps)}"
-        body.append(f"{temp} = {expr(tree)}")
-        return temp
+        name = f"c{next(temps)}"
+        body.append(f"{name} = {expr(tree)}")
+        return name
 
-    cut = 0
+    cut, used = 0, ({}, {})  # the rows read by the leading checks and by the rest
     for j, (kind, x) in enumerate(steps):
         if kind == "op":
             table, *args = slots[x]
             t = f"T{tables.index(table)}"
             if len(args) == 2 and args[0] in params:
-                rows[f"R{t[1:]}_{args[0]}"] = f"{t}[x{args[0]}]"
+                used[j >= lead][f"R{t[1:]}_{args[0]}"] = f"{t}[x{args[0]}]"
                 t, args = f"R{t[1:]}_{args[0]}", args[1:]
-            value = t + "".join(f"[{name(a)}]" for a in args)
-            if x in inline:
-                ref[x] = value
-            else:
-                body.append(f"x{x} = {value}")
+            body.append(f"x{x} = {t}" + "".join(f"[x{a}]" for a in args))
         else:
             body.append(f"if {expr(x, negated=True)}: {fail}")
         cut = len(body) if j + 1 == lead else cut
@@ -667,21 +654,25 @@ def _level_source(d: int, exists: bool, steps, slots, tables, params, inner, poo
             tail = call + ["if found is not None:", f"    return (x{d}, *found)"]
         else:
             tail = call + ["if found is None:", "    return None"]
-        loop = [f"{r} = {row}" for r, row in rows.items()]
-        item, values = f"x{d}", "range(n)"
+        loop = [f"{r} = {row}" for r, row in used[1].items()]
+        item, values, pool = f"x{d}", "range(n)", ""
         if lead:
+            given = _tuple(sorted({s for r in reads[:lead] for s in r if s in params}))
+            pool = (f"    def candidates{given}:\n"
+                    + "".join(f"        {r} = {row}\n" for r, row in used[0].items())
+                    + f"        for x{d} in range(n):\n"
+                    + "".join(f"            {line}\n" for line in body[:cut])
+                    + f"            yield x{d}{''.join(f', x{s}' for s in carried)}\n")
             item = ", ".join(f"x{s}" for s in (d, *carried))
             loop += [f"k = {_tuple(pool_key)}", "pool = pools.get(k)", "if pool is None:",
-                     "    pool = []", f"    for x{d} in range(n):"]
-            loop += ["        " + line for line in body[:cut]]
-            loop += [f"        pool.append({f'({item})' if carried else item})",
-                     "    if room[0]:", "        room[0] -= 1", "        pools[k] = pool"]
+                     f"    pool = candidates{given}", "    if room[0] > n:", "        pool = [*pool]",
+                     "        room[0] -= len(pool) + 1", "        pools[k] = pool"]
             body, values = body[cut:], "pool"
         loop.append(f"for {item} in {values}:")
         loop += ["    " + line for line in body + tail or ["pass"]]
         loop.append("return None" if exists else "return ()")
     memo = "    memo = {}\n" if inner is not None and inner[1] is not None else ""
-    memo += "    pools = {}\n" if lead else ""
+    memo += "    pools = {}\n" + pool if lead else ""
     return (f"def level(inner, n, room{''.join(f', T{i}' for i in range(len(tables)))}):\n"
             f"{memo}    def search({', '.join(f'x{s}' for s in params)}):\n"
             + "".join(f"        {line}\n" for line in loop) + "    return search\n")
@@ -701,8 +692,9 @@ def _tuple(slots) -> str:
 
 
 def _room(q: int, n: int) -> list:
-    """The memo entries one call over q quantifiers and n elements may store,
-    as the one-element list that its levels share and count down."""
+    """The room of one call over q quantifiers and n elements (see
+    _MEMO_ENTRIES), as the one-element list that its levels share and count
+    down."""
     return [max(_MEMO_ENTRIES, q * n ** 2)]
 
 
@@ -714,9 +706,9 @@ def satisfying_assignment(alg: FiniteAlgebra, formula: FirstOrderFormula) -> dic
     staged plan of the formula (see ``_plan``); memoised subtrees return the
     same values a fresh search would, so the assignment is the lex-first one.
     Every table the formula reads is bound before the search starts, so a
-    missing operation raises TermEvalError whatever the values.  Past
-    max(_MEMO_ENTRIES, q * n**2) stored entries, for q quantifiers over n
-    elements, the memos stop storing and levels recompute.
+    missing operation raises TermEvalError whatever the values.  Past a room
+    of max(_MEMO_ENTRIES, q * n**2), for q quantifiers over n elements, the
+    memos and pools stop storing and levels recompute.
     A prefix longer than MAX_QUANTIFIERS raises TermEvalError.
     """
     if len(formula.prefix) > MAX_QUANTIFIERS:

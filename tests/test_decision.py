@@ -426,7 +426,7 @@ def test_quantifier_chain_over_the_bound_raises():
 
 
 _SOURCE_NAMES = {"level", "search", "inner", "n", "range", "found", "memo", "get", "room", "k",
-                 "pools", "pool", "append"}
+                 "pools", "pool", "candidates", "len"}
 
 
 def _generated_names(plan):
@@ -641,10 +641,28 @@ def test_alpha_pools_the_candidates_of_z1(monkeypatch, factors):
     assert found == (naive_witness(alg, alpha) if alg.size <= 12 else _alpha_closed_form(alg))
 
 
+def test_alpha_keeps_no_pool_past_the_room(monkeypatch):
+    # A pool is kept only while the room exceeds n, the most it can hold;
+    # past that z1 filters its candidates lazily, call by call.
+    searches, plan_of = [], terms._plan
+
+    def keep(factory):
+        return lambda *bound: searches.append(factory(*bound)) or searches[-1]
+
+    monkeypatch.setattr(terms, "_room", lambda q, n: [n])
+    monkeypatch.setattr(terms, "_plan", lambda formula: dataclasses.replace(
+        plan_of(formula), factories=tuple(map(keep, plan_of(formula).factories))))
+    alg = product(b4_disc(), c3_simple())
+    alpha = diagram_alpha(two_element(alg.cls))
+    assert satisfying_assignment(alg, alpha) == naive_witness(alg, alpha)
+    assert [_closure(s)["pools"] for s in searches if "pools" in _closure(s)] == [{}]
+
+
 def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
     # alpha's levels and z1's pools are keyed on slots of at most n**2 values,
     # so the budget of q * n**2 entries (5 * 36**2 here) stores them all, floor
-    # or not: 124 memo entries and 80 pools.
+    # or not: 124 memo entries, and 80 pools of 404 values, each pool charged
+    # its length plus one.
     monkeypatch.setattr(terms, "_MEMO_ENTRIES", 100)
     rooms = memo_rooms(monkeypatch)
     alg = reduce(product, [b4_disc(), c3_simple(), c3_simple()])
@@ -652,7 +670,7 @@ def test_memo_budget_keeps_every_alpha_entry_at_36_elements(monkeypatch):
     found = satisfying_assignment(alg, diagram_alpha(two))
     assert (found is not None) == (homs(alg, two, "any_onto") is not None)
     [(room, budget)] = rooms
-    assert (budget, budget - room[0]) == (5 * 36**2, 204)
+    assert (budget, budget - room[0]) == (5 * 36**2, 608)
 
 
 def _once_per_frontier(factory):

@@ -135,6 +135,15 @@ def test_a_repeated_read_returns_the_cached_algebra(files, tmp_path):
     assert io.read_algebra(path) == c3_hri()
 
 
+def test_the_cache_holds_32_files_read_checked(tmp_path):
+    # Each checked read keeps its own entry and the unchecked one it completes.
+    paths = [tmp_path / f"two{i}.json" for i in range(32)]
+    for i, path in enumerate(paths):
+        io.write_algebra(path, two_ws5().rename(f"two{i}"))
+    first = [io.read_algebra(path) for path in paths]
+    assert all(io.read_algebra(path) is alg for path, alg in zip(paths, first))
+
+
 @pytest.mark.parametrize("validate_first", [True, False])
 def test_a_complete_file_runs_its_axioms_once(files, monkeypatch, validate_first):
     # The checked read completes the cached unchecked one, which already
